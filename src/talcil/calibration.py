@@ -159,7 +159,12 @@ def solve_calibration(
         raise DomainError(f"no closed form for r={r}; use method='newton' or 'auto'")
     else:
         x, residual = _solve_x_star(p, r)
-        alpha = 1.0 / x**r
+        x_r = x**r
+        if x_r == 0.0:
+            raise SolverError(
+                f"alpha = 1/x*^r overflows for C={class_count}, r={r}", residual=residual
+            )
+        alpha = 1.0 / x_r
     return CalibrationResult(
         x_star=x, alpha=alpha, class_count=class_count, r=r, residual=residual
     )

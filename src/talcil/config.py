@@ -3,19 +3,52 @@
 Every field has an embedded default; the fully resolved spec (defaults
 applied) is what gets hashed and echoed into the run manifest, so a
 change of defaults between versions is visible as a hash change.
-Validation happens up front, before any computation or output.
+Validation happens up front, before any computation or output: every
+field must have its declared type and every number must be finite, so
+the library code downstream can rely on well-formed values.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import sys
+import warnings
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
-from .errors import SpecError
+from .calibration import solve_calibration
+from .errors import DomainError, SolverError, SpecError
 
 __all__ = ["DatasetBlock", "ScheduleBlock", "LossBlock", "ExperimentSpec", "load_spec"]
+
+_KEY_RENAMES = {"lambda": "lam"}
+_SPEC_KEYS = {v: k for k, v in _KEY_RENAMES.items()}
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number", "bool": "true or false", "str": "a string"}
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (YAML ``true`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_types(block, where: str) -> None:
+    """Each field holds its annotated type.  ``2.0`` is not an int, a bool
+    is not a number, and a float field takes any finite int or float."""
+    for f in fields(block):
+        value = getattr(block, f.name)
+        if f.type == "int":
+            ok = _is_int(value)
+        elif f.type == "float":
+            # abs(nan) and abs(inf) both fail the bound; ints compare exactly
+            ok = (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+        elif f.type == "bool":
+            ok = isinstance(value, bool)
+        else:
+            ok = isinstance(value, str)
+        if not ok:
+            key = _SPEC_KEYS.get(f.name, f.name)
+            raise SpecError(f"{where}.{key} must be {_TYPE_NAMES[f.type]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,6 +62,7 @@ class DatasetBlock:
     cov_scale: float = 1.0
 
     def validate(self):
+        _check_types(self, "dataset")
         if self.classes < 2:
             raise SpecError("dataset.classes must be at least 2")
         if self.tasks < 1 or self.classes % self.tasks != 0:
@@ -50,6 +84,7 @@ class ScheduleBlock:
     hidden: int = 0
 
     def validate(self):
+        _check_types(self, "schedule")
         if self.replay_per_class < 0:
             raise SpecError("schedule.replay_per_class cannot be negative")
         if self.epochs < 1 or self.batch_size < 1:
@@ -69,6 +104,7 @@ class LossBlock:
     exploratory: bool = False
 
     def validate(self):
+        _check_types(self, "loss")
         if self.kind not in ("CE", "TAL"):
             raise SpecError(f"loss.kind must be CE or TAL, got {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
@@ -102,10 +138,32 @@ class ExperimentSpec:
         self.dataset.validate()
         self.schedule.validate()
         self.loss.validate()
-        if not self.seeds:
-            raise SpecError("seeds list cannot be empty")
-        if any(not isinstance(s, int) or isinstance(s, bool) for s in self.seeds):
-            raise SpecError("seeds must be integers")
+        if self.loss.kind == "TAL":
+            self._check_calibration()
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise SpecError("seeds must be a non-empty list")
+        if not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise SpecError("seeds must be nonnegative integers")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise SpecError(f"seeds must be unique, got {list(self.seeds)}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise SpecError(f"output_dir must be a string, got {self.output_dir!r}")
+
+    def _check_calibration(self):
+        classes, tasks = self.dataset.classes, self.dataset.tasks
+        if classes // tasks < 2:
+            raise SpecError(
+                f"loss.kind TAL needs at least 2 classes per task "
+                f"(dataset.classes={classes}, dataset.tasks={tasks})"
+            )
+        # alpha = 1/x*^r grows with the class count, so if the last task's
+        # calibration is representable, every earlier one is too
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                solve_calibration(classes, self.loss.r, strict=not self.loss.exploratory)
+        except (DomainError, SolverError) as exc:
+            raise SpecError(f"loss.r={self.loss.r!r} cannot be calibrated: {exc}") from exc
 
     def resolved_dict(self) -> dict:
         """Fully materialized mapping (defaults applied) for hashing/echoing."""
@@ -113,9 +171,6 @@ class ExperimentSpec:
         out["seeds"] = list(self.seeds)
         out["loss"]["lambda"] = out["loss"].pop("lam")
         return out
-
-
-_KEY_RENAMES = {"lambda": "lam"}
 
 
 def _build_block(cls, mapping, where: str):
@@ -152,10 +207,7 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
         seeds=seeds,
         output_dir=data.get("output_dir"),
     )
-    try:
-        spec.validate()
-    except TypeError as exc:  # e.g. a string where a number belongs
-        raise SpecError(f"spec value has the wrong type: {exc}") from exc
+    spec.validate()
     return spec
 
 

@@ -26,12 +26,13 @@ Three update rules are provided:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TalcilError
 
 __all__ = [
     "MemoryKernel",
@@ -101,6 +102,11 @@ class QState:
     def class_count(self) -> int:
         return self.q.shape[0]
 
+    def within(self, q_max: float) -> bool:
+        """True when every entry lies in [0, q_max); NaN entries never do."""
+        q = self.q
+        return bool(((q >= 0.0) & (q < q_max)).all())
+
     def append_classes(self, n_new: int) -> "QState":
         """Grow the tracker when a task introduces classes; new entries start at 0."""
         if n_new < 0:
@@ -145,7 +151,7 @@ def _check_polarities(polarities, class_count: int) -> np.ndarray:
         raise DomainError(
             f"polarity vector has length {a.shape}, expected ({class_count},)"
         )
-    if not np.all(np.abs(a) == 1.0):
+    if not (np.abs(a) == 1.0).all():
         raise DomainError("polarities must be exactly +1 or -1")
     return a
 
@@ -187,7 +193,7 @@ def update_plain(state: QState, kernel: MemoryKernel, polarities) -> QState:
 
 def _require_tal_domain(kernel: MemoryKernel, r: float, strict: bool) -> None:
     if strict:
-        if r < 1.0:
+        if not r >= 1.0:
             raise DomainError(
                 f"steepness r={r} < 1 is outside the calibrated domain; "
                 "pass strict=False to explore it (range invariants demote to warnings)"
@@ -197,8 +203,11 @@ def _require_tal_domain(kernel: MemoryKernel, r: float, strict: bool) -> None:
                 f"lam={kernel.lam} < 0.5 gives q_max < 1 and breaks the "
                 "nonnegativity of the attenuated update; pass strict=False to explore"
             )
-    elif r <= 0.0:
+    elif not r > 0.0:
         raise DomainError(f"steepness r must be positive, got {r}")
+
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _settle_range(q: np.ndarray, q_max: float, strict: bool) -> np.ndarray:
@@ -207,11 +216,16 @@ def _settle_range(q: np.ndarray, q_max: float, strict: bool) -> np.ndarray:
         # rounded result can land exactly on either boundary (e.g. lam=0.5
         # after ~53 consecutive positives puts the true value within half an
         # ulp of q_max), so exact-boundary roundings are snapped one ulp back
-        # inside.  Anything beyond rounding distance is a real bug.
-        tol = 4.0 * np.finfo(np.float64).eps * q_max
-        assert np.all(q >= -tol) and np.all(q <= q_max + tol), "tracker left [0, q_max)"
-        return np.minimum(np.maximum(q, 0.0), np.nextafter(q_max, 0.0))
-    if np.any(q < 0.0):
+        # inside.  Anything beyond rounding distance is a library bug, raised
+        # explicitly so the check survives ``python -O``.
+        tol = 4.0 * _EPS * q_max
+        if not ((q >= -tol) & (q <= q_max + tol)).all():
+            raise TalcilError(
+                f"tracker left [0, q_max={q_max!r}) by more than rounding "
+                f"(min {q.min()!r}, max {q.max()!r})"
+            )
+        return np.minimum(np.maximum(q, 0.0), math.nextafter(q_max, 0.0))
+    if (q < 0.0).any():
         warnings.warn(
             "attenuated update left [0, q_max); clamping at 0 (exploratory r < 1 path)",
             RuntimeWarning,
@@ -234,7 +248,7 @@ def update_tal(
     a = _check_polarities(polarities, state.class_count)
     q = state.q
     q_max = kernel.q_max
-    if strict and (np.any(q < 0.0) or np.any(q >= q_max)):
+    if strict and not state.within(q_max):
         raise DomainError("tracker state outside [0, q_max); cannot apply attenuated update")
     w = negative_weight(q, q_max, r)
     q_next = kernel.lam * (q + np.where(a > 0, 1.0, -w))
@@ -267,11 +281,11 @@ def update_batched(
         raise DomainError(
             f"pos_counts has shape {n_pos.shape}, expected ({state.class_count},)"
         )
-    if np.any(n_pos < 0) or np.any(n_pos > batch_size):
+    if not ((n_pos >= 0.0) & (n_pos <= batch_size)).all():
         raise DomainError("pos_counts must lie in [0, batch_size]")
     q = state.q
     q_max = kernel.q_max
-    if strict and (np.any(q < 0.0) or np.any(q >= q_max)):
+    if strict and not state.within(q_max):
         raise DomainError("tracker state outside [0, q_max); cannot apply attenuated update")
     frac_pos = n_pos / batch_size
     frac_neg = 1.0 - frac_pos

@@ -105,11 +105,11 @@ def _check_inputs(logits, labels, class_count=None):
     y = np.asarray(labels)
     if z.ndim != 2:
         raise DomainError("logits must be an N x C matrix")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DomainError("logits contain non-finite values")
     if y.shape != (z.shape[0],):
         raise DomainError("labels must be a vector with one entry per row of logits")
-    if not np.issubdtype(y.dtype, np.integer):
+    if y.dtype.kind not in "iu":
         y = y.astype(np.int64)
     c = z.shape[1] if class_count is None else class_count
     if z.shape[1] != c:
@@ -119,16 +119,22 @@ def _check_inputs(logits, labels, class_count=None):
     return z, y
 
 
-def _softmax_loss(z_tilde: np.ndarray, z_true: np.ndarray, labels: np.ndarray):
-    """Mean of logsumexp(zt) - z_true and the softmax-minus-onehot gradient."""
+def _softmax_loss(z_tilde, z_true, rows, labels):
+    """Mean of logsumexp(zt) - z_true and the softmax-minus-onehot gradient.
+
+    ``rows`` is ``arange(N)``; ``z_tilde`` is only read, so it may be the
+    caller's logits.  Sum-then-divide is exactly what ``np.mean`` does.
+    """
     n = z_tilde.shape[0]
     m = z_tilde.max(axis=1, keepdims=True)
-    exps = np.exp(z_tilde - m)
-    denom = exps.sum(axis=1, keepdims=True)
+    grad = z_tilde - m
+    np.exp(grad, out=grad)
+    denom = grad.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(denom[:, 0])
-    loss = float(np.mean(lse - z_true))
-    grad = exps / denom
-    grad[np.arange(n), labels] -= 1.0
+    lse -= z_true
+    loss = float(lse.sum() / n)
+    grad /= denom
+    grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad
 
@@ -136,7 +142,8 @@ def _softmax_loss(z_tilde: np.ndarray, z_true: np.ndarray, labels: np.ndarray):
 def ce_forward(logits, labels) -> LossOutput:
     """Plain mean cross-entropy; the baseline for every comparison."""
     z, y = _check_inputs(logits, labels)
-    loss, grad = _softmax_loss(z, z[np.arange(z.shape[0]), y], y)
+    rows = np.arange(z.shape[0])
+    loss, grad = _softmax_loss(z, z[rows, y], rows, y)
     return LossOutput(loss=loss, grad_logits=grad)
 
 
@@ -148,16 +155,17 @@ def tal_forward(config: TalConfig, logits, labels, q_snapshot: QState) -> LossOu
             f"tracker has {q_snapshot.class_count} classes, config expects {config.class_count}"
         )
     q_max = config.kernel.q_max
-    q = q_snapshot.q
-    if not config.exploratory and (np.any(q < 0.0) or np.any(q >= q_max)):
+    if not config.exploratory and not q_snapshot.within(q_max):
         raise DomainError("tracker snapshot outside [0, q_max)")
-    s = negative_weight(q, q_max, config.r)
-    log_w = np.log(config.alpha * np.maximum(s, config.epsilon))
+    log_w = negative_weight(q_snapshot.q, q_max, config.r)
+    np.maximum(log_w, config.epsilon, out=log_w)
+    log_w *= config.alpha
+    np.log(log_w, out=log_w)
     rows = np.arange(z.shape[0])
     z_true = z[rows, y]
-    z_tilde = z + log_w[np.newaxis, :]
+    z_tilde = z + log_w
     z_tilde[rows, y] = z_true
-    loss, grad = _softmax_loss(z_tilde, z_true, y)
+    loss, grad = _softmax_loss(z_tilde, z_true, rows, y)
     return LossOutput(loss=loss, grad_logits=grad)
 
 

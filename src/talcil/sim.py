@@ -18,6 +18,7 @@ measured on the baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,6 +275,7 @@ def train_incremental(
     snapshots: list[tuple[int, np.ndarray]] = []
     seen_classes: list[int] = []
     global_step = 0
+    batch_size, lr, strict = state.batch_size, state.lr, not state.exploratory
 
     for t, task in enumerate(schedule.tasks):
         classifier.add_classes(len(task.new_class_ids))
@@ -301,31 +303,36 @@ def train_incremental(
 
         for epoch in range(state.epochs_per_task):
             perm = rng.permutation(train_x.shape[0])
-            for start in range(0, perm.shape[0], state.batch_size):
-                idx = perm[start : start + state.batch_size]
+            for start in range(0, perm.shape[0], batch_size):
+                idx = perm[start : start + batch_size]
                 xb, yb = train_x[idx], train_y[idx]
                 z = classifier.logits(xb)
-                if not np.all(np.isfinite(z)):
+                # The loss functions reject non-finite logits with a
+                # DomainError; in a training run that means divergence.
+                try:
+                    if config is not None:
+                        out, q_state = training_step(config, q_state, z, yb)
+                    else:
+                        out = ce_forward(z, yb)
+                        q_state = update_batched(
+                            q_state,
+                            kernel,
+                            state.r,
+                            np.bincount(yb, minlength=c_now),
+                            batch_size=yb.shape[0],
+                            strict=strict,
+                        )
+                except DomainError as exc:
+                    if np.isfinite(z).all():
+                        raise
                     raise TrainingError(
                         f"training diverged at step {global_step}", step=global_step
-                    )
-                if config is not None:
-                    out, q_state = training_step(config, q_state, z, yb)
-                else:
-                    out = ce_forward(z, yb)
-                    q_state = update_batched(
-                        q_state,
-                        kernel,
-                        state.r,
-                        np.bincount(yb, minlength=c_now),
-                        batch_size=yb.shape[0],
-                        strict=not state.exploratory,
-                    )
-                if not np.isfinite(out.loss):
+                    ) from exc
+                if not math.isfinite(out.loss):
                     raise TrainingError(
                         f"loss diverged at step {global_step}", step=global_step
                     )
-                classifier.train_batch(xb, out.grad_logits, state.lr)
+                classifier.train_batch(xb, out.grad_logits, lr)
                 if event_sink is not None:
                     event_sink(
                         {

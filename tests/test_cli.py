@@ -1,8 +1,21 @@
+import copy
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import talcil
 from talcil.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_SPEC = """\
 dataset:
@@ -95,6 +108,17 @@ def test_train_invalid_spec_fails_before_any_output(tmp_path):
         ("lambda: 0.995", "lambda: 1.5"),
         ("seeds: [0, 1]", "seeds: []"),
         ("epochs: 3", "unknown_key: 3"),
+        ("r: 1.0", "r: .nan"),
+        ("lr: 0.1", "lr: .nan"),
+        ("tasks: 2", "tasks: 2.0"),
+        ("epochs: 3", "epochs: 1.5"),
+        ("sep: 2.5", "sep: .inf"),
+        ("seeds: [0, 1]", "seeds: [0, 0]"),
+        ("seeds: [0, 1]", "seeds: [-1]"),
+        ("classes: 4", "classes: true"),
+        ("tasks: 2", "tasks: 4"),  # one class per task leaves TAL nothing to calibrate
+        ("r: 1.0", "r: 1000"),  # alpha = 1/x*^r overflows
+        ("r: 1.0", "r: 1.0\n  exploratory: 1"),
     ],
 )
 def test_malformed_specs_map_to_spec_error(tmp_path, mutation, capsys):
@@ -275,12 +299,66 @@ def test_plotdata_missing_run_dir(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
-    import subprocess
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts["talcil"] == "talcil.cli:main"
 
-    proc = subprocess.run(
-        ["talcil", "calibrate", "--classes", "7", "--exponent", "2"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
+    src = str(Path(talcil.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "talcil", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    proc = run("calibrate", "--classes", "7", "--exponent", "2")
+    assert proc.returncode == 0, proc.stderr
     assert "alpha=" in proc.stdout
+    # the exit code reaches the shell
+    assert run("calibrate", "--classes", "1", "--exponent", "2").returncode == 4
+
+
+# ---------------------------------------------------------------------------
+# spec validation under random edits
+# ---------------------------------------------------------------------------
+
+# The demo spec cut to one seed, one epoch and one task of two classes so
+# each example runs in milliseconds.  Two class means can be placed at any
+# dimension, and every small number below keeps the run feasible, so a
+# valid edit must run and anything else must be rejected as a spec error.
+_DEMO = yaml.safe_load((ROOT / "configs" / "demo.yaml").read_text())
+_BASE = {
+    **_DEMO,
+    "dataset": {**_DEMO["dataset"], "classes": 2, "tasks": 1, "per_class": 12, "test_per_class": 5},
+    "schedule": {**_DEMO["schedule"], "epochs": 1, "replay_per_class": 3},
+    "seeds": [0],
+}
+_PATHS = (
+    [(block,) for block in ("dataset", "schedule", "loss", "seeds", "output_dir")]
+    + [(block, key) for block in ("dataset", "schedule", "loss") for key in _DEMO[block]]
+    + [("loss", "exploratory")]
+)
+_VALUES = st.sampled_from(
+    [None, True, False, -1, 0, 1, 2, 3, 2.0, 1.5, 0.5, 7.5, 1e-9,
+     math.nan, math.inf, -math.inf, "", "CE", "TAL", [], [0, 0], [1], {}]
+)
+
+
+@given(path=st.sampled_from(_PATHS), value=_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_edited_demo_spec_runs_or_exits_3_with_nothing_written(path, value):
+    spec = copy.deepcopy(_BASE)
+    target = spec
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.yaml"
+        spec_path.write_text(yaml.safe_dump(spec))
+        out_dir = Path(tmp) / "out"
+        code = main(["train", "--spec", str(spec_path), "--output-dir", str(out_dir)])
+        assert code == 0 or (code == 3 and not out_dir.exists()), (path, value, code)

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import talcil
 from talcil import (
     DomainError,
     MemoryKernel,
@@ -180,6 +186,29 @@ def test_tal_rejects_state_outside_range():
     k = MemoryKernel(lam=0.9)
     with pytest.raises(DomainError):
         update_tal(QState(q=np.array([k.q_max])), k, 1.0, [1.0])
+
+
+def test_range_invariant_raises_even_under_python_O():
+    # a tracker beyond rounding distance of [0, q_max) is a library bug:
+    # it must raise (CLI exit 1) rather than clamp, also when asserts are off
+    src = str(Path(talcil.__file__).resolve().parents[1])
+    script = (
+        "import numpy as np\n"
+        "from talcil.errors import TalcilError\n"
+        "from talcil.kernel import _settle_range\n"
+        "assert False, 'asserts are on'\n"
+        "for q in ([-5.0], [10.5], [np.nan]):\n"
+        "    try:\n"
+        "        _settle_range(np.array(q), 10.0, True)\n"
+        "    except TalcilError as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["TalcilError"] * 3
 
 
 def test_tal_exploratory_r_clamps_and_warns():

@@ -1,0 +1,199 @@
+"""The per-step functions against a reference copy of their formulas.
+
+The public step functions validate with one cheap reduction per check
+and reuse buffers in place.  The references below are the plain,
+allocate-everything form of the same arithmetic and live here, not in
+the library: every loss, gradient and tracker value must match them bit
+for bit.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from talcil import (
+    DomainError,
+    MemoryKernel,
+    QState,
+    TalConfig,
+    ce_forward,
+    tal_forward,
+    training_step,
+    update_batched,
+    update_tal,
+)
+
+# ---------------------------------------------------------------------------
+# reference formulas
+# ---------------------------------------------------------------------------
+
+
+def ref_weight(q, q_max, r):
+    return (np.asarray(q, dtype=np.float64) / q_max) ** r
+
+
+def ref_settle(q, q_max, strict):
+    if strict:
+        return np.minimum(np.maximum(q, 0.0), np.nextafter(q_max, 0.0))
+    return np.maximum(q, 0.0) if np.any(q < 0.0) else q
+
+
+def ref_softmax_loss(z_tilde, z_true, labels):
+    n = z_tilde.shape[0]
+    m = z_tilde.max(axis=1, keepdims=True)
+    exps = np.exp(z_tilde - m)
+    denom = exps.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(denom[:, 0])
+    loss = float(np.mean(lse - z_true))
+    grad = exps / denom
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return loss, grad
+
+
+def ref_ce(z, y):
+    return ref_softmax_loss(z, z[np.arange(z.shape[0]), y], y)
+
+
+def ref_tal(config, z, y, q):
+    s = ref_weight(q, config.kernel.q_max, config.r)
+    log_w = np.log(config.alpha * np.maximum(s, config.epsilon))
+    rows = np.arange(z.shape[0])
+    z_true = z[rows, y]
+    z_tilde = z + log_w[np.newaxis, :]
+    z_tilde[rows, y] = z_true
+    return ref_softmax_loss(z_tilde, z_true, y)
+
+
+def ref_batched(q, kernel, r, pos_counts, batch_size, strict):
+    frac_pos = np.asarray(pos_counts, dtype=np.float64) / batch_size
+    frac_neg = 1.0 - frac_pos
+    w = ref_weight(q, kernel.q_max, r)
+    return ref_settle(kernel.lam * (q + frac_pos - frac_neg * w), kernel.q_max, strict)
+
+
+def ref_tal_update(q, kernel, r, polarities, strict):
+    w = ref_weight(q, kernel.q_max, r)
+    q_next = kernel.lam * (q + np.where(np.asarray(polarities) > 0, 1.0, -w))
+    return ref_settle(q_next, kernel.q_max, strict)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# random instances
+# ---------------------------------------------------------------------------
+
+# strict runs the calibrated domain; r < 1 only runs exploratory
+R_MODES = [(1.0, False), (2.0, False), (5.0, False), (0.2, True), (0.5, True)]
+
+
+def instance(seed, n, c, lam, r, exploratory, zero_frac):
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # exploratory calibration warns
+        config = TalConfig.for_classes(lam, r, c, exploratory=exploratory)
+    q = rng.uniform(0.0, config.kernel.q_max, size=c)
+    q[rng.random(c) < zero_frac] = 0.0  # classes on the eps floor
+    z = 3.0 * rng.standard_normal((n, c))
+    y = rng.integers(0, c, size=n)
+    return config, QState(q=q, step=int(rng.integers(0, 100))), z, y
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=64),
+    c=st.integers(min_value=2, max_value=24),
+    lam=st.sampled_from([0.5, 0.9, 0.995, 0.9995]),
+    mode=st.sampled_from(R_MODES),
+    zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_step_functions_match_reference_bits(seed, n, c, lam, mode, zero_frac):
+    r, exploratory = mode
+    config, state, z, y = instance(seed, n, c, lam, r, exploratory, zero_frac)
+    strict = not exploratory
+    kernel = config.kernel
+    z_before = z.copy()
+
+    loss, grad = ref_tal(config, z, y, state.q)
+    out = tal_forward(config, z, y, state)
+    assert same_bits(out.loss, loss) and same_bits(out.grad_logits, grad)
+
+    pos_counts = np.bincount(y, minlength=c)
+    q_ref = ref_batched(state.q, kernel, r, pos_counts, n, strict)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # exploratory clamping warns
+        advanced = update_batched(state, kernel, r, pos_counts, n, strict=strict)
+        step_out, stepped = training_step(config, state, z, y)
+    assert same_bits(advanced.q, q_ref) and advanced.step == state.step + 1
+    assert same_bits(step_out.loss, loss) and same_bits(step_out.grad_logits, grad)
+    assert same_bits(stepped.q, q_ref) and stepped.step == state.step + 1
+
+    polarities = np.where(np.arange(c) == y[0], 1.0, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        single = update_tal(state, kernel, r, polarities, strict=strict)
+    assert same_bits(single.q, ref_tal_update(state.q, kernel, r, polarities, strict))
+
+    ce_loss, ce_grad = ref_ce(z, y)
+    ce = ce_forward(z, y)
+    assert same_bits(ce.loss, ce_loss) and same_bits(ce.grad_logits, ce_grad)
+    assert same_bits(z, z_before)  # the caller's logits are never written
+
+
+# ---------------------------------------------------------------------------
+# edges the cheap checks must still get right
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_empty_tracker_advances_without_reducing_an_empty_array(strict):
+    k = MemoryKernel(lam=0.9)
+    empty = QState(q=np.zeros(0), step=4)
+    batched = update_batched(empty, k, 1.0, np.zeros(0), batch_size=3, strict=strict)
+    single = update_tal(empty, k, 1.0, np.zeros(0), strict=strict)
+    for st_next in (batched, single):
+        assert st_next.q.shape == (0,) and st_next.step == 5
+
+
+def test_boundary_snap_at_lam_one_half_matches_reference():
+    # lam = 0.5 rounds onto q_max after ~53 positives; both update rules
+    # must snap to the largest double below q_max exactly as the reference
+    k = MemoryKernel(lam=0.5)
+    q_ref = np.array([0.0, 0.0])
+    batched = single = QState.zeros(2)
+    for _ in range(120):
+        batched = update_batched(batched, k, 1.0, [4, 0], batch_size=4)
+        single = update_tal(single, k, 1.0, [1.0, -1.0])
+        q_ref = ref_batched(q_ref, k, 1.0, [4, 0], 4, True)
+        assert same_bits(batched.q, q_ref) and same_bits(single.q, q_ref)
+    assert batched.q[0] == np.nextafter(k.q_max, 0.0) and batched.q[1] == 0.0
+
+
+def test_nan_tracker_counts_or_steepness_rejected_in_strict_mode():
+    # NaN compares false against every bound, so the range checks reject
+    # it; before, a NaN slipped past them and surfaced only as a failed
+    # assert on the updated tracker
+    config = TalConfig.for_classes(0.9, 1.0, 3)
+    k = config.kernel
+    nan_state = QState(q=np.array([0.5, np.nan, 0.5]))
+    with pytest.raises(DomainError):
+        tal_forward(config, np.zeros((2, 3)), [0, 1], nan_state)
+    with pytest.raises(DomainError):
+        training_step(config, nan_state, np.zeros((2, 3)), [0, 1])
+    with pytest.raises(DomainError):
+        update_batched(nan_state, k, 1.0, [1, 1, 0], batch_size=2)
+    with pytest.raises(DomainError):
+        update_tal(nan_state, k, 1.0, [1.0, -1.0, -1.0])
+    for strict in (True, False):
+        with pytest.raises(DomainError):
+            update_batched(QState.zeros(3), k, 1.0, [1.0, np.nan, 0.0], batch_size=2, strict=strict)
+        with pytest.raises(DomainError):
+            update_batched(QState.zeros(3), k, np.nan, [1, 1, 0], batch_size=2, strict=strict)
