@@ -14,6 +14,8 @@ Run:
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from talcil import (
     MemoryKernel,
     PolaritySequence,
@@ -60,11 +62,16 @@ def main():
 
     if args.output_dir:
         out = Path(args.output_dir)
-        rows = []
-        for k in (0, 1):
-            s = trace.cumulative_positives(k)
-            rows.extend((n, k, int(s[n])) for n in range(len(trace)))
-        write_csv(out / "s_curves.csv", ("step", "class", "cumulative_positives"), rows)
+        steps = len(trace)
+        write_csv(
+            out / "s_curves.csv",
+            ("step", "class", "cumulative_positives"),
+            (
+                np.tile(np.arange(steps), 2),
+                np.repeat([0, 1], steps),
+                np.concatenate([trace.cumulative_positives(k) for k in (0, 1)]),
+            ),
+        )
         print(f"wrote {out / 's_curves.csv'}")
 
 

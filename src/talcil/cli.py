@@ -89,27 +89,29 @@ def _cmd_simulate_stream(args) -> int:
         shuffle_seed=args.seed,
     )
     trace = generate_stream(schedule)
+    steps, c = len(trace), trace.class_count
     kernel = MemoryKernel(lam=args.lam)
-    state = QState.zeros(trace.class_count)
-    q_rows = []
-    for n in range(len(trace)):
-        polarity = np.where(np.arange(trace.class_count) == trace.labels[n], 1.0, -1.0)
-        state = update_tal(state, kernel, args.exponent, polarity)
-        q_rows.extend(
-            (n, k, float(state.q[k])) for k in range(trace.class_count)
-        )
+    state = QState.zeros(c)
+    classes = np.arange(c)
+    polarity = np.where(trace.labels[:, None] == classes, 1.0, -1.0)
+    q = np.empty((steps, c))
+    for n in range(steps):
+        state = update_tal(state, kernel, args.exponent, polarity[n])
+        q[n] = state.q
     out_dir = _resolve_output_dir(args.output_dir)
+    step_ids = np.arange(steps)
+    write_csv(out_dir / "trace.csv", ("step", "label"), (step_ids, trace.labels))
+    s_curves = np.concatenate([trace.cumulative_positives(k) for k in range(c)])
     write_csv(
-        out_dir / "trace.csv",
-        ("step", "label"),
-        ((n, int(trace.labels[n])) for n in range(len(trace))),
+        out_dir / "s_curves.csv",
+        ("step", "class", "cumulative_positives"),
+        (np.tile(step_ids, c), np.repeat(classes, steps), s_curves),
     )
-    s_rows = []
-    for k in range(trace.class_count):
-        s_k = trace.cumulative_positives(k)
-        s_rows.extend((n, k, int(s_k[n])) for n in range(len(trace)))
-    write_csv(out_dir / "s_curves.csv", ("step", "class", "cumulative_positives"), s_rows)
-    write_csv(out_dir / "q_trajectory.csv", ("step", "class_id", "q_value"), q_rows)
+    write_csv(
+        out_dir / "q_trajectory.csv",
+        ("step", "class_id", "q_value"),
+        (np.repeat(step_ids, c), np.tile(classes, steps), q.ravel()),
+    )
     spec_dict = {
         "command": "simulate-stream",
         "classes": args.classes,
@@ -126,49 +128,31 @@ def _cmd_simulate_stream(args) -> int:
 
 def _cmd_verify_theorem1(args) -> int:
     rng = np.random.default_rng(args.seed)
-    rows = []
-    held = strict_held = 0
-    total = 0
+    pair_ids, lams, verdicts = [], [], []
     for lam in args.lambdas:
         kernel = MemoryKernel(lam=lam)
         for i in range(args.pairs):
             seq_a, seq_b = sample_dominance_pair(rng, args.length, args.positives)
-            verdict = verify_theorem1(kernel, (seq_a, seq_b))
-            total += 1
-            held += verdict.conclusion_held
-            strict_held += verdict.strict_dominance and verdict.gap_by_parts > 0.0
-            rows.append(
-                (
-                    i,
-                    lam,
-                    args.length,
-                    args.positives,
-                    verdict.q_a,
-                    verdict.q_b,
-                    verdict.phi_a,
-                    verdict.phi_b,
-                    verdict.dominance_held,
-                    verdict.strict_dominance,
-                    verdict.conclusion_held,
-                )
-            )
+            pair_ids.append(i)
+            lams.append(lam)
+            verdicts.append(verify_theorem1(kernel, (seq_a, seq_b)))
+    total = len(verdicts)
+    held = sum(v.conclusion_held for v in verdicts)
+    strict_held = sum(v.strict_dominance and v.gap_by_parts > 0.0 for v in verdicts)
+    fields = (
+        "q_a", "q_b", "phi_a", "phi_b", "dominance_held", "strict_dominance", "conclusion_held"
+    )
     out_dir = _resolve_output_dir(args.output_dir)
     write_csv(
         out_dir / "theorem1_pairs.csv",
+        ("pair_id", "lambda", "length", "positives", *fields),
         (
-            "pair_id",
-            "lambda",
-            "length",
-            "positives",
-            "q_a",
-            "q_b",
-            "phi_a",
-            "phi_b",
-            "dominance_held",
-            "strict_dominance",
-            "conclusion_held",
+            pair_ids,
+            lams,
+            [args.length] * total,
+            [args.positives] * total,
+            *([getattr(v, name) for v in verdicts] for name in fields),
         ),
-        rows,
     )
     write_manifest(
         out_dir,
@@ -187,30 +171,14 @@ def _cmd_verify_theorem1(args) -> int:
 
 
 def _report_files(report, seed: int):
-    acc_rows = []
-    n_tasks = report.accuracy_matrix.shape[0]
-    for t in range(n_tasks):
-        for u in range(t + 1):
-            acc_rows.append((t, u, report.accuracy_matrix[t, u]))
-    per_class_rows = [
-        (
-            row.task_id,
-            row.class_id,
-            row.precision if row.precision_defined else None,
-            row.recall,
-            row.support,
-            row.q_value,
-            row.precision_defined,
-        )
-        for row in report.per_class
-    ]
-    q_rows = []
-    for step, q in report.q_snapshots:
-        q_rows.extend((step, k, float(q[k])) for k in range(q.shape[0]))
+    after, on = np.tril_indices(report.accuracy_matrix.shape[0])
+    rows = report.per_class
+    snapshots = report.q_snapshots
+    sizes = [q.shape[0] for _, q in snapshots]
     return {
         f"accuracy_matrix_seed{seed}.csv": (
             ("after_task", "on_task", "accuracy"),
-            acc_rows,
+            (after, on, report.accuracy_matrix[after, on]),
         ),
         f"per_class_seed{seed}.csv": (
             (
@@ -222,14 +190,30 @@ def _report_files(report, seed: int):
                 "q_value",
                 "precision_defined",
             ),
-            per_class_rows,
+            (
+                [row.task_id for row in rows],
+                [row.class_id for row in rows],
+                [row.precision if row.precision_defined else None for row in rows],
+                [row.recall for row in rows],
+                [row.support for row in rows],
+                [row.q_value for row in rows],
+                [row.precision_defined for row in rows],
+            ),
         ),
-        f"q_snapshots_seed{seed}.csv": (("step", "class_id", "q_value"), q_rows),
+        f"q_snapshots_seed{seed}.csv": (
+            ("step", "class_id", "q_value"),
+            (
+                np.repeat([step for step, _ in snapshots], sizes),
+                np.concatenate([np.arange(size) for size in sizes]),
+                np.concatenate([q for _, q in snapshots]),
+            ),
+        ),
     }
 
 
-def _run_experiment(spec: ExperimentSpec, seed: int):
-    dataset, schedule = make_gaussian_tasks(
+def _tasks_for(spec: ExperimentSpec, seed: int):
+    """The dataset and schedule of one spec seed; ``train`` and ``ablate`` share it."""
+    return make_gaussian_tasks(
         spec.dataset.classes,
         spec.dataset.dim,
         spec.dataset.tasks,
@@ -240,6 +224,10 @@ def _run_experiment(spec: ExperimentSpec, seed: int):
         cov_scale=spec.dataset.cov_scale,
         replay_per_old_class=spec.schedule.replay_per_class,
     )
+
+
+def _run_experiment(spec: ExperimentSpec, seed: int):
+    dataset, schedule = _tasks_for(spec, seed)
     events: list[dict] = []
     state = fresh_state(
         spec.loss.kind.lower(),
@@ -263,22 +251,26 @@ def _cmd_train(args) -> int:
     out_dir = _resolve_output_dir(args.output_dir, spec.output_dir)
     csv_files: dict[str, tuple] = {}
     jsonl_files: dict[str, list] = {}
-    summary_rows = []
     a_means, a_lasts = [], []
     for seed in spec.seeds:
         report, events = _run_experiment(spec, seed)
         csv_files.update(_report_files(report, seed))
         jsonl_files[f"events_seed{seed}.jsonl"] = events
-        summary_rows.append((seed, report.a_mean, report.a_last))
         a_means.append(report.a_mean)
         a_lasts.append(report.a_last)
-    summary_rows.append(("mean", float(np.mean(a_means)), float(np.mean(a_lasts))))
-    summary_rows.append(("std", float(np.std(a_means)), float(np.std(a_lasts))))
-    for name, (header, rows) in csv_files.items():
-        write_csv(out_dir / name, header, rows)
+    for name, (header, columns) in csv_files.items():
+        write_csv(out_dir / name, header, columns)
     for name, events in jsonl_files.items():
         write_jsonl(out_dir / name, events)
-    write_csv(out_dir / "summary.csv", ("seed", "a_mean", "a_last"), summary_rows)
+    write_csv(
+        out_dir / "summary.csv",
+        ("seed", "a_mean", "a_last"),
+        (
+            [*spec.seeds, "mean", "std"],
+            [*a_means, float(np.mean(a_means)), float(np.std(a_means))],
+            [*a_lasts, float(np.mean(a_lasts)), float(np.std(a_lasts))],
+        ),
+    )
     write_manifest(out_dir, spec.resolved_dict(), spec.seeds, __version__)
     print(
         f"{spec.loss.kind} over {len(spec.seeds)} seeds: "
@@ -293,58 +285,46 @@ def _cmd_ablate(args) -> int:
     out_dir = _resolve_output_dir(args.output_dir, spec.output_dir)
     lambdas = tuple(args.lambdas) if args.lambdas else ABLATION_LAMBDAS
     rs = tuple(args.rs) if args.rs else ABLATION_RS
-    dataset, schedule = make_gaussian_tasks(
-        spec.dataset.classes,
-        spec.dataset.dim,
-        spec.dataset.tasks,
-        spec.dataset.per_class,
-        spec.dataset.sep,
-        spec.seeds[0],
-        test_per_class=spec.dataset.test_per_class,
-        cov_scale=spec.dataset.cov_scale,
-        replay_per_old_class=spec.schedule.replay_per_class,
-    )
-    rows = ablate(
-        dataset,
-        schedule,
-        spec.seeds,
-        lambdas=lambdas,
-        rs=rs,
-        lr=spec.schedule.lr,
-        epochs_per_task=spec.schedule.epochs,
-        batch_size=spec.schedule.batch_size,
-        hidden=spec.schedule.hidden,
-    )
+    per_seed = [
+        ablate(
+            *_tasks_for(spec, seed),
+            [seed],
+            lambdas=lambdas,
+            rs=rs,
+            lr=spec.schedule.lr,
+            epochs_per_task=spec.schedule.epochs,
+            batch_size=spec.schedule.batch_size,
+            hidden=spec.schedule.hidden,
+        )
+        for seed in spec.seeds
+    ]
+    # cell-major, seed-minor: the order one multi-seed ``ablate`` call gives
+    rows = [row for cell in zip(*per_seed) for row in cell]
     write_csv(
         out_dir / "ablation.csv",
         ("loss", "lambda", "r", "seed", "a_mean", "a_last"),
-        [(r["loss"], r["lam"], r["r"], r["seed"], r["a_mean"], r["a_last"]) for r in rows],
+        [
+            [row[key] for row in rows]
+            for key in ("loss", "lam", "r", "seed", "a_mean", "a_last")
+        ],
     )
     summary = {}
     for row in rows:
         summary.setdefault((row["loss"], row["lam"], row["r"]), []).append(
             (row["a_mean"], row["a_last"])
         )
-    summary_rows = []
-    for (loss, lam, r), cells in sorted(
-        summary.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0.0, kv[0][2] or 0.0)
-    ):
-        arr = np.array(cells)
-        summary_rows.append(
-            (
-                loss,
-                lam,
-                r,
-                float(arr[:, 0].mean()),
-                float(arr[:, 0].std()),
-                float(arr[:, 1].mean()),
-                float(arr[:, 1].std()),
-            )
-        )
+    keys = sorted(summary, key=lambda key: (key[0], key[1] or 0.0, key[2] or 0.0))
+    cells = [np.array(summary[key]) for key in keys]  # one (seeds, 2) array per cell
     write_csv(
         out_dir / "ablation_summary.csv",
         ("loss", "lambda", "r", "a_mean_mean", "a_mean_std", "a_last_mean", "a_last_std"),
-        summary_rows,
+        (
+            *zip(*keys),
+            [float(arr[:, 0].mean()) for arr in cells],
+            [float(arr[:, 0].std()) for arr in cells],
+            [float(arr[:, 1].mean()) for arr in cells],
+            [float(arr[:, 1].std()) for arr in cells],
+        ),
     )
     write_manifest(out_dir, spec.resolved_dict(), spec.seeds, __version__)
     print(f"ablation grid {len(lambdas)}x{len(rs)} (+CE) over {len(spec.seeds)} seeds -> {out_dir}")
@@ -358,14 +338,8 @@ def _cmd_bench_loss(args) -> int:
         repeats=args.repeats,
     )
     out_dir = _resolve_output_dir(args.output_dir)
-    write_csv(
-        out_dir / "bench.csv",
-        ("batch_size", "class_count", "ce_seconds", "tal_seconds", "overhead_seconds"),
-        [
-            (r.batch_size, r.class_count, r.ce_seconds, r.tal_seconds, r.overhead_seconds)
-            for r in rows
-        ],
-    )
+    fields = ("batch_size", "class_count", "ce_seconds", "tal_seconds", "overhead_seconds")
+    write_csv(out_dir / "bench.csv", fields, [[getattr(r, name) for r in rows] for name in fields])
     write_manifest(
         out_dir,
         {
@@ -526,10 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_record(exc: Exception, code: int) -> str:
-    return json.dumps(
-        {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
-        sort_keys=True,
-    )
+    record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+    if isinstance(exc, TrainingError) and exc.step is not None:
+        record["step"] = exc.step
+    if isinstance(exc, SolverError) and exc.residual is not None:
+        record["residual"] = exc.residual
+    return json.dumps(record, sort_keys=True)
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,10 @@
 """Deterministic, atomic result emission.
 
 Every file is written to a temp name in the target directory and then
-renamed into place, so readers never observe a half-written file.  CSV
-cells are formatted with repr (shortest round-trip) and records carry no
-timestamps: identical inputs give byte-identical outputs.
+renamed into place, so readers never observe a half-written file; a
+failure while writing removes the temp file and leaves the target as it
+was.  CSV cells are formatted with repr (shortest round-trip) and records
+carry no timestamps: identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = [
     "fmt_cell",
@@ -37,18 +41,67 @@ def fmt_cell(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, text: str) -> None:
+# Rows formatted and written per chunk: bounds the strings held at once.
+_CSV_CHUNK_ROWS = 4096
+
+
+@contextmanager
+def _atomic_open(path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt_cell(cell) for cell in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def atomic_write_text(path, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+def _format_column(col):
+    """Cells of one column chunk as strings, by the ``fmt_cell`` rules.
+
+    float16/32/64 and integer arrays take one ``tolist`` pass (``repr``
+    of a double and ``str`` of an int are what ``fmt_cell`` gives their
+    elements); every other column goes cell by cell.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind == "f" and col.dtype.itemsize <= 8:
+            return map(repr, col.tolist())
+        if col.dtype.kind in "iu":
+            return map(str, col.tolist())
+    return map(fmt_cell, col)
+
+
+def write_csv(path, header, columns) -> None:
+    """Write one CSV from one sequence per column (ndarray or list).
+
+    Every column must be one-dimensional, and all must have the header's
+    count and one length; a mismatch raises ``DomainError`` before
+    anything is written.
+    """
+    header = tuple(header)
+    columns = tuple(columns)
+    if len(columns) != len(header):
+        raise DomainError(f"{len(columns)} columns for a {len(header)}-name header")
+    if any(isinstance(col, np.ndarray) and col.ndim != 1 for col in columns):
+        raise DomainError("CSV columns must be one-dimensional")
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise DomainError(f"CSV columns of unequal lengths {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            cells = [_format_column(col[start:stop]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_jsonl(path, records) -> None:

@@ -282,14 +282,8 @@ def test_c09_loss_microbenchmark(tmp_path):
         batch_sizes=(32, 64, 128, 256), class_counts=(5, 20, 100, 500), repeats=30
     )
     assert len(rows) == 16
-    write_csv(
-        tmp_path / "bench.csv",
-        ("batch_size", "class_count", "ce_seconds", "tal_seconds", "overhead_seconds"),
-        [
-            (r.batch_size, r.class_count, r.ce_seconds, r.tal_seconds, r.overhead_seconds)
-            for r in rows
-        ],
-    )
+    fields = ("batch_size", "class_count", "ce_seconds", "tal_seconds", "overhead_seconds")
+    write_csv(tmp_path / "bench.csv", fields, [[getattr(r, f) for r in rows] for f in fields])
     assert (tmp_path / "bench.csv").is_file()
     slopes = overhead_slopes(rows)
     assert slopes["ce_slope_per_element"] > 0.0

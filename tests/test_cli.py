@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import talcil
-from talcil.cli import main
+from talcil.cli import _error_record, main
+from talcil.errors import SolverError, TrainingError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +70,28 @@ def test_calibrate_domain_error_exit_code(capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "DomainError"
     assert record["exit_code"] == 4
+
+
+def test_error_records_carry_exception_context(tmp_path, capsys):
+    # alpha overflows: a SolverError that holds its residual
+    assert main(["calibrate", "--classes", "10", "--exponent", "1000"]) == 5
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "SolverError" and record["residual"] == 0.0
+    assert "step" not in record
+
+    divergent = TINY_SPEC.replace("lr: 0.1", "lr: 1.0e+308").replace("kind: TAL", "kind: CE")
+    spec = write_spec(tmp_path, divergent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["train", "--spec", str(spec), "--output-dir", str(tmp_path / "out")])
+    assert code == 5
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "TrainingError" and record["step"] == 1
+    assert "residual" not in record
+
+    # the keys are left out when the exception holds no value
+    for exc in (SolverError("x"), TrainingError("x")):
+        assert set(json.loads(_error_record(exc, 5))) == {"error", "message", "exit_code"}
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -226,6 +250,32 @@ def test_verify_theorem1_cli(tmp_path, capsys):
     rows = (out_dir / "theorem1_pairs.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 40  # two lambdas by default
     assert rows[0].startswith("pair_id,lambda,length")
+
+
+# ---------------------------------------------------------------------------
+# ablate
+# ---------------------------------------------------------------------------
+
+
+def test_ablate_seed_builds_the_dataset_train_builds(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    out_dir = tmp_path / "ablate"
+    argv = ["ablate", "--spec", str(spec), "--lambdas", "0.99", "--rs", "1.0"]
+    assert main(argv + ["--output-dir", str(out_dir)]) == 0
+    lines = (out_dir / "ablation.csv").read_text().splitlines()
+    assert [line.split(",")[:4] for line in lines[1:]] == [
+        ["ce", "", "", "0"],
+        ["ce", "", "", "1"],
+        ["tal", "0.99", "1.0", "0"],
+        ["tal", "0.99", "1.0", "1"],
+    ]
+    ce = {line.split(",")[3]: line.split(",")[4:] for line in lines[1:3]}
+
+    ce_spec = write_spec(tmp_path, TINY_SPEC.replace("kind: TAL", "kind: CE"), name="ce.yaml")
+    train_dir = tmp_path / "train"
+    assert main(["train", "--spec", str(ce_spec), "--output-dir", str(train_dir)]) == 0
+    summary = (train_dir / "summary.csv").read_text().splitlines()[1:3]
+    assert {line.split(",")[0]: line.split(",")[1:] for line in summary} == ce
 
 
 # ---------------------------------------------------------------------------

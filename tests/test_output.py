@@ -1,0 +1,94 @@
+"""The columnar CSV writer, byte for byte against the row formatter it replaced."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from talcil import output
+from talcil.errors import DomainError
+from talcil.output import fmt_cell, write_csv
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-5, 1e16, np.inf, -np.inf, np.nan]
+
+
+def row_csv(header, rows) -> str:
+    """The row-by-row text the writer produced before it took columns."""
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt_cell(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _column(draw, n):
+    kind = draw(st.sampled_from(["f8", "f4", "g", "i8", "u1", "bool", "mixed", "ints"]))
+    if kind == "f8":
+        floats = st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
+        return draw(hnp.arrays(np.float64, n, elements=floats))
+    if kind == "f4":
+        return draw(hnp.arrays(np.float32, n, elements=st.floats(width=32)))
+    if kind == "g":  # long double: wider than the one-pass float path takes
+        return draw(hnp.arrays(np.longdouble, n, elements=st.floats()))
+    if kind == "i8":
+        return draw(hnp.arrays(np.int64, n))
+    if kind == "u1":
+        return draw(hnp.arrays(np.uint8, n))
+    if kind == "bool":
+        return draw(hnp.arrays(np.bool_, n))
+    if kind == "ints":
+        return draw(st.lists(st.integers() | st.booleans(), min_size=n, max_size=n))
+    cell = st.none() | st.floats() | st.sampled_from(EDGE_FLOATS) | st.text("ab-_. xyz", max_size=4)
+    return draw(st.lists(cell, min_size=n, max_size=n))
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 30))
+    width = draw(st.integers(1, 5))
+    header = tuple(f"c{j}" for j in range(width))
+    return header, [_column(draw, n) for _ in range(width)]
+
+
+@given(table=tables(), chunk=st.sampled_from([1, 3, 4096]))
+def test_columns_match_row_formatter(tmp_path_factory, table, chunk):
+    header, columns = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with mock.patch.object(output, "_CSV_CHUNK_ROWS", chunk):
+        write_csv(path, header, columns)
+    assert path.read_text() == row_csv(header, zip(*columns))
+
+
+def test_zero_rows_write_the_header_only(tmp_path):
+    write_csv(tmp_path / "t.csv", ("a", "b"), (np.array([]), []))
+    assert (tmp_path / "t.csv").read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [
+        (("a", "b"), (np.arange(3), [1.0, 2.0])),  # unequal lengths
+        (("a", "b"), (np.arange(3),)),  # one column short of the header
+        (("a",), (np.zeros((3, 2)),)),  # not one-dimensional
+    ],
+)
+def test_malformed_columns_raise_before_anything_is_written(tmp_path, header, columns):
+    with pytest.raises(DomainError):
+        write_csv(tmp_path / "sub" / "t.csv", header, columns)
+    assert not (tmp_path / "sub").exists()
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+
+def test_failure_while_formatting_leaves_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "t.csv"
+    target.write_text("old\n")
+    column = [1, 2, 3, 4, 5, _Unprintable()]
+    with mock.patch.object(output, "_CSV_CHUNK_ROWS", 2), pytest.raises(RuntimeError):
+        write_csv(target, ("a",), (column,))
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
