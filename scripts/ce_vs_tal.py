@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Paired desk-scale comparison: plain cross-entropy vs the adjusted loss.
 
-For each seed, trains the same synthetic 5-task problem twice (same data,
-same shuffles) and reports final accuracy, per-task mean accuracy, and
+For each seed, trains the same synthetic 5-task problem with both losses
+in lockstep (same data, same shuffles) and reports final accuracy, per-task mean accuracy, and
 the rank correlation between class age and (precision - recall) -- the
 temporal-imbalance signature the adjusted loss is supposed to flatten.
 
@@ -14,29 +14,7 @@ import argparse
 
 import numpy as np
 
-from talcil import make_gaussian_tasks, train_incremental
-from talcil.metrics import PerClassMetrics, asymmetry_index
-from talcil.sim import class_ages, fresh_state
-
-
-def run(seed, kind, lam, r):
-    dataset, schedule = make_gaussian_tasks(
-        10, 16, 5, 100, 2.5, seed, test_per_class=100, replay_per_old_class=20
-    )
-    state = fresh_state(
-        kind, 16, lam=lam, r=r, lr=0.1, epochs_per_task=20, batch_size=32, seed=seed
-    )
-    report = train_incremental(state, dataset, schedule)
-    final = [row for row in report.per_class if row.task_id == 4]
-    metrics = PerClassMetrics(
-        precision=np.array([row.precision for row in final]),
-        recall=np.array([row.recall for row in final]),
-        support=np.full(len(final), 100),
-        precision_defined=np.array([row.precision_defined for row in final]),
-        recall_defined=np.full(len(final), True),
-    )
-    corr = asymmetry_index(metrics, class_ages(schedule)).age_correlation
-    return report.a_mean, report.a_last, corr
+from talcil.sim import desk_scale_pair
 
 
 def main():
@@ -49,8 +27,10 @@ def main():
     results = {"ce": [], "tal": []}
     print(f"{'seed':>4}  {'loss':<4} {'a_mean':>7} {'a_last':>7} {'age corr':>9}")
     for seed in range(args.seeds):
+        pair = desk_scale_pair(seed, lam=args.lam, r=args.r)
         for kind in ("ce", "tal"):
-            a_mean, a_last, corr = run(seed, kind, args.lam, args.r)
+            cell = pair[kind]
+            a_mean, a_last, corr = cell["a_mean"], cell["a_last"], cell["age_corr"]
             results[kind].append((a_mean, a_last, corr))
             print(f"{seed:>4}  {kind:<4} {a_mean:7.4f} {a_last:7.4f} {corr:+9.3f}")
 

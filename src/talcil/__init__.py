@@ -39,6 +39,7 @@ from .sim import (
     ablate,
     fresh_state,
     make_gaussian_tasks,
+    train_cells,
     train_incremental,
 )
 from .streams import (
@@ -83,6 +84,7 @@ __all__ = [
     "TrainState",
     "fresh_state",
     "make_gaussian_tasks",
+    "train_cells",
     "train_incremental",
     "ablate",
     "MetricsReport",

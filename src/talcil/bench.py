@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .kernel import QState
 from .loss import TalConfig, ce_forward, tal_forward
 
@@ -57,6 +58,7 @@ def run_loss_benchmark(
     r: float = 1.0,
     seed: int = 0,
 ) -> list[BenchRow]:
+    _require_slope([n * c for n in batch_sizes for c in class_counts])
     rng = np.random.default_rng(seed)
     rows = []
     for c in class_counts:
@@ -77,6 +79,15 @@ def run_loss_benchmark(
     return rows
 
 
+def _require_slope(element_counts) -> None:
+    """A slope against N*C needs at least two distinct element counts."""
+    if len(set(element_counts)) < 2:
+        raise DomainError(
+            "the benchmark grid needs at least two distinct batch size x class count "
+            f"products to fit a slope, got {sorted(set(element_counts))}"
+        )
+
+
 def overhead_slopes(rows: list[BenchRow]) -> dict:
     """Least-squares growth of the overhead vs the baseline's own growth.
 
@@ -85,6 +96,7 @@ def overhead_slopes(rows: list[BenchRow]) -> dict:
     overhead's slope a small fraction of the baseline's; a per-sample
     Python loop would blow it up by orders of magnitude.
     """
+    _require_slope([row.batch_size * row.class_count for row in rows])
     nc = np.array([row.batch_size * row.class_count for row in rows], dtype=np.float64)
     t_ce = np.array([row.ce_seconds for row in rows])
     over = np.array([row.overhead_seconds for row in rows])

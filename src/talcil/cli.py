@@ -37,7 +37,7 @@ from .config import ExperimentSpec, load_spec
 from .errors import DomainError, SolverError, SpecError, TalcilError, TrainingError
 from .kernel import MemoryKernel, QState, update_tal
 from .metrics import forgetting_curve
-from .output import write_csv, write_jsonl, write_manifest
+from .output import atomic_write_text, write_csv, write_jsonl, write_manifest
 from .sim import ABLATION_LAMBDAS, ABLATION_RS, ablate, fresh_state, make_gaussian_tasks, train_incremental
 from .streams import TaskSchedule, generate_stream, sample_dominance_pair, verify_theorem1
 
@@ -424,8 +424,7 @@ def _cmd_plotdata(args) -> int:
     lines.extend(",".join(str(c) for c in row) for row in out_rows)
     text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(text)
+        atomic_write_text(args.output, text)
         print(f"wrote {len(out_rows)} rows -> {args.output}")
     else:
         sys.stdout.write(text)

@@ -40,7 +40,7 @@ class PerClassMetrics:
     recall_defined: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerClassRow:
     """One (task, class) record in a training report."""
 

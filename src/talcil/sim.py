@@ -18,6 +18,7 @@ measured on the baseline.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,13 @@ import numpy as np
 from .errors import DomainError, SolverError, TrainingError
 from .kernel import MemoryKernel, QState, update_batched
 from .loss import TalConfig, ce_forward, training_step
-from .metrics import MetricsReport, PerClassRow, confusion_and_prf
+from .metrics import (
+    MetricsReport,
+    PerClassMetrics,
+    PerClassRow,
+    asymmetry_index,
+    confusion_and_prf,
+)
 from .streams import TaskSchedule
 
 __all__ = [
@@ -34,8 +41,10 @@ __all__ = [
     "Classifier",
     "TrainState",
     "make_gaussian_tasks",
+    "train_cells",
     "train_incremental",
     "ablate",
+    "desk_scale_pair",
     "class_ages",
 ]
 
@@ -126,7 +135,10 @@ class Classifier:
     """Softmax head over raw inputs, optionally through one ReLU layer.
 
     The head starts with zero classes and grows zero-initialized columns
-    as tasks introduce classes.
+    as tasks introduce classes.  ``Classifier.stack`` joins heads of one
+    shape into a head whose arrays carry a leading cells axis; every
+    method then computes all cells with one ``np.matmul`` per product,
+    and each cell's slice is bit for bit what its lone head computes.
     """
 
     def __init__(self, dim: int, hidden: int = 0, seed: int = 0):
@@ -144,41 +156,64 @@ class Classifier:
         self.w = np.zeros((feat, 0))
         self.b = np.zeros(0)
 
+    @classmethod
+    def stack(cls, heads) -> "Classifier":
+        """One head holding ``heads`` (all of one shape) along a cells axis."""
+        stacked = copy.copy(heads[0])
+        for name in _WEIGHTS:
+            if getattr(stacked, name) is not None:
+                setattr(stacked, name, np.stack([getattr(h, name) for h in heads]))
+        return stacked
+
+    def cell(self, k: int) -> "Classifier":
+        """A copy of cell ``k`` of a stacked head, as a lone head."""
+        head = copy.copy(self)
+        for name in _WEIGHTS:
+            if getattr(self, name) is not None:
+                setattr(head, name, getattr(self, name)[k].copy())
+        return head
+
     @property
     def class_count(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-1]
 
     def add_classes(self, n_new: int) -> None:
         if n_new < 0:
             raise DomainError("cannot add a negative number of classes")
-        feat = self.w.shape[0]
-        self.w = np.concatenate([self.w, np.zeros((feat, n_new))], axis=1)
-        self.b = np.concatenate([self.b, np.zeros(n_new)])
+        self.w = np.concatenate([self.w, np.zeros((*self.w.shape[:-1], n_new))], axis=-1)
+        self.b = np.concatenate([self.b, np.zeros((*self.b.shape[:-1], n_new))], axis=-1)
 
     def _features(self, x: np.ndarray) -> np.ndarray:
         if self.w1 is None:
             return x
-        return np.maximum(x @ self.w1 + self.b1, 0.0)
+        return np.maximum(x @ self.w1 + self.b1[..., None, :], 0.0)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self._features(np.asarray(x, dtype=np.float64)) @ self.w + self.b
+        z = self._features(np.asarray(x, dtype=np.float64)) @ self.w
+        z += self.b[..., None, :]
+        return z
 
     def train_batch(self, x: np.ndarray, grad_logits: np.ndarray, lr: float) -> None:
         """SGD step from the loss's logit gradient (mean-reduced already)."""
         x = np.asarray(x, dtype=np.float64)
         h = self._features(x)
-        grad_w = h.T @ grad_logits
-        grad_b = grad_logits.sum(axis=0)
+        grad_w = h.swapaxes(-1, -2) @ grad_logits
+        grad_b = grad_logits.sum(axis=-2)
         if self.w1 is not None:
-            grad_h = grad_logits @ self.w.T
+            grad_h = grad_logits @ self.w.swapaxes(-1, -2)
             grad_h[h <= 0.0] = 0.0
             self.w1 -= lr * (x.T @ grad_h)
-            self.b1 -= lr * grad_h.sum(axis=0)
-        self.w -= lr * grad_w
-        self.b -= lr * grad_b
+            self.b1 -= lr * grad_h.sum(axis=-2)
+        grad_w *= lr
+        grad_b *= lr
+        self.w -= grad_w
+        self.b -= grad_b
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(x), axis=1)
+        return np.argmax(self.logits(x), axis=-1)
+
+
+_WEIGHTS = ("w1", "b1", "w", "b")
 
 
 @dataclass
@@ -251,45 +286,83 @@ def class_ages(schedule: TaskSchedule) -> np.ndarray:
     return ages
 
 
-def train_incremental(
-    state: TrainState,
+def _batches(rng, train_x, train_y, epochs: int, batch_size: int):
+    """(epoch, inputs, labels) of every minibatch of a task, in training order."""
+    for epoch in range(epochs):
+        perm = rng.permutation(train_x.shape[0])
+        for start in range(0, perm.shape[0], batch_size):
+            idx = perm[start : start + batch_size]
+            yield epoch, train_x[idx], train_y[idx]
+
+
+def train_cells(
+    states,
     dataset: SyntheticDataset,
     schedule: TaskSchedule,
-    event_sink=None,
-) -> MetricsReport:
-    """Task-sequential training with replay; returns the full report.
+    event_sinks=None,
+) -> list[MetricsReport]:
+    """Task-sequential training with replay of several cells in lockstep.
+
+    The cells share one seed, learning rate, epoch count, batch size and
+    head shape (checked here), so they see one batch stream: the
+    permutations are drawn once and each minibatch is gathered once.  The
+    heads are stacked along a cells axis and one ``np.matmul`` per
+    product gives every cell's logits and SGD step; each cell runs its
+    own loss and tracker step on its slice and is evaluated on its own,
+    so its report is bit for bit that of training it alone.  Each state's
+    classifier ends holding its cell's weights.
 
     The tracker is advanced once per training minibatch (never during
     evaluation).  For the adjusted loss the calibration is re-solved at
-    every task boundary because the class count grows.
+    every task boundary because the class count grows.  A cell whose
+    loss diverges leaves the lockstep and the others train on; the
+    ``TrainingError`` of the first failed cell in ``states`` order is
+    raised at the end, carrying that cell's own step.
     """
+    states = list(states)
+    sinks = [None] * len(states) if event_sinks is None else list(event_sinks)
+    if not states or len(sinks) != len(states):
+        raise DomainError("need at least one cell and one event sink (or None) per cell")
+    shared = {
+        (s.seed, s.lr, s.epochs_per_task, s.batch_size)
+        + (s.classifier.dim, s.classifier.hidden, s.classifier.w.shape)
+        for s in states
+    }
+    if len(shared) != 1:
+        raise DomainError(
+            "lockstep cells must share seed, lr, epochs, batch size and head shape"
+        )
+    first = states[0]
     n_tasks = len(schedule.tasks)
-    rng = np.random.default_rng(state.seed)
-    classifier = state.classifier
-    q_state = state.q_state
-    kernel = MemoryKernel(lam=state.lam)
+    rng = np.random.default_rng(first.seed)
+    head = Classifier.stack([s.classifier for s in states])
+    live = list(range(len(states)))  # the cell of each stacked slice
+    q_states = [s.q_state for s in states]
+    kernels = [MemoryKernel(lam=s.lam) for s in states]
+    errors: dict[int, TrainingError] = {}
+    acc_matrix = [np.full((n_tasks, n_tasks), np.nan) for _ in states]
+    overall = [np.zeros(n_tasks) for _ in states]
+    per_class_rows: list[list[PerClassRow]] = [[] for _ in states]
+    snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in states]
     replay: dict[int, np.ndarray] = {}
-    acc_matrix = np.full((n_tasks, n_tasks), np.nan)
-    overall = np.zeros(n_tasks)
-    per_class_rows: list[PerClassRow] = []
-    snapshots: list[tuple[int, np.ndarray]] = []
     seen_classes: list[int] = []
     global_step = 0
-    batch_size, lr, strict = state.batch_size, state.lr, not state.exploratory
+    batch_size, lr = first.batch_size, first.lr
 
     for t, task in enumerate(schedule.tasks):
-        classifier.add_classes(len(task.new_class_ids))
-        q_state = q_state.append_classes(len(task.new_class_ids))
-        c_now = classifier.class_count
-        config = None
-        if state.loss_kind == "tal":
-            config = TalConfig.for_classes(
-                state.lam,
-                state.r,
-                c_now,
-                state.epsilon,
-                exploratory=state.exploratory,
-            )
+        head.add_classes(len(task.new_class_ids))
+        c_now = head.class_count
+        configs = {}
+        for k in live:
+            q_states[k] = q_states[k].append_classes(len(task.new_class_ids))
+            if states[k].loss_kind == "tal":
+                configs[k] = TalConfig.for_classes(
+                    states[k].lam,
+                    states[k].r,
+                    c_now,
+                    states[k].epsilon,
+                    exploratory=states[k].exploratory,
+                )
 
         parts_x = [dataset.train[k] for k in task.new_class_ids]
         parts_y = [np.full(dataset.train.shape[1], k) for k in task.new_class_ids]
@@ -301,48 +374,62 @@ def train_incremental(
         train_x = np.concatenate(parts_x)
         train_y = np.concatenate(parts_y).astype(np.int64)
 
-        for epoch in range(state.epochs_per_task):
-            perm = rng.permutation(train_x.shape[0])
-            for start in range(0, perm.shape[0], batch_size):
-                idx = perm[start : start + batch_size]
-                xb, yb = train_x[idx], train_y[idx]
-                z = classifier.logits(xb)
+        for epoch, xb, yb in _batches(rng, train_x, train_y, first.epochs_per_task, batch_size):
+            z = head.logits(xb)
+            grads = np.empty_like(z)
+            losses = []
+            failed = []
+            for i, k in enumerate(live):
+                state = states[k]
                 # The loss functions reject non-finite logits with a
                 # DomainError; in a training run that means divergence.
                 try:
-                    if config is not None:
-                        out, q_state = training_step(config, q_state, z, yb)
+                    if k in configs:
+                        out, q_states[k] = training_step(configs[k], q_states[k], z[i], yb)
                     else:
-                        out = ce_forward(z, yb)
-                        q_state = update_batched(
-                            q_state,
-                            kernel,
+                        out = ce_forward(z[i], yb)
+                        q_states[k] = update_batched(
+                            q_states[k],
+                            kernels[k],
                             state.r,
                             np.bincount(yb, minlength=c_now),
                             batch_size=yb.shape[0],
-                            strict=strict,
+                            strict=not state.exploratory,
                         )
                 except DomainError as exc:
-                    if np.isfinite(z).all():
+                    if np.isfinite(z[i]).all():
                         raise
-                    raise TrainingError(
+                    errors[k] = TrainingError(
                         f"training diverged at step {global_step}", step=global_step
-                    ) from exc
+                    )
+                    errors[k].__cause__ = exc
+                    failed.append(i)
+                    continue
                 if not math.isfinite(out.loss):
-                    raise TrainingError(
+                    errors[k] = TrainingError(
                         f"loss diverged at step {global_step}", step=global_step
                     )
-                classifier.train_batch(xb, out.grad_logits, lr)
-                if event_sink is not None:
-                    event_sink(
-                        {
-                            "task": t,
-                            "epoch": epoch,
-                            "step": global_step,
-                            "loss": out.loss,
-                        }
-                    )
-                global_step += 1
+                    failed.append(i)
+                    continue
+                grads[i] = out.grad_logits
+                losses.append(out.loss)
+            if failed:
+                # a failed cell keeps the weights it diverged with
+                for i in failed:
+                    vars(states[live[i]].classifier).update(vars(head.cell(i)))
+                keep = [i for i in range(len(live)) if i not in failed]
+                live = [live[i] for i in keep]
+                if not live:
+                    break
+                head = Classifier.stack([head.cell(i) for i in keep])
+                grads = grads[keep]
+            head.train_batch(xb, grads, lr)
+            for k, loss in zip(live, losses):
+                if sinks[k] is not None:
+                    sinks[k]({"task": t, "epoch": epoch, "step": global_step, "loss": loss})
+            global_step += 1
+        if not live:
+            break
 
         seen_classes.extend(task.new_class_ids)
         for k in task.new_class_ids:
@@ -354,37 +441,57 @@ def train_incremental(
         test_y = np.concatenate(
             [np.full(dataset.test.shape[1], k) for k in seen_classes]
         ).astype(np.int64)
-        preds = classifier.predict(test_x)
-        overall[t] = float(np.mean(preds == test_y))
-        for u in range(t + 1):
-            u_classes = schedule.tasks[u].new_class_ids
-            mask = np.isin(test_y, u_classes)
-            acc_matrix[t, u] = float(np.mean(preds[mask] == test_y[mask]))
-        prf = confusion_and_prf(preds, test_y, c_now)
-        for k in range(c_now):
-            per_class_rows.append(
+        task_masks = [
+            np.isin(test_y, schedule.tasks[u].new_class_ids) for u in range(t + 1)
+        ]
+        for i, k in enumerate(live):
+            preds = head.cell(i).predict(test_x)
+            overall[k][t] = float(np.mean(preds == test_y))
+            for u, mask in enumerate(task_masks):
+                acc_matrix[k][t, u] = float(np.mean(preds[mask] == test_y[mask]))
+            prf = confusion_and_prf(preds, test_y, c_now)
+            q = q_states[k].q
+            per_class_rows[k].extend(
                 PerClassRow(
                     task_id=t,
-                    class_id=k,
-                    precision=float(prf.precision[k]),
-                    recall=float(prf.recall[k]),
-                    support=int(prf.support[k]),
-                    q_value=float(q_state.q[k]),
-                    precision_defined=bool(prf.precision_defined[k]),
+                    class_id=c,
+                    precision=float(prf.precision[c]),
+                    recall=float(prf.recall[c]),
+                    support=int(prf.support[c]),
+                    q_value=float(q[c]),
+                    precision_defined=bool(prf.precision_defined[c]),
                 )
+                for c in range(c_now)
             )
-        snapshots.append((global_step, q_state.q.copy()))
+            snapshots[k].append((global_step, q.copy()))
 
-    return MetricsReport(
-        accuracy_matrix=acc_matrix,
-        overall_accuracy=overall,
-        per_class=tuple(per_class_rows),
-        a_mean=float(overall.mean()),
-        a_last=float(overall[-1]),
-        seed=state.seed,
-        loss_kind=state.loss_kind,
-        q_snapshots=tuple(snapshots),
-    )
+    for i, k in enumerate(live):
+        vars(states[k].classifier).update(vars(head.cell(i)))
+    if errors:
+        raise errors[min(errors)]
+    return [
+        MetricsReport(
+            accuracy_matrix=acc_matrix[k],
+            overall_accuracy=overall[k],
+            per_class=tuple(per_class_rows[k]),
+            a_mean=float(overall[k].mean()),
+            a_last=float(overall[k][-1]),
+            seed=state.seed,
+            loss_kind=state.loss_kind,
+            q_snapshots=tuple(snapshots[k]),
+        )
+        for k, state in enumerate(states)
+    ]
+
+
+def train_incremental(
+    state: TrainState,
+    dataset: SyntheticDataset,
+    schedule: TaskSchedule,
+    event_sink=None,
+) -> MetricsReport:
+    """Task-sequential training with replay of one cell; see ``train_cells``."""
+    return train_cells([state], dataset, schedule, [event_sink])[0]
 
 
 def ablate(
@@ -404,60 +511,77 @@ def ablate(
     Cells with r < 1 sit outside the calibrated domain and run in
     exploratory mode (range checks demoted to warnings); they are
     reported like any other cell.  Every cell is enumerated -- nothing
-    is skipped.
+    is skipped.  The cells of a seed train in lockstep (``train_cells``);
+    rows come cell-major, seed-minor, the CE cell first.
     """
-    rows: list[dict] = []
+    cells = [("ce", None, None)] + [("tal", lam, r) for lam in lambdas for r in rs]
+    reports = []
     for seed in seeds:
-        report = train_incremental(
-            fresh_state(
-                "ce",
-                dataset.dim,
-                lr=lr,
-                epochs_per_task=epochs_per_task,
-                batch_size=batch_size,
-                seed=seed,
-                hidden=hidden,
-            ),
-            dataset,
-            schedule,
+        common = dict(
+            lr=lr,
+            epochs_per_task=epochs_per_task,
+            batch_size=batch_size,
+            seed=seed,
+            hidden=hidden,
         )
-        rows.append(
-            {
-                "loss": "ce",
-                "lam": None,
-                "r": None,
-                "seed": seed,
-                "a_mean": report.a_mean,
-                "a_last": report.a_last,
-            }
+        states = [fresh_state("ce", dataset.dim, **common)] + [
+            fresh_state("tal", dataset.dim, lam=lam, r=r, exploratory=r < 1.0, **common)
+            for _, lam, r in cells[1:]
+        ]
+        reports.append(train_cells(states, dataset, schedule))
+    return [
+        {
+            "loss": kind,
+            "lam": lam,
+            "r": r,
+            "seed": seed,
+            "a_mean": seed_reports[c].a_mean,
+            "a_last": seed_reports[c].a_last,
+        }
+        for c, (kind, lam, r) in enumerate(cells)
+        for seed, seed_reports in zip(seeds, reports)
+    ]
+
+
+def desk_scale_pair(seed: int, *, lam: float = 0.995, r: float = 1.0) -> dict[str, dict]:
+    """Plain cross-entropy and the adjusted loss on the desk-scale problem.
+
+    One seed of the paired comparison: 10 Gaussian classes in 16-d
+    (separation 2.5) arrive in 5 tasks of 100 training and 100 test
+    samples per class, with 20 replay exemplars per old class; the CE and
+    TAL cells train in lockstep on the same data and batch order.  Per
+    loss kind ("ce", "tal") it gives ``a_mean``, ``a_last``, ``age_corr``
+    (the rank correlation of class age with precision - recall after the
+    last task), and the mean recall and precision of the first task's two
+    classes (``early_recall``, ``early_precision``).
+    """
+    dataset, schedule = make_gaussian_tasks(
+        10, 16, 5, 100, 2.5, seed, test_per_class=100, replay_per_old_class=20
+    )
+    kinds = ("ce", "tal")
+    states = [
+        fresh_state(kind, 16, lam=lam, r=r, lr=0.1, epochs_per_task=20, batch_size=32, seed=seed)
+        for kind in kinds
+    ]
+    ages = class_ages(schedule)
+    last = len(schedule.tasks) - 1
+    results = {}
+    for kind, report in zip(kinds, train_cells(states, dataset, schedule)):
+        final = [row for row in report.per_class if row.task_id == last]
+        precision = np.array([row.precision for row in final])
+        recall = np.array([row.recall for row in final])
+        metrics = PerClassMetrics(
+            precision=precision,
+            recall=recall,
+            support=np.array([row.support for row in final]),
+            precision_defined=np.array([row.precision_defined for row in final]),
+            recall_defined=np.full(len(final), True),
         )
-    for lam in lambdas:
-        for r in rs:
-            for seed in seeds:
-                report = train_incremental(
-                    fresh_state(
-                        "tal",
-                        dataset.dim,
-                        lam=lam,
-                        r=r,
-                        lr=lr,
-                        epochs_per_task=epochs_per_task,
-                        batch_size=batch_size,
-                        seed=seed,
-                        hidden=hidden,
-                        exploratory=r < 1.0,
-                    ),
-                    dataset,
-                    schedule,
-                )
-                rows.append(
-                    {
-                        "loss": "tal",
-                        "lam": lam,
-                        "r": r,
-                        "seed": seed,
-                        "a_mean": report.a_mean,
-                        "a_last": report.a_last,
-                    }
-                )
-    return rows
+        results[kind] = {
+            "a_mean": report.a_mean,
+            "a_last": report.a_last,
+            "age_corr": asymmetry_index(metrics, ages).age_correlation,
+            "early_recall": recall[:2].mean(),
+            "early_precision": np.nanmean(precision[:2]),
+        }
+    return results

@@ -312,9 +312,11 @@ def sample_dominance_pair(
     b_pos = np.sort(rng.choice(length, size=positives, replace=False))
     a_pos = np.empty(positives, dtype=np.int64)
     prev = -1
-    for i, b in enumerate(b_pos):
-        a_pos[i] = rng.integers(prev + 1, b + 1)
-        prev = a_pos[i]
+    # Python-int bounds and one scalar draw per positive: a vectorised
+    # draw would consume the generator differently and change every pair.
+    for i, b in enumerate(b_pos.tolist()):
+        prev = int(rng.integers(prev + 1, b + 1))
+        a_pos[i] = prev
     a_seq = np.full(length, -1.0)
     b_seq = np.full(length, -1.0)
     a_seq[a_pos] = 1.0

@@ -27,12 +27,10 @@ from talcil import (
     QState,
     TalConfig,
     ce_forward,
-    make_gaussian_tasks,
     q_from_convolution,
     sample_dominance_pair,
     solve_calibration,
     tal_forward,
-    train_incremental,
     update_batched,
     update_plain,
     update_tal,
@@ -41,8 +39,7 @@ from talcil import (
 from talcil.bench import overhead_slopes, run_loss_benchmark
 from talcil.cli import main
 from talcil.kernel import PolaritySequence, negative_weight
-from talcil.metrics import PerClassMetrics, asymmetry_index
-from talcil.sim import class_ages, fresh_state
+from talcil.sim import desk_scale_pair
 from talcil.streams import phi_from_counts
 
 
@@ -222,41 +219,12 @@ def test_c07_ce_degeneracy_and_balanced_convergence():
     assert np.abs(st.q / k.q_max - res.x_star).max() < 0.05
 
 
-def _run_desk_scale(seed: int, kind: str):
-    dataset, schedule = make_gaussian_tasks(
-        10, 16, 5, 100, 2.5, seed, test_per_class=100, replay_per_old_class=20
-    )
-    state = fresh_state(
-        kind, 16, lam=0.995, r=1.0, lr=0.1, epochs_per_task=20, batch_size=32, seed=seed
-    )
-    report = train_incremental(state, dataset, schedule)
-    ages = class_ages(schedule)
-    final = [row for row in report.per_class if row.task_id == len(schedule.tasks) - 1]
-    precision = np.array([row.precision for row in final])
-    recall = np.array([row.recall for row in final])
-    defined = np.array([row.precision_defined for row in final])
-    metrics = PerClassMetrics(
-        precision=precision,
-        recall=recall,
-        support=np.full(len(final), 100),
-        precision_defined=defined,
-        recall_defined=np.full(len(final), True),
-    )
-    asym = asymmetry_index(metrics, ages)
-    return {
-        "a_last": report.a_last,
-        "age_corr": asym.age_correlation,
-        "early_recall": recall[:2].mean(),
-        "early_precision": np.nanmean(precision[:2]),
-    }
-
-
 def test_c08_desk_scale_directional_results():
     """criterion 8: synthetic incremental runs show the imbalance and its correction"""
     t0 = time.perf_counter()
-    seeds = range(5)
-    ce = [_run_desk_scale(s, "ce") for s in seeds]
-    tal = [_run_desk_scale(s, "tal") for s in seeds]
+    pairs = [desk_scale_pair(s) for s in range(5)]
+    ce = [pair["ce"] for pair in pairs]
+    tal = [pair["tal"] for pair in pairs]
 
     # (a) plain CE: old classes skew to precision
     corr_positive = sum(run["age_corr"] > 0 for run in ce)

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -301,6 +302,19 @@ def test_bench_loss_emits_table(tmp_path, capsys):
     assert "overhead slope" in capsys.readouterr().out
 
 
+def test_bench_loss_rejects_a_grid_without_a_slope(tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    argv = ["bench-loss", "--batch-sizes", "8", "--class-counts", "3", "--repeats", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 RuntimeWarning on the way either
+        assert main(argv + ["--output-dir", str(out_dir)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == "DomainError"
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 # ---------------------------------------------------------------------------
@@ -337,6 +351,35 @@ def test_plotdata_other_kinds_and_file_output(finished_run, tmp_path):
     assert header == "seed,task_id,class_id,precision,recall,support,q_value,precision_defined"
     assert main(["plotdata", "--run", str(finished_run), "--what", "q"]) == 0
     assert main(["plotdata", "--run", str(finished_run), "--what", "accuracy"]) == 0
+
+
+def test_plotdata_write_failure_leaves_no_file(finished_run, tmp_path, capsys):
+    out_file = tmp_path / "plots" / "long.csv"
+    real_open = open
+
+    def open_on_a_full_disk(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+
+        def write(_text):
+            raise OSError(28, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    argv = ["plotdata", "--run", str(finished_run), "--what", "q", "--output", str(out_file)]
+    with mock.patch("talcil.output.open", open_on_a_full_disk, create=True):
+        assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "OSError"
+    assert list(out_file.parent.iterdir()) == []
+
+
+def test_plotdata_file_and_stdout_carry_the_same_bytes(finished_run, tmp_path, capsys):
+    out_file = tmp_path / "long.csv"
+    argv = ["plotdata", "--run", str(finished_run), "--what", "accuracy"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--output", str(out_file)]) == 0
+    assert out_file.read_text() == printed
 
 
 def test_plotdata_missing_run_dir(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Golden outputs: numerical or formatting changes fail here, not by luck.
 
 ``runs/demo`` is the committed output of ``talcil train --spec
-configs/demo.yaml``.  The stream commands have no committed run, so the
-SHA-256 of each CSV of a small run is pinned instead (the manifests record
-the library version and are left out).
+configs/demo.yaml``.  The stream commands and ``ablate`` have no committed
+run, so the SHA-256 of each CSV of a small run is pinned instead (the
+manifests record the library version and are left out).  The ``ablate``
+digests were recorded when every cell of the grid trained on its own, one
+after the other.
 """
 
 import hashlib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,43 @@ def test_stream_outputs_match_pinned_digests(tmp_path, argv, digests):
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(digests)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+TINY_ABLATE_SPEC = """\
+dataset: {classes: 4, dim: 8, tasks: 2, per_class: 30, test_per_class: 20, sep: 2.5}
+schedule: {replay_per_class: 5, epochs: 3, batch_size: 16, lr: 0.1, hidden: HIDDEN}
+loss: {kind: TAL, lambda: 0.995, r: 1.0}
+seeds: [0, 1]
+"""
+
+
+@pytest.mark.parametrize(
+    "hidden, digests",
+    [
+        (
+            0,
+            {
+                "ablation.csv": "e80f67905028e62c9503334e905dab0e95be4814747737af09cbcbc637dee9ba",
+                "ablation_summary.csv": "d6d0b6be460e5074755dc6d99c2351cf2e50d2b736a34649b0185b80657973d1",
+            },
+        ),
+        (
+            8,
+            {
+                "ablation.csv": "95d28ceda95b8c2678f91a1ec7eb7995434fa3969976d5374a026c711784f196",
+                "ablation_summary.csv": "d7d1ff9ece6f2a0edb013ef572b854dd4dcf45b9441d18b55ac08b6f4d94c84f",
+            },
+        ),
+    ],
+    ids=["linear", "hidden"],
+)
+def test_ablate_outputs_match_pinned_digests(tmp_path, hidden, digests):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(TINY_ABLATE_SPEC.replace("HIDDEN", str(hidden)))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the exploratory r < 1 cells
+        assert main(["ablate", "--spec", str(spec), "--output-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from talcil import (
     spearman,
     train_incremental,
 )
-from talcil.sim import Classifier, class_ages, fresh_state
+from talcil.sim import Classifier, class_ages, fresh_state, train_cells
 
 QUICK = dict(lr=0.1, epochs_per_task=20, batch_size=32)
 
@@ -253,6 +254,129 @@ def test_class_ages_order():
     assert ages[0] == 4 and ages[1] == 4
     assert ages[8] == 0 and ages[9] == 0
     assert np.all(np.diff(ages[::2]) < 0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep cells
+# ---------------------------------------------------------------------------
+
+
+def bits(value):
+    """A report field in a form that compares equal only when the bits do."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return repr(value)  # floats: shortest round-trip, so -0.0 and NaN count too
+
+
+def report_bits(report):
+    return {f.name: bits(getattr(report, f.name)) for f in fields(report)}
+
+
+def head_bits(classifier):
+    return [bits(getattr(classifier, name)) for name in ("w1", "b1", "w", "b")]
+
+
+LOCKSTEP_CELLS = [
+    ("ce", {}),
+    ("tal", dict(lam=0.99, r=1.0)),
+    ("tal", dict(lam=0.995, r=0.5, exploratory=True)),
+    ("tal", dict(lam=0.999, r=5.0)),
+]
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_lockstep_cells_equal_one_cell_runs_bit_for_bit(hidden):
+    ds, schedule = make_gaussian_tasks(
+        6, 8, 3, 40, 2.5, 2, test_per_class=20, replay_per_old_class=5
+    )
+
+    def states():
+        return [
+            fresh_state(kind, 8, seed=2, hidden=hidden, lr=0.1, epochs_per_task=4,
+                        batch_size=16, **kw)
+            for kind, kw in LOCKSTEP_CELLS
+        ]
+
+    alone_states, lock_states = states(), states()
+    alone_events = [[] for _ in alone_states]
+    lock_events = [[] for _ in lock_states]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        alone = [
+            train_incremental(state, ds, schedule, event_sink=events.append)
+            for state, events in zip(alone_states, alone_events)
+        ]
+        lock = train_cells(
+            lock_states, ds, schedule, [events.append for events in lock_events]
+        )
+    assert [report_bits(r) for r in lock] == [report_bits(r) for r in alone]
+    assert [head_bits(s.classifier) for s in lock_states] == [
+        head_bits(s.classifier) for s in alone_states
+    ]
+    assert [bits(tuple(tuple(e.items()) for e in ev)) for ev in lock_events] == [
+        bits(tuple(tuple(e.items()) for e in ev)) for ev in alone_events
+    ]
+
+
+def test_lockstep_raises_the_first_failed_cell_in_grid_order():
+    # With a huge learning rate a hidden layer's weights grow every step;
+    # the larger the initial weights, the sooner the logits overflow.
+    ds, schedule = make_gaussian_tasks(
+        4, 8, 2, 20, 2.5, 0, test_per_class=10, replay_per_old_class=2
+    )
+
+    def states():
+        cells = [("ce", 1e60), ("ce", 1e120), ("tal", 1.0)]
+        out = []
+        for kind, scale in cells:
+            state = fresh_state(kind, 8, hidden=4, epochs_per_task=3, seed=0, lr=1e10)
+            state.classifier.w1 *= scale
+            out.append(state)
+        return out
+
+    alone_states, lock_states = states(), states()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        steps = []
+        for state in alone_states[:2]:
+            with pytest.raises(TrainingError) as err:
+                train_incremental(state, ds, schedule)
+            steps.append(err.value.step)
+        train_incremental(alone_states[2], ds, schedule)
+        with pytest.raises(TrainingError) as err:
+            train_cells(lock_states, ds, schedule)
+    assert steps[1] < steps[0]  # the second cell fails first in time ...
+    assert err.value.step == steps[0]  # ... but the first cell's error is raised
+    assert str(err.value) == f"training diverged at step {steps[0]}"
+    # every cell, failed or not, ends with the weights its own run ends with
+    assert [head_bits(s.classifier) for s in lock_states] == [
+        head_bits(s.classifier) for s in alone_states
+    ]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(seed=1),
+        dict(lr=0.2),
+        dict(epochs_per_task=2),
+        dict(batch_size=16),
+        dict(hidden=4),
+        dict(dim=6),
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
+    ds, schedule = make_gaussian_tasks(4, 8, 2, 20, 2.5, 0, test_per_class=10)
+    base = dict(seed=0, lr=0.1, epochs_per_task=3, batch_size=32, hidden=0)
+    other = {"dim": 8, **base, **change}
+    states = [fresh_state("ce", 8, **base), fresh_state("tal", other.pop("dim"), **other)]
+    with pytest.raises(DomainError):
+        train_cells(states, ds, schedule)
+    with pytest.raises(DomainError):
+        train_cells([], ds, schedule)
 
 
 # ---------------------------------------------------------------------------
