@@ -58,12 +58,31 @@ def _resolve_output_dir(flag_value, spec_value=None) -> Path:
     return Path("runs")
 
 
+def _int_from(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one comma-separated value")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()])
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([float(tok) for tok in text.split(",") if tok.strip()])
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +474,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=int, default=2)
     p.add_argument("--per-class", type=int, default=50)
     p.add_argument("--replay", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--lam", type=float, default=0.995, help="memory parameter")
     p.add_argument("--exponent", type=float, default=1.0, help="attenuation steepness r")
     p.add_argument("--output-dir", default=None)
     p.set_defaults(handler=_cmd_simulate_stream)
 
     p = sub.add_parser("verify-theorem1", help="randomized monotonicity check on dominance pairs")
-    p.add_argument("--pairs", type=int, default=500)
+    p.add_argument("--pairs", type=_int_from(1), default=500)
     p.add_argument("--length", type=int, default=600)
     p.add_argument("--positives", type=int, default=120)
     p.add_argument("--lambdas", type=_float_list, default=[0.9, 0.99])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(handler=_cmd_verify_theorem1)
 

@@ -170,7 +170,12 @@ def convolve_q(kernel_values: np.ndarray, polarities: np.ndarray) -> float:
         raise DomainError("cannot evaluate the tracker on an empty sequence")
     if f.shape[0] < a.shape[0]:
         raise DomainError("kernel shorter than the polarity sequence")
-    return float(np.dot(f[: a.size], a[::-1]))
+    return _convolve(f[: a.size], a)
+
+
+def _convolve(f: np.ndarray, a: np.ndarray) -> float:
+    """sum_n f[N-1-n] * a[n] for equal-length arrays, unchecked."""
+    return float(np.dot(f, a[::-1]))
 
 
 def q_from_convolution(kernel: MemoryKernel, seq: PolaritySequence) -> float:

@@ -26,11 +26,11 @@ advances the tracker and so belongs to its single-writer chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .calibration import solve_calibration
+from .calibration import CalibrationResult, solve_calibration
 from .errors import DomainError
 from .kernel import MemoryKernel, QState, negative_weight, update_batched
 
@@ -48,8 +48,11 @@ class TalConfig:
     alpha: float
     epsilon: float = 1e-12
     exploratory: bool = False
+    #: the calibration ``for_classes`` solved, so alpha is checked against
+    #: it instead of a second solve; any other construction solves it here
+    _calibration: InitVar[CalibrationResult | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _calibration):
         if not (0.0 < self.epsilon <= 1e-6):
             raise DomainError(f"epsilon must lie in (0, 1e-6], got {self.epsilon}")
         if self.class_count < 2:
@@ -63,7 +66,9 @@ class TalConfig:
                 raise DomainError(
                     f"lam={self.kernel.lam} < 0.5 needs exploratory=True (q_max < 1)"
                 )
-        ref = solve_calibration(self.class_count, self.r, strict=not self.exploratory)
+        ref = _calibration
+        if ref is None or (ref.class_count, ref.r) != (self.class_count, self.r):
+            ref = solve_calibration(self.class_count, self.r, strict=not self.exploratory)
         if abs(self.alpha * ref.x_star**self.r - 1.0) > 1e-9:
             raise DomainError(
                 f"alpha={self.alpha} inconsistent with (C={self.class_count}, r={self.r}); "
@@ -89,6 +94,7 @@ class TalConfig:
             alpha=result.alpha,
             epsilon=epsilon,
             exploratory=exploratory,
+            _calibration=result,
         )
 
 

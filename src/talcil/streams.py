@@ -25,11 +25,12 @@ must agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel import MemoryKernel, convolve_q
+from .kernel import MemoryKernel, _convolve
 
 __all__ = [
     "TaskSpec",
@@ -177,15 +178,41 @@ def generate_stream(schedule: TaskSchedule, seed: int | None = None) -> Supervis
     )
 
 
-def _kernel_values(kernel, n: int) -> np.ndarray:
+def _deltas(f: np.ndarray, n: int) -> np.ndarray:
+    """Delta_n = f[N-2-n] - f[N-1-n] for n = 0..N-2 (empty when N == 1)."""
+    if n == 1:
+        return f[:0]
+    return f[n - 2 :: -1] - f[n - 1 : 0 : -1]
+
+
+def _terms(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The kernel quantities ``verify_theorem1`` needs: f[:N], Delta and sum(f)."""
+    f = f[:n]
+    return f, _deltas(f, n), float(np.sum(f))
+
+
+@lru_cache(maxsize=32)
+def _memory_kernel_terms(lam: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Memoised per (lam, N), so read-only: every such call shares the arrays."""
+    terms = _terms(MemoryKernel(lam=lam).weights(n), n)
+    for array in terms[:2]:
+        array.flags.writeable = False
+    return terms
+
+
+def _kernel_terms(kernel, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     if isinstance(kernel, MemoryKernel):
-        return kernel.weights(n)
+        return _memory_kernel_terms(kernel.lam, n)
     f = np.asarray(kernel, dtype=np.float64)
     if f.shape[0] < n:
         raise DomainError("kernel value array shorter than the trace")
-    if np.any(f < 0) or np.any(np.diff(f[:n]) > 0):
-        raise DomainError("kernel values must be nonnegative and nonincreasing")
-    return f[:n]
+    if not (np.isfinite(f).all() and (f >= 0).all()) or np.any(np.diff(f[:n]) > 0):
+        raise DomainError("kernel values must be finite, nonnegative and nonincreasing")
+    return _terms(f, n)
+
+
+def _phi(f: np.ndarray, deltas: np.ndarray, s: np.ndarray) -> float:
+    return float(f[0] * s[-1] - np.dot(deltas, s[:-1]))
 
 
 def phi_from_counts(kernel_values: np.ndarray, cum_positives: np.ndarray) -> float:
@@ -200,10 +227,7 @@ def phi_from_counts(kernel_values: np.ndarray, cum_positives: np.ndarray) -> flo
     n = s.shape[0]
     if n == 0:
         raise DomainError("empty cumulative curve")
-    if n == 1:
-        return float(f[0] * s[-1])
-    deltas = f[n - 2 :: -1] - f[n - 1 : 0 : -1]  # f[N-2-n'] - f[N-1-n'] for n'=0..N-2
-    return float(f[0] * s[-1] - np.dot(deltas, s[: n - 1]))
+    return _phi(f, _deltas(f, n), s)
 
 
 @dataclass(frozen=True)
@@ -254,37 +278,33 @@ def verify_theorem1(
         a_raw, b_raw = trace_or_pair
         a_seq = np.asarray(a_raw, dtype=np.float64)
         b_seq = np.asarray(b_raw, dtype=np.float64)
-        if a_seq.shape != b_seq.shape:
-            raise DomainError("pair sequences must have equal length")
-        for seq in (a_seq, b_seq):
-            if seq.size == 0 or not np.all(np.abs(seq) == 1.0):
-                raise DomainError("pair sequences must be nonempty and +1/-1 valued")
+        if a_seq.ndim != 1 or a_seq.shape != b_seq.shape:
+            raise DomainError("pair sequences must be 1-d and of equal length")
+        if a_seq.size == 0 or not (
+            (np.abs(a_seq) == 1.0).all() and (np.abs(b_seq) == 1.0).all()
+        ):
+            raise DomainError("pair sequences must be nonempty and +1/-1 valued")
     n = a_seq.shape[0]
-    s_a = np.cumsum(a_seq > 0).astype(np.float64)
-    s_b = np.cumsum(b_seq > 0).astype(np.float64)
+    s_a, s_b = np.cumsum((a_seq > 0, b_seq > 0), axis=1, dtype=np.float64)
     if s_a[-1] != s_b[-1]:
         raise DomainError(
             f"classes have unequal positive totals ({int(s_a[-1])} vs {int(s_b[-1])}); "
             "the monotonicity statement assumes equal counts"
         )
-    f = _kernel_values(kernel, n)
-    q_a = convolve_q(f, a_seq)
-    q_b = convolve_q(f, b_seq)
-    phi_a = phi_from_counts(f, s_a)
-    phi_b = phi_from_counts(f, s_b)
-    kernel_mass = float(np.sum(f[:n]))
+    f, deltas, kernel_mass = _kernel_terms(kernel, n)
+    q_a = _convolve(f, a_seq)
+    q_b = _convolve(f, b_seq)
+    phi_a = _phi(f, deltas, s_a)
+    phi_b = _phi(f, deltas, s_b)
     scale = max(1.0, kernel_mass)
     if abs(q_a - (2.0 * phi_a - kernel_mass)) > 1e-10 * scale or abs(
         q_b - (2.0 * phi_b - kernel_mass)
     ) > 1e-10 * scale:
         raise AssertionError("convolution and summation-by-parts paths disagree")
-    if n > 1:
-        deltas = f[n - 2 :: -1] - f[n - 1 : 0 : -1]
-        gap_by_parts = 2.0 * float(np.dot(deltas, (s_a - s_b)[: n - 1]))
-    else:
-        gap_by_parts = 0.0
-    dominance = bool(np.all(s_a >= s_b))
-    strict = dominance and bool(np.any(s_a > s_b))
+    lead = s_a - s_b
+    gap_by_parts = 2.0 * float(np.dot(deltas, lead[:-1]))
+    dominance = bool(lead.min() >= 0.0)
+    strict = dominance and bool(lead.max() > 0.0)
     return TheoremVerdict(
         q_a=q_a,
         q_b=q_b,
@@ -297,6 +317,32 @@ def verify_theorem1(
     )
 
 
+_WORD = 1 << 32  # numpy draws a bounded integer of span <= 2**32 from 32-bit words
+_LOW_BITS = _WORD - 1
+
+
+def _bounded(span: int, next_word) -> int:
+    """An offset in [0, span) by numpy's bounded-integer rule, 1 <= span <= 2**32.
+
+    This is Lemire's multiply-shift map with rejection (Lemire 2019,
+    "Fast random integer generation in an interval"), which numpy's
+    ``Generator.integers`` applies to each 32-bit word for such spans:
+    the offset is the high half of ``word * span``, and a word whose low
+    half falls below ``(2**32 - span) % span`` is redrawn.  A one-value
+    span consumes no word.  Fed the generator's own next words, it
+    returns what ``rng.integers(low, low + span)`` would and consumes
+    exactly the words that call would.
+    """
+    if span == 1:
+        return 0
+    m = next_word() * span
+    if m & _LOW_BITS < span:  # only then can the word be rejected
+        threshold = (_WORD - span) % span
+        while m & _LOW_BITS < threshold:
+            m = next_word() * span
+    return m >> 32
+
+
 def sample_dominance_pair(
     rng: np.random.Generator, length: int, positives: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -306,19 +352,39 @@ def sample_dominance_pair(
     is then placed uniformly at or before B's i-th (and after A's
     previous one), which forces pointwise dominance of A's cumulative
     curve.
+
+    A's positions are what one scalar ``rng.integers(prev + 1, b + 1)``
+    per positive gives, and the generator ends in the state those calls
+    leave, but its 32-bit words are pulled in batches.  A batch never
+    holds more words than the scalar calls still to come are certain to
+    consume: one for the position being drawn, and one for each later
+    position whose B-gap is 2 or more, as its span is then at least 2.
     """
     if not (0 < positives <= length):
         raise DomainError("positives must lie in [1, length]")
+    if length > _WORD:
+        raise DomainError(f"length {length} exceeds 2**32, numpy's 32-bit bounded rule")
     b_pos = np.sort(rng.choice(length, size=positives, replace=False))
-    a_pos = np.empty(positives, dtype=np.int64)
-    prev = -1
-    # Python-int bounds and one scalar draw per positive: a vectorised
-    # draw would consume the generator differently and change every pair.
-    for i, b in enumerate(b_pos.tolist()):
-        prev = int(rng.integers(prev + 1, b + 1))
-        a_pos[i] = prev
+    b_list = b_pos.tolist()
+    certain = int(np.count_nonzero(b_pos[1:] - b_pos[:-1] > 1)) + (b_list[0] > 0)
+    words: list[int] = []  # pulled and not yet used, next one last
+
+    def next_word() -> int:
+        if not words:
+            batch = rng.integers(0, _WORD, size=1 + certain, dtype=np.uint32)
+            words.extend(batch[::-1].tolist())
+        return words.pop()
+
+    a_list = []
+    prev = prev_b = -1
+    for b in b_list:
+        if b - prev_b > 1:
+            certain -= 1  # from here on it counts the later positions only
+        prev_b = b
+        prev += 1 + _bounded(b - prev, next_word)
+        a_list.append(prev)
     a_seq = np.full(length, -1.0)
     b_seq = np.full(length, -1.0)
-    a_seq[a_pos] = 1.0
+    a_seq[a_list] = 1.0
     b_seq[b_pos] = 1.0
     return a_seq, b_seq

@@ -253,6 +253,28 @@ def test_verify_theorem1_cli(tmp_path, capsys):
     assert rows[0].startswith("pair_id,lambda,length")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-stream", "--seed", "-1"],
+        ["verify-theorem1", "--seed", "-1"],
+        ["verify-theorem1", "--pairs", "0"],
+        ["verify-theorem1", "--pairs", "-1"],
+        ["verify-theorem1", "--lambdas", ","],
+        ["ablate", "--spec", "unused.yaml", "--rs", ","],
+        ["bench-loss", "--batch-sizes", ","],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_meaningless_arguments_are_usage_errors(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ configs/demo.yaml``.  The stream commands and ``ablate`` have no committed
 run, so the SHA-256 of each CSV of a small run is pinned instead (the
 manifests record the library version and are left out).  The ``ablate``
 digests were recorded when every cell of the grid trained on its own, one
-after the other.
+after the other, and the ``verify-theorem1`` digests when A's positions
+took one scalar ``rng.integers`` call each.
 """
 
 import hashlib
@@ -48,8 +49,15 @@ def test_train_demo_reproduces_committed_run(tmp_path):
                 "theorem1_pairs.csv": "d7ddc0de250058b409fb4b8125d56d33e3db73249bc4bf1b04be6a4860e30210",
             },
         ),
+        (
+            # dense positives: most B-gaps are 1, so many spans of A are 1
+            ["verify-theorem1", "--length", "40", "--positives", "30", "--pairs", "20"],
+            {
+                "theorem1_pairs.csv": "f48f95cae6218b3a55571b335c52f593b61c82cedb2a743592cbeffec25a1727",
+            },
+        ),
     ],
-    ids=["simulate-stream", "verify-theorem1"],
+    ids=["simulate-stream", "verify-theorem1", "verify-theorem1-dense"],
 )
 def test_stream_outputs_match_pinned_digests(tmp_path, argv, digests):
     assert main([*argv, "--output-dir", str(tmp_path)]) == 0

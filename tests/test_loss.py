@@ -71,6 +71,25 @@ def test_config_epsilon_and_domain_gates():
     assert config.alpha > 1.0  # exploratory calibration still solved
 
 
+def test_for_classes_solves_each_calibration_once(monkeypatch):
+    import talcil.loss
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_calibration(*args, **kwargs)
+
+    monkeypatch.setattr(talcil.loss, "solve_calibration", counted)
+    with pytest.warns(RuntimeWarning) as record:
+        config = TalConfig.for_classes(0.9, 0.5, 10, exploratory=True)
+    assert len(calls) == 1 and len(record) == 1  # one solve, one warning
+    # a directly built config is still checked
+    with pytest.warns(RuntimeWarning), pytest.raises(DomainError):
+        TalConfig(kernel=config.kernel, r=0.5, class_count=10, alpha=2.0, exploratory=True)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # cross-entropy baseline
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from talcil import (
     verify_theorem1,
 )
 from talcil.kernel import PolaritySequence
-from talcil.streams import phi_from_counts
+from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms, phi_from_counts
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,137 @@ def test_custom_decreasing_kernel_accepted_increasing_rejected():
     assert verdict.conclusion_held
     with pytest.raises(DomainError):
         verify_theorem1(np.array([0.1, 0.5, 0.6, 0.9]), (a, b))
+    for bad in ([0.5, np.nan, 0.2, 0.1], [np.inf, np.inf, 1.0, 0.5], [0.5, 0.4, 0.3, 0.2, np.nan]):
+        with pytest.raises(DomainError):  # not a NaN verdict read as a counterexample
+            verify_theorem1(np.array(bad), (a, b))
+
+
+def test_pair_sequences_must_be_one_dimensional():
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(DomainError):
+        verify_theorem1(MemoryKernel(lam=0.9), (a, a.copy()))
+
+
+def _reference_verdict(f, a_seq, b_seq):
+    """The verdict with every kernel term rebuilt where a formula uses it."""
+    n = a_seq.shape[0]
+    s_a = np.cumsum(a_seq > 0).astype(np.float64)
+    s_b = np.cumsum(b_seq > 0).astype(np.float64)
+
+    def phi(s):
+        if n == 1:
+            return float(f[0] * s[-1])
+        deltas = f[n - 2 :: -1] - f[n - 1 : 0 : -1]
+        return float(f[0] * s[-1] - np.dot(deltas, s[: n - 1]))
+
+    q_a = float(np.dot(f[:n], a_seq[::-1]))
+    q_b = float(np.dot(f[:n], b_seq[::-1]))
+    scale = max(1.0, float(np.sum(f[:n])))
+    if n > 1:
+        deltas = f[n - 2 :: -1] - f[n - 1 : 0 : -1]
+        gap_by_parts = 2.0 * float(np.dot(deltas, (s_a - s_b)[: n - 1]))
+    else:
+        gap_by_parts = 0.0
+    dominance = bool(np.all(s_a >= s_b))
+    return TheoremVerdict(
+        q_a=q_a,
+        q_b=q_b,
+        phi_a=phi(s_a),
+        phi_b=phi(s_b),
+        gap_by_parts=gap_by_parts,
+        dominance_held=dominance,
+        strict_dominance=dominance and bool(np.any(s_a > s_b)),
+        conclusion_held=bool(q_a <= q_b + 1e-12 * scale),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 600])
+def test_verdict_fields_match_the_reference_formulas_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    pairs = [sample_dominance_pair(rng, n, max(1, n // 5)) for _ in range(5)]
+    if n == 1:
+        pairs.append((np.array([-1.0]), np.array([-1.0])))
+    for lam in (0.5, 0.9, 0.99):
+        kernel = MemoryKernel(lam=lam)
+        explicit = 1.0 / (np.arange(n + 3) + 2.0)  # longer than the pair
+        for a, b in pairs:
+            for k, f in ((kernel, kernel.weights(n)), (explicit, explicit)):
+                assert verify_theorem1(k, (a, b)) == _reference_verdict(f, a, b)
+    f, deltas, _ = _memory_kernel_terms(0.9, n)  # memoised by the calls above
+    assert not f.flags.writeable and not deltas.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# batched sampler against one scalar draw per positive
+# ---------------------------------------------------------------------------
+
+
+def _scalar_dominance_pair(rng, length, positives):
+    """One scalar ``rng.integers`` call per positive: the oracle."""
+    b_pos = np.sort(rng.choice(length, size=positives, replace=False))
+    a_pos = np.empty(positives, dtype=np.int64)
+    prev = -1
+    for i, b in enumerate(b_pos.tolist()):
+        prev = int(rng.integers(prev + 1, b + 1))
+        a_pos[i] = prev
+    a_seq = np.full(length, -1.0)
+    b_seq = np.full(length, -1.0)
+    a_seq[a_pos] = 1.0
+    b_seq[b_pos] = 1.0
+    return a_seq, b_seq
+
+
+@st.composite
+def _pair_shapes(draw):
+    length = draw(st.integers(min_value=1, max_value=2000))
+    positives = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=length),
+            st.sampled_from(sorted({1, max(1, length - 1), length})),
+        )
+    )
+    return length, positives
+
+
+@given(
+    shape=_pair_shapes(),
+    seed=st.integers(min_value=0, max_value=2**63),
+    pairs=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=80)
+def test_batched_sampler_reproduces_the_scalar_loop(shape, seed, pairs):
+    length, positives = shape
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(pairs):
+        got = sample_dominance_pair(batched, length, positives)
+        want = _scalar_dominance_pair(scalar, length, positives)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("span", [1, 2, 600, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32])
+def test_word_mapping_is_numpys_bounded_rule(span):
+    words = []
+    for seed in range(20):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        def next_word():
+            words.append(int(ours.integers(0, 2**32, dtype=np.uint32)))
+            return words[-1]
+
+        got = [_bounded(span, next_word) for _ in range(50)]
+        want = [int(numpys.integers(0, span)) for _ in range(50)]
+        assert got == want
+        assert ours.bit_generator.state == numpys.bit_generator.state
+    if span == 1:
+        assert not words  # a one-value span consumes no word
+    if span in (2**31 + 1, 3 * 2**30):
+        assert len(words) > 20 * 50  # the rejection branch ran
+
+
+def test_sampler_rejects_lengths_beyond_32_bit_words():
+    with pytest.raises(DomainError):
+        sample_dominance_pair(np.random.default_rng(0), 2**32 + 1, 1)
 
 
 @given(
