@@ -16,14 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from talcil import (
-    MemoryKernel,
-    PolaritySequence,
-    TaskSchedule,
-    generate_stream,
-    q_from_convolution,
-    verify_theorem1,
-)
+from talcil import MemoryKernel, TaskSchedule, generate_stream, verify_theorem1
+from talcil.oracle import PolaritySequence, q_from_convolution
 from talcil.output import write_csv
 
 

@@ -10,18 +10,9 @@ Gaussian classes, SGD softmax classifier, replay) demonstrates the
 temporal-imbalance phenomenon and its correction end to end.
 """
 
-from .calibration import CalibrationResult, degeneracy_check, solve_calibration
+from .calibration import CalibrationResult, solve_calibration
 from .errors import DomainError, SolverError, SpecError, TalcilError, TrainingError
-from .kernel import (
-    MemoryKernel,
-    PolaritySequence,
-    QState,
-    negative_weight,
-    q_from_convolution,
-    update_batched,
-    update_plain,
-    update_tal,
-)
+from .kernel import MemoryKernel, QState, check_domain, negative_weight, update_batched, update_tal
 from .loss import LossOutput, TalConfig, ce_forward, tal_forward, training_step
 from .metrics import (
     AsymmetryResult,
@@ -58,15 +49,12 @@ __all__ = [
     "__version__",
     "MemoryKernel",
     "QState",
-    "PolaritySequence",
+    "check_domain",
     "negative_weight",
-    "q_from_convolution",
-    "update_plain",
     "update_tal",
     "update_batched",
     "CalibrationResult",
     "solve_calibration",
-    "degeneracy_check",
     "TalConfig",
     "LossOutput",
     "tal_forward",

@@ -58,6 +58,8 @@ def run_loss_benchmark(
     r: float = 1.0,
     seed: int = 0,
 ) -> list[BenchRow]:
+    if repeats < 1:
+        raise DomainError(f"need at least one timed repeat, got {repeats}")
     _require_slope([n * c for n in batch_sizes for c in class_counts])
     rng = np.random.default_rng(seed)
     rows = []

@@ -22,9 +22,9 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
-from .kernel import MemoryKernel, negative_weight
+from .kernel import check_domain
 
-__all__ = ["CalibrationResult", "solve_calibration", "degeneracy_check"]
+__all__ = ["CalibrationResult", "solve_calibration"]
 
 #: residual target for the guarded Newton iteration
 RESIDUAL_TOL = 1e-14
@@ -50,12 +50,12 @@ class CalibrationResult:
             raise SolverError(
                 f"steady state x*={self.x_star} escaped (0, 1)", residual=self.residual
             )
-        if self.residual >= 1e-12:
+        if not self.residual < 1e-12:
             raise SolverError(
                 f"calibration residual {self.residual:.3e} above 1e-12",
                 residual=self.residual,
             )
-        if abs(self.alpha * self.x_star**self.r - 1.0) >= 1e-12:
+        if not abs(self.alpha * self.x_star**self.r - 1.0) < 1e-12:
             raise SolverError(
                 "alpha and x* are inconsistent", residual=self.residual
             )
@@ -129,14 +129,8 @@ def solve_calibration(
     """
     if class_count < 2:
         raise DomainError(f"need at least 2 classes, got {class_count}")
-    if strict and r < 1.0:
-        raise DomainError(
-            f"steepness r={r} < 1 is outside the calibrated domain; "
-            "pass strict=False for exploratory sweeps"
-        )
-    if r <= 0.0:
-        raise DomainError(f"steepness r must be positive, got {r}")
-    if not strict and r < 1.0:
+    check_domain(None, r, not strict)
+    if r < 1.0:
         warnings.warn(
             f"solving calibration for exploratory r={r} < 1",
             RuntimeWarning,
@@ -168,15 +162,3 @@ def solve_calibration(
     return CalibrationResult(
         x_star=x, alpha=alpha, class_count=class_count, r=r, residual=residual
     )
-
-
-def degeneracy_check(class_count: int, r: float) -> float:
-    """Cross-module probe: alpha * w(x* * q_max) evaluated through the
-    same weight function the loss uses.  Must come back as 1 (within
-    1e-12); anything else means the solver and the loss disagree about
-    what "balanced" means.
-    """
-    result = solve_calibration(class_count, r)
-    kernel = MemoryKernel(lam=0.9)  # any lam: q_max cancels inside w
-    q_star = result.x_star * kernel.q_max
-    return float(result.alpha * negative_weight(q_star, kernel.q_max, r))

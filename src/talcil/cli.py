@@ -38,7 +38,7 @@ from .errors import DomainError, SolverError, SpecError, TalcilError, TrainingEr
 from .kernel import MemoryKernel, QState, update_tal
 from .metrics import forgetting_curve
 from .output import atomic_write_text, write_csv, write_jsonl, write_manifest
-from .sim import ABLATION_LAMBDAS, ABLATION_RS, ablate, fresh_state, make_gaussian_tasks, train_incremental
+from .sim import ABLATION_LAMBDAS, ABLATION_RS, ablate, fresh_state, tasks_for, train_incremental
 from .streams import TaskSchedule, generate_stream, sample_dominance_pair, verify_theorem1
 
 EXIT_OK = 0
@@ -230,38 +230,11 @@ def _report_files(report, seed: int):
     }
 
 
-def _tasks_for(spec: ExperimentSpec, seed: int):
-    """The dataset and schedule of one spec seed; ``train`` and ``ablate`` share it."""
-    return make_gaussian_tasks(
-        spec.dataset.classes,
-        spec.dataset.dim,
-        spec.dataset.tasks,
-        spec.dataset.per_class,
-        spec.dataset.sep,
-        seed,
-        test_per_class=spec.dataset.test_per_class,
-        cov_scale=spec.dataset.cov_scale,
-        replay_per_old_class=spec.schedule.replay_per_class,
-    )
-
-
 def _run_experiment(spec: ExperimentSpec, seed: int):
-    dataset, schedule = _tasks_for(spec, seed)
+    dataset, tasks = tasks_for(spec, seed)
     events: list[dict] = []
-    state = fresh_state(
-        spec.loss.kind.lower(),
-        spec.dataset.dim,
-        lam=spec.loss.lam,
-        r=spec.loss.r,
-        epsilon=spec.loss.epsilon,
-        lr=spec.schedule.lr,
-        epochs_per_task=spec.schedule.epochs,
-        batch_size=spec.schedule.batch_size,
-        seed=seed,
-        hidden=spec.schedule.hidden,
-        exploratory=spec.loss.exploratory,
-    )
-    report = train_incremental(state, dataset, schedule, event_sink=events.append)
+    state = fresh_state(spec.loss, spec.schedule, spec.dataset.dim, seed)
+    report = train_incremental(state, dataset, tasks, event_sink=events.append)
     return report, events
 
 
@@ -305,16 +278,7 @@ def _cmd_ablate(args) -> int:
     lambdas = tuple(args.lambdas) if args.lambdas else ABLATION_LAMBDAS
     rs = tuple(args.rs) if args.rs else ABLATION_RS
     per_seed = [
-        ablate(
-            *_tasks_for(spec, seed),
-            [seed],
-            lambdas=lambdas,
-            rs=rs,
-            lr=spec.schedule.lr,
-            epochs_per_task=spec.schedule.epochs,
-            batch_size=spec.schedule.batch_size,
-            hidden=spec.schedule.hidden,
-        )
+        ablate(*tasks_for(spec, seed), [seed], schedule=spec.schedule, lambdas=lambdas, rs=rs)
         for seed in spec.seeds
     ]
     # cell-major, seed-minor: the order one multi-seed ``ablate`` call gives
@@ -504,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-loss", help="per-batch loss timing, CE vs adjusted")
     p.add_argument("--batch-sizes", type=_int_list, default=None)
     p.add_argument("--class-counts", type=_int_list, default=None)
-    p.add_argument("--repeats", type=int, default=30)
+    p.add_argument("--repeats", type=_int_from(1), default=30)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(handler=_cmd_bench_loss)
 

@@ -3,9 +3,12 @@
 Every field has an embedded default; the fully resolved spec (defaults
 applied) is what gets hashed and echoed into the run manifest, so a
 change of defaults between versions is visible as a hash change.
-Validation happens up front, before any computation or output: every
-field must have its declared type and every number must be finite, so
-the library code downstream can rely on well-formed values.
+Each block validates itself when it is built: every field must have its
+declared type, every number must be finite, and the loss block must lie
+in the calibrated domain (``kernel.check_domain``), so a block in hand is
+always valid and the library code downstream can rely on it.  A block
+built in code raises ``DomainError``; ``load_spec`` reports the same
+failure as a ``SpecError``, before any computation or output.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import yaml
 
 from .calibration import solve_calibration
 from .errors import DomainError, SolverError, SpecError
+from .kernel import check_domain
 
 __all__ = ["DatasetBlock", "ScheduleBlock", "LossBlock", "ExperimentSpec", "load_spec"]
 
@@ -48,7 +52,7 @@ def _check_types(block, where: str) -> None:
             ok = isinstance(value, str)
         if not ok:
             key = _SPEC_KEYS.get(f.name, f.name)
-            raise SpecError(f"{where}.{key} must be {_TYPE_NAMES[f.type]}, got {value!r}")
+            raise DomainError(f"{where}.{key} must be {_TYPE_NAMES[f.type]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,15 +68,17 @@ class DatasetBlock:
     def validate(self):
         _check_types(self, "dataset")
         if self.classes < 2:
-            raise SpecError("dataset.classes must be at least 2")
+            raise DomainError("dataset.classes must be at least 2")
         if self.tasks < 1 or self.classes % self.tasks != 0:
-            raise SpecError(
+            raise DomainError(
                 f"dataset.classes={self.classes} must be divisible by dataset.tasks={self.tasks}"
             )
         if self.dim < 1 or self.per_class < 1 or self.test_per_class < 1:
-            raise SpecError("dataset sizes must be positive")
+            raise DomainError("dataset sizes must be positive")
         if self.sep <= 0 or self.cov_scale <= 0:
-            raise SpecError("dataset.sep and dataset.cov_scale must be positive")
+            raise DomainError("dataset.sep and dataset.cov_scale must be positive")
+
+    __post_init__ = validate
 
 
 @dataclass(frozen=True)
@@ -86,13 +92,15 @@ class ScheduleBlock:
     def validate(self):
         _check_types(self, "schedule")
         if self.replay_per_class < 0:
-            raise SpecError("schedule.replay_per_class cannot be negative")
+            raise DomainError("schedule.replay_per_class cannot be negative")
         if self.epochs < 1 or self.batch_size < 1:
-            raise SpecError("schedule.epochs and schedule.batch_size must be positive")
+            raise DomainError("schedule.epochs and schedule.batch_size must be positive")
         if self.lr <= 0:
-            raise SpecError("schedule.lr must be positive")
+            raise DomainError("schedule.lr must be positive")
         if self.hidden < 0:
-            raise SpecError("schedule.hidden cannot be negative")
+            raise DomainError("schedule.hidden cannot be negative")
+
+    __post_init__ = validate
 
 
 @dataclass(frozen=True)
@@ -106,24 +114,12 @@ class LossBlock:
     def validate(self):
         _check_types(self, "loss")
         if self.kind not in ("CE", "TAL"):
-            raise SpecError(f"loss.kind must be CE or TAL, got {self.kind!r}")
-        if not (0.0 < self.lam < 1.0):
-            raise SpecError("loss.lambda must lie in (0, 1)")
+            raise DomainError(f"loss.kind must be CE or TAL, got {self.kind!r}")
         if not (0.0 < self.epsilon <= 1e-6):
-            raise SpecError("loss.epsilon must lie in (0, 1e-6]")
-        if self.r <= 0:
-            raise SpecError("loss.r must be positive")
-        if not self.exploratory:
-            if self.r < 1.0:
-                raise SpecError(
-                    "loss.r < 1 is outside the calibrated domain; "
-                    "set loss.exploratory: true to run it anyway"
-                )
-            if self.lam < 0.5:
-                raise SpecError(
-                    "loss.lambda < 0.5 is outside the calibrated domain; "
-                    "set loss.exploratory: true to run it anyway"
-                )
+            raise DomainError("loss.epsilon must lie in (0, 1e-6]")
+        check_domain(self.lam, self.r, self.exploratory)
+
+    __post_init__ = validate
 
 
 @dataclass(frozen=True)
@@ -135,9 +131,6 @@ class ExperimentSpec:
     output_dir: str | None = None
 
     def validate(self):
-        self.dataset.validate()
-        self.schedule.validate()
-        self.loss.validate()
         if self.loss.kind == "TAL":
             self._check_calibration()
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
@@ -187,7 +180,7 @@ def _build_block(cls, mapping, where: str):
         kwargs[name] = value
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except DomainError as exc:
         raise SpecError(f"bad value in {where}: {exc}") from exc
 
 

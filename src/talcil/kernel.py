@@ -10,14 +10,12 @@ so the most recent step carries weight lam and influence fades
 geometrically.  Under all-positive supervision Q approaches but never
 reaches q_max = lam / (1 - lam).
 
-Three update rules are provided:
+Two update rules are provided (the raw recursion and the direct
+convolution, which tests compare against, live in ``talcil.oracle``):
 
-* ``update_plain``    -- the raw one-step recursion q' = lam * (q + a).
-  Exactly equivalent to the convolution but can go negative on
-  negative-heavy streams; kept as an oracle-comparison path only.
 * ``update_tal``      -- the attenuated rule used for training: negative
   supervision is scaled by w(q) = (q / q_max) ** r, which keeps q inside
-  [0, q_max) for r >= 1 and lam >= 1/2.
+  [0, q_max) for r >= 1 and lam >= 1/2 (``check_domain``).
 * ``update_batched``  -- the fractional minibatch form: with N samples of
   which n_k are positive for class k,
   q' = lam * (q + n_k/N - ((N - n_k)/N) * w(q)).
@@ -37,11 +35,8 @@ from .errors import DomainError, TalcilError
 __all__ = [
     "MemoryKernel",
     "QState",
-    "PolaritySequence",
+    "check_domain",
     "negative_weight",
-    "q_from_convolution",
-    "convolve_q",
-    "update_plain",
     "update_tal",
     "update_batched",
 ]
@@ -114,25 +109,33 @@ class QState:
         return QState(q=np.concatenate([self.q, np.zeros(n_new)]), step=self.step)
 
 
-@dataclass(frozen=True)
-class PolaritySequence:
-    """A recorded +1/-1 supervision sequence for one class."""
+def check_domain(lam, r, exploratory: bool) -> None:
+    """The calibrated-domain rule; every entry point calls this one copy.
 
-    values: np.ndarray
-    class_id: int = 0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise DomainError("polarity sequence must be 1-d")
-        if values.size and not np.all(np.abs(values) == 1.0):
-            raise DomainError("polarities must be exactly +1 or -1")
-        if self.class_id < 0:
-            raise DomainError("class_id must be nonnegative")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
+    r must be finite and positive and lam, when given, must lie in (0, 1).
+    Unless ``exploratory``, also r >= 1 and lam >= 1/2: there the
+    attenuated update provably keeps q in [0, q_max) and the loss
+    collapses to cross-entropy at balance.  ``lam`` is ``None`` for the
+    calibration, which has no kernel.  Every comparison fails on NaN.
+    Plain float comparisons only: the minibatch update calls this on
+    every step.
+    """
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"steepness r must be finite and positive, got {r}")
+    if lam is not None and not 0.0 < lam < 1.0:
+        raise DomainError(f"memory parameter lam must lie in (0, 1), got {lam}")
+    if exploratory:
+        return
+    if not r >= 1.0:
+        raise DomainError(
+            f"steepness r={r} < 1 is outside the calibrated domain and needs "
+            "exploratory mode (range invariants demote to warnings)"
+        )
+    if lam is not None and not lam >= 0.5:
+        raise DomainError(
+            f"lam={lam} < 0.5 gives q_max < 1 and breaks the nonnegativity of the "
+            "attenuated update; it needs exploratory mode"
+        )
 
 
 def negative_weight(q, q_max: float, r: float):
@@ -156,60 +159,9 @@ def _check_polarities(polarities, class_count: int) -> np.ndarray:
     return a
 
 
-def convolve_q(kernel_values: np.ndarray, polarities: np.ndarray) -> float:
-    """Brute-force tracker value for an arbitrary decreasing kernel.
-
-    Computes sum_n f[N-1-n] * a[n], i.e. the newest step gets f[0].  This
-    is the O(N) oracle that every recursion must reproduce; it accepts
-    any kernel value array so monotonicity arguments can be probed with
-    non-exponential decays too.
-    """
-    f = np.asarray(kernel_values, dtype=np.float64)
-    a = np.asarray(polarities, dtype=np.float64)
-    if a.size == 0:
-        raise DomainError("cannot evaluate the tracker on an empty sequence")
-    if f.shape[0] < a.shape[0]:
-        raise DomainError("kernel shorter than the polarity sequence")
-    return _convolve(f[: a.size], a)
-
-
 def _convolve(f: np.ndarray, a: np.ndarray) -> float:
     """sum_n f[N-1-n] * a[n] for equal-length arrays, unchecked."""
     return float(np.dot(f, a[::-1]))
-
-
-def q_from_convolution(kernel: MemoryKernel, seq: PolaritySequence) -> float:
-    """Tracker value by direct convolution with the exponential kernel."""
-    if len(seq) == 0:
-        raise DomainError("cannot evaluate the tracker on an empty sequence")
-    return convolve_q(kernel.weights(len(seq)), seq.values)
-
-
-def update_plain(state: QState, kernel: MemoryKernel, polarities) -> QState:
-    """One step of the raw recursion q' = lam * (q + a).
-
-    Matches the convolution exactly but has no lower bound; negative
-    values are reported as-is.  Oracle path only -- training goes
-    through ``update_tal`` / ``update_batched``.
-    """
-    a = _check_polarities(polarities, state.class_count)
-    return QState(q=kernel.lam * (state.q + a), step=state.step + 1)
-
-
-def _require_tal_domain(kernel: MemoryKernel, r: float, strict: bool) -> None:
-    if strict:
-        if not r >= 1.0:
-            raise DomainError(
-                f"steepness r={r} < 1 is outside the calibrated domain; "
-                "pass strict=False to explore it (range invariants demote to warnings)"
-            )
-        if kernel.lam < 0.5:
-            raise DomainError(
-                f"lam={kernel.lam} < 0.5 gives q_max < 1 and breaks the "
-                "nonnegativity of the attenuated update; pass strict=False to explore"
-            )
-    elif not r > 0.0:
-        raise DomainError(f"steepness r must be positive, got {r}")
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -249,7 +201,7 @@ def update_tal(
     strict: bool = True,
 ) -> QState:
     """One attenuated step: q' = lam*(q+1) on +1, q' = lam*(q - w(q)) on -1."""
-    _require_tal_domain(kernel, r, strict)
+    check_domain(kernel.lam, r, not strict)
     a = _check_polarities(polarities, state.class_count)
     q = state.q
     q_max = kernel.q_max
@@ -278,7 +230,7 @@ def update_batched(
     One call per minibatch; ``batch_size=1`` with a one-hot count vector
     reproduces ``update_tal`` bit for bit.
     """
-    _require_tal_domain(kernel, r, strict)
+    check_domain(kernel.lam, r, not strict)
     if batch_size <= 0:
         raise DomainError("batch must contain at least one sample")
     n_pos = np.asarray(pos_counts, dtype=np.float64)

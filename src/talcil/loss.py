@@ -32,7 +32,7 @@ import numpy as np
 
 from .calibration import CalibrationResult, solve_calibration
 from .errors import DomainError
-from .kernel import MemoryKernel, QState, negative_weight, update_batched
+from .kernel import MemoryKernel, QState, check_domain, negative_weight, update_batched
 
 __all__ = ["TalConfig", "LossOutput", "tal_forward", "ce_forward", "training_step"]
 
@@ -57,15 +57,7 @@ class TalConfig:
             raise DomainError(f"epsilon must lie in (0, 1e-6], got {self.epsilon}")
         if self.class_count < 2:
             raise DomainError("need at least 2 classes")
-        if not self.exploratory:
-            if self.r < 1.0:
-                raise DomainError(
-                    f"steepness r={self.r} < 1 needs exploratory=True (uncalibrated domain)"
-                )
-            if self.kernel.lam < 0.5:
-                raise DomainError(
-                    f"lam={self.kernel.lam} < 0.5 needs exploratory=True (q_max < 1)"
-                )
+        check_domain(self.kernel.lam, self.r, self.exploratory)
         ref = _calibration
         if ref is None or (ref.class_count, ref.r) != (self.class_count, self.r):
             ref = solve_calibration(self.class_count, self.r, strict=not self.exploratory)
@@ -85,7 +77,11 @@ class TalConfig:
         *,
         exploratory: bool = False,
     ) -> "TalConfig":
-        """Build a config by solving the calibration for (class_count, r)."""
+        """Build a config by solving the calibration for (class_count, r).
+
+        The domain is checked before the solve, so a bad lam is a
+        ``DomainError`` even where r alone would stall the solver."""
+        check_domain(lam, r, exploratory)
         result = solve_calibration(class_count, r, strict=not exploratory)
         return cls(
             kernel=MemoryKernel(lam=lam),

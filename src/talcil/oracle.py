@@ -1,0 +1,98 @@
+"""Reference paths that tests and scripts compare the library against.
+
+None of this runs in training, so none of it is in ``talcil.__all__``:
+
+* ``q_from_convolution`` / ``convolve_q`` -- the tracker value by direct
+  convolution of a polarity sequence with a decay kernel, O(N) per value.
+* ``update_plain`` -- the raw one-step recursion q' = lam * (q + a).
+  Exactly equivalent to the convolution but can go negative on
+  negative-heavy streams.
+* ``degeneracy_check`` -- alpha * w(x* * q_max) through the loss's own
+  weight function, which must come back as 1.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .calibration import solve_calibration
+from .errors import DomainError
+from .kernel import MemoryKernel, QState, _check_polarities, _convolve, negative_weight
+
+__all__ = [
+    "PolaritySequence",
+    "convolve_q",
+    "q_from_convolution",
+    "update_plain",
+    "degeneracy_check",
+]
+
+
+@dataclass(frozen=True)
+class PolaritySequence:
+    """A recorded +1/-1 supervision sequence for one class."""
+
+    values: np.ndarray
+    class_id: int = 0
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1:
+            raise DomainError("polarity sequence must be 1-d")
+        if values.size and not np.all(np.abs(values) == 1.0):
+            raise DomainError("polarities must be exactly +1 or -1")
+        if self.class_id < 0:
+            raise DomainError("class_id must be nonnegative")
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+
+def convolve_q(kernel_values: np.ndarray, polarities: np.ndarray) -> float:
+    """Brute-force tracker value for an arbitrary decreasing kernel.
+
+    Computes sum_n f[N-1-n] * a[n], i.e. the newest step gets f[0].  This
+    is the O(N) oracle that every recursion must reproduce; it accepts
+    any kernel value array so monotonicity arguments can be probed with
+    non-exponential decays too.
+    """
+    f = np.asarray(kernel_values, dtype=np.float64)
+    a = np.asarray(polarities, dtype=np.float64)
+    if a.size == 0:
+        raise DomainError("cannot evaluate the tracker on an empty sequence")
+    if f.shape[0] < a.shape[0]:
+        raise DomainError("kernel shorter than the polarity sequence")
+    return _convolve(f[: a.size], a)
+
+
+def q_from_convolution(kernel: MemoryKernel, seq: PolaritySequence) -> float:
+    """Tracker value by direct convolution with the exponential kernel."""
+    if len(seq) == 0:
+        raise DomainError("cannot evaluate the tracker on an empty sequence")
+    return convolve_q(kernel.weights(len(seq)), seq.values)
+
+
+def update_plain(state: QState, kernel: MemoryKernel, polarities) -> QState:
+    """One step of the raw recursion q' = lam * (q + a).
+
+    Matches the convolution exactly but has no lower bound; negative
+    values are reported as-is.  Training goes through ``update_tal`` /
+    ``update_batched``.
+    """
+    a = _check_polarities(polarities, state.class_count)
+    return QState(q=kernel.lam * (state.q + a), step=state.step + 1)
+
+
+def degeneracy_check(class_count: int, r: float) -> float:
+    """Cross-module probe: alpha * w(x* * q_max) evaluated through the
+    same weight function the loss uses.  Must come back as 1 (within
+    1e-12); anything else means the solver and the loss disagree about
+    what "balanced" means.
+    """
+    result = solve_calibration(class_count, r)
+    kernel = MemoryKernel(lam=0.9)  # any lam: q_max cancels inside w
+    q_star = result.x_star * kernel.q_max
+    return float(result.alpha * negative_weight(q_star, kernel.q_max, r))

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ExperimentSpec, LossBlock, ScheduleBlock
 from .errors import DomainError, SolverError, TrainingError
 from .kernel import MemoryKernel, QState, update_batched
 from .loss import TalConfig, ce_forward, training_step
@@ -40,7 +41,9 @@ __all__ = [
     "SyntheticDataset",
     "Classifier",
     "TrainState",
+    "fresh_state",
     "make_gaussian_tasks",
+    "tasks_for",
     "train_cells",
     "train_incremental",
     "ablate",
@@ -218,53 +221,42 @@ _WEIGHTS = ("w1", "b1", "w", "b")
 
 @dataclass
 class TrainState:
-    """Everything one incremental run needs besides the data."""
+    """Everything one incremental run needs besides the data: the head,
+    the tracker, and the spec's loss and schedule blocks, which are valid
+    by construction."""
 
     classifier: Classifier
     q_state: QState
-    loss_kind: str               # "ce" or "tal"
-    lam: float = 0.995
-    r: float = 1.0
-    epsilon: float = 1e-12
-    lr: float = 0.1
-    epochs_per_task: int = 20
-    batch_size: int = 32
-    seed: int = 0
-    exploratory: bool = False
-
-    def __post_init__(self):
-        if self.loss_kind not in ("ce", "tal"):
-            raise DomainError(f"loss kind must be 'ce' or 'tal', got {self.loss_kind!r}")
-        if self.lr <= 0 or self.epochs_per_task < 1 or self.batch_size < 1:
-            raise DomainError("invalid optimizer hyperparameters")
+    loss: LossBlock
+    schedule: ScheduleBlock
+    seed: int
 
 
-def fresh_state(
-    loss_kind: str,
-    dim: int,
-    *,
-    lam: float = 0.995,
-    r: float = 1.0,
-    epsilon: float = 1e-12,
-    lr: float = 0.1,
-    epochs_per_task: int = 20,
-    batch_size: int = 32,
-    seed: int = 0,
-    hidden: int = 0,
-    exploratory: bool = False,
-) -> TrainState:
+def fresh_state(loss: LossBlock, schedule: ScheduleBlock, dim: int, seed: int) -> TrainState:
+    """A run before its first task: a head over ``dim`` inputs with no
+    classes yet (initial weights drawn from ``seed``) and an empty tracker."""
     return TrainState(
-        classifier=Classifier(dim=dim, hidden=hidden, seed=seed),
+        classifier=Classifier(dim=dim, hidden=schedule.hidden, seed=seed),
         q_state=QState(q=np.zeros(0)),
-        loss_kind=loss_kind,
-        lam=lam,
-        r=r,
-        epsilon=epsilon,
-        lr=lr,
-        epochs_per_task=epochs_per_task,
-        batch_size=batch_size,
+        loss=loss,
+        schedule=schedule,
         seed=seed,
-        exploratory=exploratory,
+    )
+
+
+def tasks_for(spec: ExperimentSpec, seed: int) -> tuple[SyntheticDataset, TaskSchedule]:
+    """The dataset and task schedule of one spec seed; ``train``, ``ablate``
+    and ``desk_scale_pair`` all build their problem here."""
+    return make_gaussian_tasks(
+        spec.dataset.classes,
+        spec.dataset.dim,
+        spec.dataset.tasks,
+        spec.dataset.per_class,
+        spec.dataset.sep,
+        seed,
+        test_per_class=spec.dataset.test_per_class,
+        cov_scale=spec.dataset.cov_scale,
+        replay_per_old_class=spec.schedule.replay_per_class,
     )
 
 
@@ -303,9 +295,9 @@ def train_cells(
 ) -> list[MetricsReport]:
     """Task-sequential training with replay of several cells in lockstep.
 
-    The cells share one seed, learning rate, epoch count, batch size and
-    head shape (checked here), so they see one batch stream: the
-    permutations are drawn once and each minibatch is gathered once.  The
+    The cells share one seed, schedule block and head shape (checked
+    here), so they see one batch stream: the permutations are drawn once
+    and each minibatch is gathered once.  The
     heads are stacked along a cells axis and one ``np.matmul`` per
     product gives every cell's logits and SGD step; each cell runs its
     own loss and tracker step on its slice and is evaluated on its own,
@@ -324,21 +316,18 @@ def train_cells(
     if not states or len(sinks) != len(states):
         raise DomainError("need at least one cell and one event sink (or None) per cell")
     shared = {
-        (s.seed, s.lr, s.epochs_per_task, s.batch_size)
-        + (s.classifier.dim, s.classifier.hidden, s.classifier.w.shape)
+        (s.seed, s.schedule, s.classifier.dim, s.classifier.hidden, s.classifier.w.shape)
         for s in states
     }
     if len(shared) != 1:
-        raise DomainError(
-            "lockstep cells must share seed, lr, epochs, batch size and head shape"
-        )
+        raise DomainError("lockstep cells must share seed, schedule and head shape")
     first = states[0]
     n_tasks = len(schedule.tasks)
     rng = np.random.default_rng(first.seed)
     head = Classifier.stack([s.classifier for s in states])
     live = list(range(len(states)))  # the cell of each stacked slice
     q_states = [s.q_state for s in states]
-    kernels = [MemoryKernel(lam=s.lam) for s in states]
+    kernels = [MemoryKernel(lam=s.loss.lam) for s in states]
     errors: dict[int, TrainingError] = {}
     acc_matrix = [np.full((n_tasks, n_tasks), np.nan) for _ in states]
     overall = [np.zeros(n_tasks) for _ in states]
@@ -347,7 +336,7 @@ def train_cells(
     replay: dict[int, np.ndarray] = {}
     seen_classes: list[int] = []
     global_step = 0
-    batch_size, lr = first.batch_size, first.lr
+    batch_size, lr = first.schedule.batch_size, first.schedule.lr
 
     for t, task in enumerate(schedule.tasks):
         head.add_classes(len(task.new_class_ids))
@@ -355,13 +344,10 @@ def train_cells(
         configs = {}
         for k in live:
             q_states[k] = q_states[k].append_classes(len(task.new_class_ids))
-            if states[k].loss_kind == "tal":
+            loss = states[k].loss
+            if loss.kind == "TAL":
                 configs[k] = TalConfig.for_classes(
-                    states[k].lam,
-                    states[k].r,
-                    c_now,
-                    states[k].epsilon,
-                    exploratory=states[k].exploratory,
+                    loss.lam, loss.r, c_now, loss.epsilon, exploratory=loss.exploratory
                 )
 
         parts_x = [dataset.train[k] for k in task.new_class_ids]
@@ -374,13 +360,12 @@ def train_cells(
         train_x = np.concatenate(parts_x)
         train_y = np.concatenate(parts_y).astype(np.int64)
 
-        for epoch, xb, yb in _batches(rng, train_x, train_y, first.epochs_per_task, batch_size):
+        for epoch, xb, yb in _batches(rng, train_x, train_y, first.schedule.epochs, batch_size):
             z = head.logits(xb)
             grads = np.empty_like(z)
             losses = []
             failed = []
             for i, k in enumerate(live):
-                state = states[k]
                 # The loss functions reject non-finite logits with a
                 # DomainError; in a training run that means divergence.
                 try:
@@ -391,10 +376,10 @@ def train_cells(
                         q_states[k] = update_batched(
                             q_states[k],
                             kernels[k],
-                            state.r,
+                            states[k].loss.r,
                             np.bincount(yb, minlength=c_now),
                             batch_size=yb.shape[0],
-                            strict=not state.exploratory,
+                            strict=not states[k].loss.exploratory,
                         )
                 except DomainError as exc:
                     if np.isfinite(z[i]).all():
@@ -477,7 +462,7 @@ def train_cells(
             a_mean=float(overall[k].mean()),
             a_last=float(overall[k][-1]),
             seed=state.seed,
-            loss_kind=state.loss_kind,
+            loss_kind=state.loss.kind.lower(),
             q_snapshots=tuple(snapshots[k]),
         )
         for k, state in enumerate(states)
@@ -496,15 +481,12 @@ def train_incremental(
 
 def ablate(
     dataset: SyntheticDataset,
-    schedule: TaskSchedule,
+    tasks: TaskSchedule,
     seeds,
     *,
+    schedule: ScheduleBlock = ScheduleBlock(),
     lambdas=ABLATION_LAMBDAS,
     rs=ABLATION_RS,
-    lr: float = 0.1,
-    epochs_per_task: int = 20,
-    batch_size: int = 32,
-    hidden: int = 0,
 ) -> list[dict]:
     """Full (lam, r) grid plus one cross-entropy baseline row.
 
@@ -514,31 +496,25 @@ def ablate(
     is skipped.  The cells of a seed train in lockstep (``train_cells``);
     rows come cell-major, seed-minor, the CE cell first.
     """
-    cells = [("ce", None, None)] + [("tal", lam, r) for lam in lambdas for r in rs]
-    reports = []
-    for seed in seeds:
-        common = dict(
-            lr=lr,
-            epochs_per_task=epochs_per_task,
-            batch_size=batch_size,
-            seed=seed,
-            hidden=hidden,
+    losses = [LossBlock(kind="CE")] + [
+        LossBlock(lam=lam, r=r, exploratory=r < 1.0) for lam in lambdas for r in rs
+    ]
+    reports = [
+        train_cells(
+            [fresh_state(loss, schedule, dataset.dim, seed) for loss in losses], dataset, tasks
         )
-        states = [fresh_state("ce", dataset.dim, **common)] + [
-            fresh_state("tal", dataset.dim, lam=lam, r=r, exploratory=r < 1.0, **common)
-            for _, lam, r in cells[1:]
-        ]
-        reports.append(train_cells(states, dataset, schedule))
+        for seed in seeds
+    ]
     return [
         {
-            "loss": kind,
-            "lam": lam,
-            "r": r,
+            "loss": loss.kind.lower(),
+            "lam": loss.lam if loss.kind == "TAL" else None,
+            "r": loss.r if loss.kind == "TAL" else None,
             "seed": seed,
             "a_mean": seed_reports[c].a_mean,
             "a_last": seed_reports[c].a_last,
         }
-        for c, (kind, lam, r) in enumerate(cells)
+        for c, loss in enumerate(losses)
         for seed, seed_reports in zip(seeds, reports)
     ]
 
@@ -546,27 +522,27 @@ def ablate(
 def desk_scale_pair(seed: int, *, lam: float = 0.995, r: float = 1.0) -> dict[str, dict]:
     """Plain cross-entropy and the adjusted loss on the desk-scale problem.
 
-    One seed of the paired comparison: 10 Gaussian classes in 16-d
-    (separation 2.5) arrive in 5 tasks of 100 training and 100 test
-    samples per class, with 20 replay exemplars per old class; the CE and
+    One seed of the paired comparison on the default spec's problem (the
+    ``DatasetBlock`` and ``ScheduleBlock`` defaults: 10 Gaussian classes in
+    16-d, separation 2.5, arrive in 5 tasks of 100 training and 100 test
+    samples per class, with 20 replay exemplars per old class); the CE and
     TAL cells train in lockstep on the same data and batch order.  Per
     loss kind ("ce", "tal") it gives ``a_mean``, ``a_last``, ``age_corr``
     (the rank correlation of class age with precision - recall after the
     last task), and the mean recall and precision of the first task's two
     classes (``early_recall``, ``early_precision``).
     """
-    dataset, schedule = make_gaussian_tasks(
-        10, 16, 5, 100, 2.5, seed, test_per_class=100, replay_per_old_class=20
-    )
+    spec = ExperimentSpec(loss=LossBlock(lam=lam, r=r))
+    dataset, tasks = tasks_for(spec, seed)
     kinds = ("ce", "tal")
     states = [
-        fresh_state(kind, 16, lam=lam, r=r, lr=0.1, epochs_per_task=20, batch_size=32, seed=seed)
+        fresh_state(replace(spec.loss, kind=kind.upper()), spec.schedule, spec.dataset.dim, seed)
         for kind in kinds
     ]
-    ages = class_ages(schedule)
-    last = len(schedule.tasks) - 1
+    ages = class_ages(tasks)
+    last = len(tasks.tasks) - 1
     results = {}
-    for kind, report in zip(kinds, train_cells(states, dataset, schedule)):
+    for kind, report in zip(kinds, train_cells(states, dataset, tasks)):
         final = [row for row in report.per_class if row.task_id == last]
         precision = np.array([row.precision for row in final])
         recall = np.array([row.recall for row in final])

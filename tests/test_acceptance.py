@@ -27,18 +27,17 @@ from talcil import (
     QState,
     TalConfig,
     ce_forward,
-    q_from_convolution,
     sample_dominance_pair,
     solve_calibration,
     tal_forward,
     update_batched,
-    update_plain,
     update_tal,
     verify_theorem1,
 )
 from talcil.bench import overhead_slopes, run_loss_benchmark
 from talcil.cli import main
-from talcil.kernel import PolaritySequence, negative_weight
+from talcil.kernel import negative_weight
+from talcil.oracle import PolaritySequence, q_from_convolution, update_plain
 from talcil.sim import desk_scale_pair
 from talcil.streams import phi_from_counts
 

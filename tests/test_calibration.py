@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from talcil import DomainError, degeneracy_check, solve_calibration
+from talcil import DomainError, SolverError, solve_calibration
 from talcil.calibration import _g
+from talcil.oracle import degeneracy_check
 
 
 def bisect_root(c, r, iters=200):
@@ -43,6 +45,12 @@ def test_general_r_residual_and_bisection_agreement():
 @pytest.mark.parametrize("c,r", [(10, 1.0), (7, 2.0), (3, 3.5)])
 def test_degeneracy_identity(c, r):
     assert degeneracy_check(c, r) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", ["alpha", "residual"])
+def test_a_nan_result_is_not_a_calibration(field):
+    with pytest.raises(SolverError):
+        replace(solve_calibration(10, 1.0), **{field: math.nan})
 
 
 def test_closed_and_newton_paths_agree():

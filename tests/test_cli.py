@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import talcil
+from talcil.bench import run_loss_benchmark
 from talcil.cli import _error_record, main
-from talcil.errors import SolverError, TrainingError
+from talcil.errors import DomainError, SolverError, TrainingError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -263,6 +264,7 @@ def test_verify_theorem1_cli(tmp_path, capsys):
         ["verify-theorem1", "--lambdas", ","],
         ["ablate", "--spec", "unused.yaml", "--rs", ","],
         ["bench-loss", "--batch-sizes", ","],
+        ["bench-loss", "--repeats", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -272,6 +274,33 @@ def test_meaningless_arguments_are_usage_errors(tmp_path, capsys, argv):
         main([*argv, "--output-dir", str(out_dir)])
     assert exc.value.code == 2
     assert f"argument {argv[-2]}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--classes", "10", "--exponent", "nan"],
+        ["calibrate", "--classes", "10", "--exponent=inf"],
+        ["simulate-stream", "--exponent", "nan"],
+        ["simulate-stream", "--exponent=inf"],
+        ["ablate", "--rs", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_steepness_is_a_domain_error(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    if argv[0] != "calibrate":
+        argv = [*argv, "--output-dir", str(out_dir)]
+    if argv[0] == "ablate":
+        argv = [*argv, "--spec", str(write_spec(tmp_path))]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "DomainError"
+    assert "< 1" not in record["message"]
     assert not out_dir.exists()
 
 
@@ -322,6 +351,11 @@ def test_bench_loss_emits_table(tmp_path, capsys):
     assert lines[0] == "batch_size,class_count,ce_seconds,tal_seconds,overhead_seconds"
     assert len(lines) == 1 + 4
     assert "overhead slope" in capsys.readouterr().out
+
+
+def test_loss_benchmark_needs_a_timed_repeat():
+    with pytest.raises(DomainError):
+        run_loss_benchmark(repeats=0)
 
 
 def test_bench_loss_rejects_a_grid_without_a_slope(tmp_path, capsys):

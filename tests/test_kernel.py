@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,18 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import talcil
+import talcil.oracle
 from talcil import (
     DomainError,
     MemoryKernel,
-    PolaritySequence,
     QState,
-    q_from_convolution,
+    SolverError,
+    SpecError,
+    TalConfig,
+    check_domain,
     solve_calibration,
     update_batched,
-    update_plain,
     update_tal,
 )
-from talcil.kernel import convolve_q, negative_weight
+from talcil.config import spec_from_mapping
+from talcil.kernel import negative_weight
+from talcil.oracle import PolaritySequence, convolve_q, q_from_convolution, update_plain
 
 LAMBDAS = [0.5, 0.9, 0.99, 0.995, 0.999]
 
@@ -336,3 +342,69 @@ def test_updates_leave_input_state_untouched():
     update_batched(st, MemoryKernel(lam=0.9), 1.0, [1, 0], batch_size=2)
     assert np.array_equal(st.q, before)
     assert st.step == 0
+
+
+# ---------------------------------------------------------------------------
+# the calibrated domain and the public API
+# ---------------------------------------------------------------------------
+
+
+def _accepts(lam, r, exploratory):
+    try:
+        check_domain(lam, r, exploratory)
+    except DomainError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.sampled_from([math.nan, math.inf, -math.inf, 0.3, 0.5, 0.9, 0.995])
+    | st.floats(-0.5, 1.5),
+    r=st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 0.2, 1.0, 2.0, 5.0])
+    | st.floats(-2.0, 50.0),
+    exploratory=st.booleans(),
+)
+def test_every_entry_point_applies_the_one_domain_rule(lam, r, exploratory):
+    strict = not exploratory
+    calls = [
+        lambda: TalConfig.for_classes(lam, r, 3, exploratory=exploratory),
+        lambda: update_tal(QState.zeros(2), MemoryKernel(lam=lam), r, [1.0, -1.0], strict=strict),
+        lambda: update_batched(
+            QState.zeros(2), MemoryKernel(lam=lam), r, [1, 1], batch_size=2, strict=strict
+        ),
+    ]
+    spec = {"loss": {"lambda": lam, "r": r, "exploratory": exploratory}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if _accepts(lam, r, exploratory):
+            for call in calls:
+                try:
+                    call()
+                except SolverError:  # an exploratory r the solver cannot calibrate
+                    pass
+            try:
+                spec_from_mapping(spec)
+            except SpecError as exc:
+                assert isinstance(exc.__cause__, SolverError)
+        else:
+            for call in calls:
+                with pytest.raises(DomainError):
+                    call()
+            with pytest.raises(SpecError):
+                spec_from_mapping(spec)
+        # the calibration has no kernel, so only r and the mode decide
+        if _accepts(None, r, exploratory):
+            try:
+                solve_calibration(3, r, strict=strict)
+            except SolverError:
+                pass
+        else:
+            with pytest.raises(DomainError):
+                solve_calibration(3, r, strict=strict)
+
+
+def test_public_names_resolve_and_leave_the_oracles_out():
+    for name in talcil.__all__:
+        assert getattr(talcil, name) is not None
+    assert not set(talcil.oracle.__all__) & set(talcil.__all__)

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,13 @@ from talcil import (
     spearman,
     train_incremental,
 )
+from talcil.config import LossBlock, ScheduleBlock
 from talcil.sim import Classifier, class_ages, fresh_state, train_cells
 
-QUICK = dict(lr=0.1, epochs_per_task=20, batch_size=32)
+CE = LossBlock(kind="CE")
+TAL = LossBlock(kind="TAL")
+LOSSES = {"ce": CE, "tal": TAL}
+QUICK = ScheduleBlock(lr=0.1, epochs=20, batch_size=32)
 
 
 def small_setup(seed=0, classes=10, tasks=5, per_class=100, sep=2.5, replay=20):
@@ -67,7 +71,7 @@ def test_widely_separated_classes_are_jointly_learnable():
     ds, schedule = make_gaussian_tasks(
         10, 16, 1, 100, 6.0, 0, test_per_class=100, replay_per_old_class=0
     )
-    report = train_incremental(fresh_state("ce", 16, seed=0, **QUICK), ds, schedule)
+    report = train_incremental(fresh_state(CE, QUICK, 16, 0), ds, schedule)
     assert report.a_last > 0.95
 
 
@@ -95,7 +99,7 @@ def test_hidden_layer_classifier_trains():
         4, 8, 1, 60, 4.0, 0, test_per_class=50, replay_per_old_class=0
     )
     report = train_incremental(
-        fresh_state("ce", 8, seed=0, hidden=32, **QUICK), ds, schedule
+        fresh_state(CE, replace(QUICK, hidden=32), 8, 0), ds, schedule
     )
     assert report.a_last > 0.9
 
@@ -104,7 +108,7 @@ def test_hidden_layer_incremental_run_grows_head_only():
     ds, schedule = make_gaussian_tasks(
         4, 8, 2, 40, 3.0, 0, test_per_class=30, replay_per_old_class=5
     )
-    state = fresh_state("tal", 8, seed=0, hidden=16, lr=0.1, epochs_per_task=15, batch_size=16)
+    state = fresh_state(TAL, ScheduleBlock(hidden=16, lr=0.1, epochs=15, batch_size=16), 8, 0)
     report = train_incremental(state, ds, schedule)
     assert state.classifier.w1.shape == (8, 16)
     assert state.classifier.w.shape == (16, 4)
@@ -122,14 +126,14 @@ def test_single_task_adjusted_and_plain_losses_agree_closely():
     )
     acc = {}
     for kind in ("ce", "tal"):
-        report = train_incremental(fresh_state(kind, 16, seed=0, **QUICK), ds, schedule)
+        report = train_incremental(fresh_state(LOSSES[kind], QUICK, 16, 0), ds, schedule)
         acc[kind] = report.a_last
     assert abs(acc["tal"] - acc["ce"]) < 0.02
 
 
 def test_accuracy_matrix_is_lower_triangular():
     ds, schedule = small_setup(seed=0, per_class=40)
-    report = train_incremental(fresh_state("ce", 16, seed=0, **QUICK), ds, schedule)
+    report = train_incremental(fresh_state(CE, QUICK, 16, 0), ds, schedule)
     acc = report.accuracy_matrix
     for t in range(5):
         for u in range(5):
@@ -151,7 +155,7 @@ def test_ce_run_shows_age_skew_and_positive_q_recall_association():
     early_skew = 0
     for seed in range(3):
         ds, schedule = small_setup(seed=seed)
-        report = train_incremental(fresh_state("ce", 16, seed=seed, **QUICK), ds, schedule)
+        report = train_incremental(fresh_state(CE, QUICK, 16, seed), ds, schedule)
         final = [row for row in report.per_class if row.task_id == 4]
         recall = np.array([row.recall for row in final])
         precision = np.array([row.precision for row in final])
@@ -170,7 +174,7 @@ def test_adjusted_loss_beats_plain_on_paired_seeds():
         a_last = {}
         for kind in ("ce", "tal"):
             report = train_incremental(
-                fresh_state(kind, 16, seed=seed, lam=0.995, r=1.0, **QUICK), ds, schedule
+                fresh_state(LOSSES[kind], QUICK, 16, seed), ds, schedule
             )
             a_last[kind] = report.a_last
         wins += a_last["tal"] > a_last["ce"]
@@ -179,8 +183,8 @@ def test_adjusted_loss_beats_plain_on_paired_seeds():
 
 def test_reports_are_reproducible():
     ds, schedule = small_setup(seed=3, per_class=40)
-    a = train_incremental(fresh_state("tal", 16, seed=3, **QUICK), ds, schedule)
-    b = train_incremental(fresh_state("tal", 16, seed=3, **QUICK), ds, schedule)
+    a = train_incremental(fresh_state(TAL, QUICK, 16, 3), ds, schedule)
+    b = train_incremental(fresh_state(TAL, QUICK, 16, 3), ds, schedule)
     assert np.array_equal(a.accuracy_matrix, b.accuracy_matrix, equal_nan=True)
     assert a.per_class == b.per_class
     assert a.a_mean == b.a_mean and a.a_last == b.a_last
@@ -192,7 +196,7 @@ def test_reports_are_reproducible():
 
 def test_tracker_tracks_classifier_growth():
     ds, schedule = small_setup(seed=0, per_class=30)
-    report = train_incremental(fresh_state("tal", 16, seed=0, **QUICK), ds, schedule)
+    report = train_incremental(fresh_state(TAL, QUICK, 16, 0), ds, schedule)
     # after task t there are 2*(t+1) classes, all with a tracker entry
     for t, (_, q) in enumerate(report.q_snapshots):
         assert q.shape == (2 * (t + 1),)
@@ -202,7 +206,7 @@ def test_divergent_run_raises_training_error_with_step():
     ds, schedule = make_gaussian_tasks(
         4, 8, 2, 20, 2.5, 0, test_per_class=10, replay_per_old_class=2
     )
-    state = fresh_state("ce", 8, lr=1e308, epochs_per_task=3, seed=0)
+    state = fresh_state(CE, ScheduleBlock(lr=1e308, epochs=3), 8, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingError) as err:
@@ -216,7 +220,7 @@ def test_event_sink_sees_every_step():
     )
     events = []
     train_incremental(
-        fresh_state("ce", 8, seed=0, lr=0.1, epochs_per_task=2, batch_size=16),
+        fresh_state(CE, ScheduleBlock(lr=0.1, epochs=2, batch_size=16), 8, 0),
         ds,
         schedule,
         event_sink=events.append,
@@ -238,7 +242,7 @@ def test_forgetting_curve_directions():
         ds, schedule = small_setup(seed=seed)
         for kind in ("ce", "tal"):
             report = train_incremental(
-                fresh_state(kind, 16, seed=seed, **QUICK), ds, schedule
+                fresh_state(LOSSES[kind], QUICK, 16, seed), ds, schedule
             )
             task0 = forgetting_curve(report.accuracy_matrix)[0]
             finals[kind].append(task0[-1])
@@ -279,10 +283,10 @@ def head_bits(classifier):
 
 
 LOCKSTEP_CELLS = [
-    ("ce", {}),
-    ("tal", dict(lam=0.99, r=1.0)),
-    ("tal", dict(lam=0.995, r=0.5, exploratory=True)),
-    ("tal", dict(lam=0.999, r=5.0)),
+    CE,
+    LossBlock(lam=0.99, r=1.0),
+    LossBlock(lam=0.995, r=0.5, exploratory=True),
+    LossBlock(lam=0.999, r=5.0),
 ]
 
 
@@ -293,11 +297,8 @@ def test_lockstep_cells_equal_one_cell_runs_bit_for_bit(hidden):
     )
 
     def states():
-        return [
-            fresh_state(kind, 8, seed=2, hidden=hidden, lr=0.1, epochs_per_task=4,
-                        batch_size=16, **kw)
-            for kind, kw in LOCKSTEP_CELLS
-        ]
+        schedule_block = ScheduleBlock(hidden=hidden, lr=0.1, epochs=4, batch_size=16)
+        return [fresh_state(loss, schedule_block, 8, 2) for loss in LOCKSTEP_CELLS]
 
     alone_states, lock_states = states(), states()
     alone_events = [[] for _ in alone_states]
@@ -331,7 +332,7 @@ def test_lockstep_raises_the_first_failed_cell_in_grid_order():
         cells = [("ce", 1e60), ("ce", 1e120), ("tal", 1.0)]
         out = []
         for kind, scale in cells:
-            state = fresh_state(kind, 8, hidden=4, epochs_per_task=3, seed=0, lr=1e10)
+            state = fresh_state(LOSSES[kind], ScheduleBlock(hidden=4, epochs=3, lr=1e10), 8, 0)
             state.classifier.w1 *= scale
             out.append(state)
         return out
@@ -361,7 +362,7 @@ def test_lockstep_raises_the_first_failed_cell_in_grid_order():
     [
         dict(seed=1),
         dict(lr=0.2),
-        dict(epochs_per_task=2),
+        dict(epochs=2),
         dict(batch_size=16),
         dict(hidden=4),
         dict(dim=6),
@@ -370,9 +371,13 @@ def test_lockstep_raises_the_first_failed_cell_in_grid_order():
 )
 def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
     ds, schedule = make_gaussian_tasks(4, 8, 2, 20, 2.5, 0, test_per_class=10)
-    base = dict(seed=0, lr=0.1, epochs_per_task=3, batch_size=32, hidden=0)
-    other = {"dim": 8, **base, **change}
-    states = [fresh_state("ce", 8, **base), fresh_state("tal", other.pop("dim"), **other)]
+    base = dict(lr=0.1, epochs=3, batch_size=32, hidden=0)
+    other = {"seed": 0, "dim": 8, **base, **change}
+    seed, dim = other.pop("seed"), other.pop("dim")
+    states = [
+        fresh_state(CE, ScheduleBlock(**base), 8, 0),
+        fresh_state(TAL, ScheduleBlock(**other), dim, seed),
+    ]
     with pytest.raises(DomainError):
         train_cells(states, ds, schedule)
     with pytest.raises(DomainError):
@@ -385,16 +390,16 @@ def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
 
 
 def test_ablation_enumerates_every_cell_with_one_baseline():
-    ds, schedule = small_setup(seed=0, per_class=30)
+    ds, tasks = small_setup(seed=0, per_class=30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rows = ablate(
             ds,
-            schedule,
+            tasks,
             seeds=[0, 1],
+            schedule=ScheduleBlock(epochs=4),
             lambdas=(0.99, 0.995),
             rs=(0.5, 1.0),
-            epochs_per_task=4,
         )
     ce_rows = [r for r in rows if r["loss"] == "ce"]
     tal_rows = [r for r in rows if r["loss"] == "tal"]
@@ -405,8 +410,8 @@ def test_ablation_enumerates_every_cell_with_one_baseline():
 
 
 def test_steep_weighting_underperforms_linear_at_desk_scale():
-    ds, schedule = small_setup(seed=0)
-    rows = ablate(ds, schedule, seeds=[0, 1, 2], lambdas=(0.99,), rs=(1.0, 5.0), **QUICK)
+    ds, tasks = small_setup(seed=0)
+    rows = ablate(ds, tasks, seeds=[0, 1, 2], schedule=QUICK, lambdas=(0.99,), rs=(1.0, 5.0))
     mean_last = {
         r: np.mean([row["a_last"] for row in rows if row["loss"] == "tal" and row["r"] == r])
         for r in (1.0, 5.0)

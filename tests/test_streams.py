@@ -9,11 +9,10 @@ from talcil import (
     TaskSchedule,
     TaskSpec,
     generate_stream,
-    q_from_convolution,
     sample_dominance_pair,
     verify_theorem1,
 )
-from talcil.kernel import PolaritySequence
+from talcil.oracle import PolaritySequence, q_from_convolution
 from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms, phi_from_counts
 
 
