@@ -5,6 +5,11 @@ count) grid.  Absolute numbers are hardware noise; the interesting
 quantity is the overhead t_tal - t_ce, which should stay a small
 additive term: the adjusted loss adds one O(C) weight computation and
 one broadcast add on top of the same softmax machinery.
+
+A ``QState`` remembers its range check and its weights, so each timed
+adjusted-loss call gets a snapshot it has not seen before (built outside
+the timed region); timing one snapshot over and over would count that
+work once and understate the overhead.
 """
 
 from __future__ import annotations
@@ -36,15 +41,17 @@ class BenchRow:
         return self.tal_seconds - self.ce_seconds
 
 
-def _best_time(fn, repeats: int) -> float:
+def _best_time(fn, repeats: int, make_arg=lambda: None) -> float:
     # min over repeats: the standard low-noise estimator for
-    # microbenchmarks (anything above the minimum is interference)
-    fn()
-    fn()
+    # microbenchmarks (anything above the minimum is interference);
+    # each call gets a new ``make_arg()``, built before the clock starts
+    fn(make_arg())
+    fn(make_arg())
     best = float("inf")
     for _ in range(repeats):
+        arg = make_arg()
         t0 = time.perf_counter()
-        fn()
+        fn(arg)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -65,13 +72,15 @@ def run_loss_benchmark(
     rows = []
     for c in class_counts:
         config = TalConfig.for_classes(lam, r, c)
-        q = QState(q=rng.uniform(0.0, 0.5 * config.kernel.q_max, size=c))
+        q = rng.uniform(0.0, 0.5 * config.kernel.q_max, size=c)
         for n in batch_sizes:
             logits = rng.standard_normal((n, c))
             labels = rng.integers(0, c, size=n)
-            t_ce = _best_time(lambda: ce_forward(logits, labels), repeats)
+            t_ce = _best_time(lambda _: ce_forward(logits, labels), repeats)
             t_tal = _best_time(
-                lambda: tal_forward(config, logits, labels, q), repeats
+                lambda snapshot: tal_forward(config, logits, labels, snapshot),
+                repeats,
+                lambda: QState(q=q),
             )
             rows.append(
                 BenchRow(

@@ -13,6 +13,9 @@ loss collapses to plain cross-entropy.
 Closed forms exist for r = 1 (x* = 1/(2C-1), alpha = 2C-1) and r = 2
 (quadratic); every other exponent is solved by Newton iterations guarded
 by a bisection bracket, which converges unconditionally on a monotone g.
+For small exploratory r the root can lie far below what linear bisection
+reaches in ``MAX_ITER`` halvings (x* ~ (p/(1-p))**(1/r), 4e-96 at C = 10,
+r = 0.01), so a solve that stalls there continues in u = log x.
 """
 
 from __future__ import annotations
@@ -97,10 +100,44 @@ def _solve_x_star(p: float, r: float) -> tuple[float, float]:
         x = x_new
     residual = abs(_g(x, p, r))
     if residual > RESIDUAL_TOL:
+        x = _solve_log_x_star(p, r, lo, hi)
+        residual = abs(_g(x, p, r))
+    if residual > RESIDUAL_TOL:
         raise SolverError(
             f"calibration solve stalled at residual {residual:.3e}", residual=residual
         )
     return x, residual
+
+
+#: log of the smallest positive double, the lowest root a double can hold
+_LOG_TINY = math.log(math.ulp(0.0))
+
+
+def _solve_log_x_star(p: float, r: float, lo: float, hi: float) -> float:
+    """Continue a stalled solve on its bracket [lo, hi] in u = log x.
+
+    h(u) = g(exp(u)) = (1 - p) e^(ru) + e^u - p is increasing and convex,
+    so Newton from the bracket's right end, h(u_hi) > 0, walks down onto
+    the root without overshooting; the bracket guard stays for rounding.
+    """
+    u_lo = math.log(lo) if lo > 0.0 else _LOG_TINY
+    u = u_hi = math.log(hi)
+    for _ in range(MAX_ITER):
+        x = math.exp(u)
+        gx = _g(x, p, r)
+        if gx == 0.0:
+            return x
+        if gx > 0.0:
+            u_hi = u
+        else:
+            u_lo = u
+        u_new = u - gx / ((1.0 - p) * r * x**r + x)  # dh/du = x g'(x)
+        if not (u_lo < u_new < u_hi):
+            u_new = 0.5 * (u_lo + u_hi)
+        if abs(u_new - u) <= 4e-16 * abs(u):
+            return math.exp(u_new)
+        u = u_new
+    return math.exp(u)
 
 
 def _closed_form_r1(c: int) -> float:

@@ -20,6 +20,10 @@ convolution, which tests compare against, live in ``talcil.oracle``):
   which n_k are positive for class k,
   q' = lam * (q + n_k/N - ((N - n_k)/N) * w(q)).
   For N = 1 this reduces bit-exactly to ``update_tal``.
+
+Both read w(q) and the range verdict through the ``QState`` they are
+given, which computes each once (see ``QState``), and the strict forms
+hand back a state that already knows it lies in [0, q_max).
 """
 
 from __future__ import annotations
@@ -72,26 +76,45 @@ class QState:
     ``q[k]`` lives in [0, q_max) for every class once driven by the
     attenuated updates.  Updates return a fresh QState; a state in hand
     is a stable snapshot (single-writer contract: one updater advances
-    the chain, readers keep old snapshots).
+    the chain, readers keep old snapshots).  The snapshot is enforced:
+    construction copies ``q`` into a read-only float64 array of the
+    state's own, so neither the caller's array nor a write to ``state.q``
+    can change it.
+
+    Because q cannot change, a state remembers work done on it: the
+    ``q_max`` that ``within`` last confirmed (a strict update records it
+    when it builds the state, having just checked and clamped the range)
+    and w(q) for the last ``(q_max, r)`` that ``weight`` was asked for.
+    A failed check is never remembered, so a NaN entry fails every call.
     """
 
     q: np.ndarray
     step: int = 0
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        object.__setattr__(self, "q", q)
+        q = np.array(self.q, dtype=np.float64)
         if q.ndim != 1:
             raise DomainError("q must be a 1-d vector of per-class strengths")
         if self.step < 0:
             raise DomainError("step count cannot be negative")
+        q.flags.writeable = False
+        vars(self).update(q=q, _known_within=None, _w_memo=None)
+
+    @classmethod
+    def _owned(cls, q: np.ndarray, step: int, within: float | None = None) -> "QState":
+        """Wrap a fresh 1-d float64 array no one else holds, without a copy
+        or checks; ``within`` is a q_max the caller has already verified."""
+        q.flags.writeable = False
+        state = object.__new__(cls)
+        vars(state).update(q=q, step=step, _known_within=within, _w_memo=None)
+        return state
 
     @classmethod
     def zeros(cls, class_count: int) -> "QState":
         """Fresh tracker: every class starts at zero strength."""
         if class_count < 1:
             raise DomainError("need at least one class")
-        return cls(q=np.zeros(class_count), step=0)
+        return cls._owned(np.zeros(class_count), 0)
 
     @property
     def class_count(self) -> int:
@@ -99,14 +122,31 @@ class QState:
 
     def within(self, q_max: float) -> bool:
         """True when every entry lies in [0, q_max); NaN entries never do."""
+        if q_max == self._known_within:
+            return True
         q = self.q
-        return bool(((q >= 0.0) & (q < q_max)).all())
+        if not np.logical_and.reduce((q >= 0.0) & (q < q_max)):
+            return False
+        object.__setattr__(self, "_known_within", q_max)
+        return True
+
+    def weight(self, q_max: float, r: float) -> np.ndarray:
+        """Read-only w(q) = ``negative_weight(q, q_max, r)``, computed once
+        per ``(q_max, r)`` in a row, so the loss and the tracker advance of
+        one training step share it."""
+        memo = self._w_memo
+        if memo is not None and memo[0] == q_max and memo[1] == r:
+            return memo[2]
+        w = negative_weight(self.q, q_max, r)
+        w.flags.writeable = False
+        object.__setattr__(self, "_w_memo", (q_max, r, w))
+        return w
 
     def append_classes(self, n_new: int) -> "QState":
         """Grow the tracker when a task introduces classes; new entries start at 0."""
         if n_new < 0:
             raise DomainError("cannot append a negative number of classes")
-        return QState(q=np.concatenate([self.q, np.zeros(n_new)]), step=self.step)
+        return QState._owned(np.concatenate([self.q, np.zeros(n_new)]), self.step)
 
 
 def check_domain(lam, r, exploratory: bool) -> None:
@@ -154,7 +194,7 @@ def _check_polarities(polarities, class_count: int) -> np.ndarray:
         raise DomainError(
             f"polarity vector has length {a.shape}, expected ({class_count},)"
         )
-    if not (np.abs(a) == 1.0).all():
+    if not np.logical_and.reduce(np.abs(a) == 1.0):
         raise DomainError("polarities must be exactly +1 or -1")
     return a
 
@@ -168,6 +208,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _settle_range(q: np.ndarray, q_max: float, strict: bool) -> np.ndarray:
+    """Check and clamp a freshly computed tracker in place; returns it."""
     if strict:
         # In exact arithmetic the update maps [0, q_max) into itself.  The
         # rounded result can land exactly on either boundary (e.g. lam=0.5
@@ -175,20 +216,26 @@ def _settle_range(q: np.ndarray, q_max: float, strict: bool) -> np.ndarray:
         # ulp of q_max), so exact-boundary roundings are snapped one ulp back
         # inside.  Anything beyond rounding distance is a library bug, raised
         # explicitly so the check survives ``python -O``.
+        if not q.size:
+            return q
         tol = 4.0 * _EPS * q_max
-        if not ((q >= -tol) & (q <= q_max + tol)).all():
+        low, high = np.minimum.reduce(q), np.maximum.reduce(q)  # NaN propagates
+        if not (low >= -tol and high <= q_max + tol):
             raise TalcilError(
                 f"tracker left [0, q_max={q_max!r}) by more than rounding "
-                f"(min {q.min()!r}, max {q.max()!r})"
+                f"(min {low!r}, max {high!r})"
             )
-        return np.minimum(np.maximum(q, 0.0), math.nextafter(q_max, 0.0))
-    if (q < 0.0).any():
+        if not (low > 0.0 and high < q_max):  # otherwise the clamp is the identity
+            np.maximum(q, 0.0, out=q)
+            np.minimum(q, math.nextafter(q_max, 0.0), out=q)
+        return q
+    if np.logical_or.reduce(q < 0.0):
         warnings.warn(
             "attenuated update left [0, q_max); clamping at 0 (exploratory r < 1 path)",
             RuntimeWarning,
             stacklevel=3,
         )
-        q = np.maximum(q, 0.0)
+        np.maximum(q, 0.0, out=q)
     return q
 
 
@@ -207,9 +254,10 @@ def update_tal(
     q_max = kernel.q_max
     if strict and not state.within(q_max):
         raise DomainError("tracker state outside [0, q_max); cannot apply attenuated update")
-    w = negative_weight(q, q_max, r)
+    w = state.weight(q_max, r)
     q_next = kernel.lam * (q + np.where(a > 0, 1.0, -w))
-    return QState(q=_settle_range(q_next, q_max, strict), step=state.step + 1)
+    q_next = _settle_range(q_next, q_max, strict)
+    return QState._owned(q_next, state.step + 1, q_max if strict else None)
 
 
 def update_batched(
@@ -238,7 +286,9 @@ def update_batched(
         raise DomainError(
             f"pos_counts has shape {n_pos.shape}, expected ({state.class_count},)"
         )
-    if not ((n_pos >= 0.0) & (n_pos <= batch_size)).all():
+    if n_pos.size and not (
+        np.minimum.reduce(n_pos) >= 0.0 and np.maximum.reduce(n_pos) <= batch_size
+    ):  # NaN propagates through both reductions and fails
         raise DomainError("pos_counts must lie in [0, batch_size]")
     q = state.q
     q_max = kernel.q_max
@@ -246,6 +296,7 @@ def update_batched(
         raise DomainError("tracker state outside [0, q_max); cannot apply attenuated update")
     frac_pos = n_pos / batch_size
     frac_neg = 1.0 - frac_pos
-    w = negative_weight(q, q_max, r)
+    w = state.weight(q_max, r)
     q_next = kernel.lam * (q + frac_pos - frac_neg * w)
-    return QState(q=_settle_range(q_next, q_max, strict), step=state.step + 1)
+    q_next = _settle_range(q_next, q_max, strict)
+    return QState._owned(q_next, state.step + 1, q_max if strict else None)

@@ -21,7 +21,10 @@ cross-entropy.
 
 Forward passes are pure given a tracker snapshot, so any number may run
 concurrently against the same snapshot; ``training_step`` additionally
-advances the tracker and so belongs to its single-writer chain.
+advances the tracker and so belongs to its single-writer chain.  The
+snapshot's range check and w(q) are read through the ``QState``, which
+remembers them, so a training step's loss and tracker advance share one
+w(q) and the range check of a state a strict update built costs nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .calibration import CalibrationResult, solve_calibration
 from .errors import DomainError
-from .kernel import MemoryKernel, QState, check_domain, negative_weight, update_batched
+from .kernel import MemoryKernel, QState, check_domain, update_batched
 
 __all__ = ["TalConfig", "LossOutput", "tal_forward", "ce_forward", "training_step"]
 
@@ -103,40 +106,50 @@ class LossOutput:
 
 
 def _check_inputs(logits, labels, class_count=None):
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.asarray(logits, dtype=np.float64, order="C")  # flat indexing needs C order
     y = np.asarray(labels)
     if z.ndim != 2:
         raise DomainError("logits must be an N x C matrix")
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise DomainError("logits contain non-finite values")
     if y.shape != (z.shape[0],):
         raise DomainError("labels must be a vector with one entry per row of logits")
-    if y.dtype.kind not in "iu":
+    if y.dtype.kind != "i":  # uint64 plus the int64 row offsets would be float
         y = y.astype(np.int64)
     c = z.shape[1] if class_count is None else class_count
     if z.shape[1] != c:
         raise DomainError(f"logits have {z.shape[1]} columns, expected {c}")
-    if y.size and (y.min() < 0 or y.max() >= c):
+    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= c):
         raise IndexError(f"labels must lie in [0, {c})")
     return z, y
 
 
-def _softmax_loss(z_tilde, z_true, rows, labels):
+def _true_class_index(z, y):
+    """Flat C-order index of each row's true-class entry of an N x C matrix.
+
+    A matrix with no columns has no entries; its step of 1 only keeps
+    ``arange`` from rejecting a zero step."""
+    n, c = z.shape
+    return np.arange(0, n * c, max(c, 1)) + y
+
+
+def _softmax_loss(z_tilde, z_true, flat_true):
     """Mean of logsumexp(zt) - z_true and the softmax-minus-onehot gradient.
 
-    ``rows`` is ``arange(N)``; ``z_tilde`` is only read, so it may be the
-    caller's logits.  Sum-then-divide is exactly what ``np.mean`` does.
+    ``flat_true`` is ``_true_class_index``; ``z_tilde`` is only read, so it
+    may be the caller's logits.  Sum-then-divide is exactly what
+    ``np.mean`` does.
     """
     n = z_tilde.shape[0]
-    m = z_tilde.max(axis=1, keepdims=True)
+    m = np.maximum.reduce(z_tilde, axis=1, keepdims=True)
     grad = z_tilde - m
     np.exp(grad, out=grad)
-    denom = grad.sum(axis=1, keepdims=True)
+    denom = np.add.reduce(grad, axis=1, keepdims=True)
     lse = m[:, 0] + np.log(denom[:, 0])
     lse -= z_true
-    loss = float(lse.sum() / n)
+    loss = float(np.add.reduce(lse) / n)
     grad /= denom
-    grad[rows, labels] -= 1.0
+    grad.ravel()[flat_true] -= 1.0
     grad /= n
     return loss, grad
 
@@ -144,8 +157,8 @@ def _softmax_loss(z_tilde, z_true, rows, labels):
 def ce_forward(logits, labels) -> LossOutput:
     """Plain mean cross-entropy; the baseline for every comparison."""
     z, y = _check_inputs(logits, labels)
-    rows = np.arange(z.shape[0])
-    loss, grad = _softmax_loss(z, z[rows, y], rows, y)
+    flat_true = _true_class_index(z, y)
+    loss, grad = _softmax_loss(z, z.ravel()[flat_true], flat_true)
     return LossOutput(loss=loss, grad_logits=grad)
 
 
@@ -159,15 +172,14 @@ def tal_forward(config: TalConfig, logits, labels, q_snapshot: QState) -> LossOu
     q_max = config.kernel.q_max
     if not config.exploratory and not q_snapshot.within(q_max):
         raise DomainError("tracker snapshot outside [0, q_max)")
-    log_w = negative_weight(q_snapshot.q, q_max, config.r)
-    np.maximum(log_w, config.epsilon, out=log_w)
+    log_w = np.maximum(q_snapshot.weight(q_max, config.r), config.epsilon)
     log_w *= config.alpha
     np.log(log_w, out=log_w)
-    rows = np.arange(z.shape[0])
-    z_true = z[rows, y]
+    flat_true = _true_class_index(z, y)
+    z_true = z.ravel()[flat_true]
     z_tilde = z + log_w
-    z_tilde[rows, y] = z_true
-    loss, grad = _softmax_loss(z_tilde, z_true, rows, y)
+    z_tilde.ravel()[flat_true] = z_true
+    loss, grad = _softmax_loss(z_tilde, z_true, flat_true)
     return LossOutput(loss=loss, grad_logits=grad)
 
 

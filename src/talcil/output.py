@@ -104,8 +104,12 @@ def write_csv(path, header, columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+#: ``json.dumps(..., sort_keys=True)`` builds a new encoder per call
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(path, records) -> None:
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    lines = [_JSONL_ENCODER.encode(rec) for rec in records]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

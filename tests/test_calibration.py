@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -104,3 +106,36 @@ def test_exploratory_small_r_warns_but_solves():
     assert res.residual < 1e-12
     assert 0.0 < res.x_star < 1.0
     assert res.x_star == pytest.approx(bisect_root(10, 0.2), abs=1e-12)
+
+
+def test_small_exploratory_r_continues_in_log_space():
+    # the roots sit far below what 200 linear halvings of (0, 1) reach
+    with pytest.warns(RuntimeWarning):
+        res = solve_calibration(10, 0.01, strict=False)
+    assert res.alpha == pytest.approx(9.0, rel=1e-12)
+    assert res.x_star == pytest.approx(9.0**-100, rel=1e-12)
+    with pytest.warns(RuntimeWarning):
+        res = solve_calibration(3, 0.00390625, strict=False)
+    assert res.alpha == pytest.approx(2.0, rel=1e-12)
+    assert res.x_star == pytest.approx(2.0**-256, rel=1e-12)
+    assert res.residual < 1e-12
+    # x* = 9**-1000 underflows a double, so that solve still fails
+    with pytest.warns(RuntimeWarning), pytest.raises(SolverError):
+        solve_calibration(10, 0.001, strict=False)
+
+
+def test_newton_solves_keep_their_bits():
+    # x* and alpha, as float.hex, for C = 2..50 and r in {0.2, 0.5, 0.9,
+    # 1.5, 3, 5}, recorded before the log-space continuation was added:
+    # it runs only where the bracketed Newton solve stalls
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for r in (0.2, 0.5, 0.9, 1.5, 3.0, 5.0):
+            for c in range(2, 51):
+                res = solve_calibration(c, r, strict=r >= 1.0)
+                rows.append(f"{c},{r!r},{res.x_star.hex()},{res.alpha.hex()}")
+    assert rows[0] == "2,0.2,0x1.3e52398d38962p-3,0x1.737a500616924p+0"
+    assert rows[-1] == "50,5.0,0x1.47ae111cdd124p-6,0x1.2a06014fffaf6p+28"
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "a6abc23d58739da4ff47f863f1b3d8183f5e714246fa962c12ce39909b707922"

@@ -358,6 +358,31 @@ def test_loss_benchmark_needs_a_timed_repeat():
         run_loss_benchmark(repeats=0)
 
 
+def test_each_timed_loss_call_computes_its_weights(monkeypatch):
+    # a QState remembers w(q), so timing one snapshot over and over would
+    # time the weight computation once; every call must get a new one
+    import talcil.bench
+    import talcil.kernel
+
+    counts = {"tal_forward": 0, "negative_weight": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(talcil.bench, "tal_forward")
+    counted(talcil.kernel, "negative_weight")
+    rows = run_loss_benchmark((4, 8), (3, 5), repeats=3)
+    assert len(rows) == 4
+    assert counts["tal_forward"] == 4 * (3 + 2)  # two warm-up calls per cell
+    assert counts["negative_weight"] == counts["tal_forward"]
+
+
 def test_bench_loss_rejects_a_grid_without_a_slope(tmp_path, capsys):
     out_dir = tmp_path / "bench"
     argv = ["bench-loss", "--batch-sizes", "8", "--class-counts", "3", "--repeats", "3"]

@@ -345,6 +345,92 @@ def test_updates_leave_input_state_untouched():
 
 
 # ---------------------------------------------------------------------------
+# QState is a read-only snapshot that remembers its checks
+# ---------------------------------------------------------------------------
+
+
+def test_mutating_the_callers_array_leaves_the_state_unchanged():
+    a = np.array([0.25, 0.5])
+    st = QState(q=a)
+    a[0] = 1e9
+    assert st.q.tolist() == [0.25, 0.5]
+    assert not np.shares_memory(st.q, a)
+
+
+def test_a_states_q_cannot_be_written():
+    k = MemoryKernel(lam=0.9)
+    built = QState(q=np.array([0.25, 0.5]))
+    stepped = update_tal(built, k, 1.0, [1.0, -1.0])
+    batched = update_batched(built, k, 1.0, [1, 0], batch_size=2, strict=False)
+    for st in (built, stepped, batched, QState.zeros(2)):
+        with pytest.raises(ValueError):
+            st.q[0] = -5.0
+        with pytest.raises(AttributeError):  # FrozenInstanceError
+            st.q = np.zeros(2)
+    with pytest.raises(ValueError):
+        built.weight(k.q_max, 1.0)[0] = 0.0
+
+
+@pytest.mark.parametrize("r", [0.2, 0.5, 1.0, 2.0, 5.0])
+def test_remembered_weight_equals_a_fresh_negative_weight(r):
+    k = MemoryKernel(lam=0.99)
+    st = QState(q=np.random.default_rng(0).uniform(0.0, k.q_max, size=7))
+    fresh = negative_weight(st.q, k.q_max, r)
+    first = st.weight(k.q_max, r)
+    assert st.weight(k.q_max, r) is first  # the second ask is the memo
+    assert first.tobytes() == fresh.tobytes()
+    # another (q_max, r) replaces the memo and is computed afresh
+    other = st.weight(k.q_max, r + 1.0)
+    assert other.tobytes() == negative_weight(st.q, k.q_max, r + 1.0).tobytes()
+    assert st.weight(k.q_max, r).tobytes() == fresh.tobytes()
+
+
+def test_a_failed_range_check_is_never_remembered():
+    q_max = MemoryKernel(lam=0.9).q_max
+    for bad in ([0.5, np.nan], [0.5, q_max], [-1e-300, 0.5], [np.inf, 0.5]):
+        st = QState(q=np.array(bad))
+        assert [st.within(q_max) for _ in range(3)] == [False] * 3
+    good = QState(q=np.array([0.0, 0.5]))
+    assert good.within(q_max) and good.within(q_max)
+    assert not good.within(0.25)  # a smaller q_max is checked, not assumed
+    assert not good.within(np.nan)
+    empty = QState(q=np.zeros(0))
+    assert empty.within(q_max) and empty.within(-1.0)  # vacuously, as before
+
+
+def test_strict_updates_build_states_known_to_lie_in_range():
+    k = MemoryKernel(lam=0.5)
+    st = QState.zeros(2)
+    for _ in range(60):  # onto the q_max boundary and snapped back
+        st = update_batched(st, k, 1.0, [4, 0], batch_size=4)
+        assert st.within(k.q_max)
+        assert np.logical_and.reduce((st.q >= 0.0) & (st.q < k.q_max))
+
+
+def test_a_permissive_update_does_not_vouch_for_its_range():
+    # only a strict update checks the range of what it builds
+    k = MemoryKernel(lam=0.9)
+    start = QState(q=[0.0, 100.0])
+    for st in (
+        update_batched(start, k, 1.0, [1, 0], batch_size=2, strict=False),
+        update_tal(start, k, 1.0, [1.0, -1.0], strict=False),
+    ):
+        assert st.q[1] > k.q_max
+        assert not st.within(k.q_max)
+        with pytest.raises(DomainError):
+            update_batched(st, k, 1.0, [1, 0], batch_size=2)
+
+
+@pytest.mark.parametrize("n_new", [0, 2])
+def test_append_classes_returns_an_owned_state(n_new):
+    st = update_tal(QState.zeros(2), MemoryKernel(lam=0.9), 1.0, [1.0, -1.0])
+    grown = st.append_classes(n_new)
+    assert not np.shares_memory(grown.q, st.q)
+    assert grown.q.flags.owndata and not grown.q.flags.writeable
+    assert grown.q.tolist() == st.q.tolist() + [0.0] * n_new
+
+
+# ---------------------------------------------------------------------------
 # the calibrated domain and the public API
 # ---------------------------------------------------------------------------
 

@@ -197,3 +197,108 @@ def test_nan_tracker_counts_or_steepness_rejected_in_strict_mode():
             update_batched(QState.zeros(3), k, 1.0, [1.0, np.nan, 0.0], batch_size=2, strict=strict)
         with pytest.raises(DomainError):
             update_batched(QState.zeros(3), k, np.nan, [1, 1, 0], batch_size=2, strict=strict)
+
+
+# ---------------------------------------------------------------------------
+# a state's remembered checks and weights change no bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", R_MODES)
+@pytest.mark.parametrize("lam", [0.5, 0.99, 0.9995])
+def test_chained_steps_match_freshly_built_states(mode, lam):
+    # a chained step reads the range verdict and w(q) that the previous
+    # update and the loss left on the state; a fresh copy has neither
+    r, exploratory = mode
+    c, n = 7, 16
+    config, state, _, _ = instance(11, n, c, lam, r, exploratory, 0.3)
+    rng = np.random.default_rng(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(40):
+            z = 3.0 * rng.standard_normal((n, c))
+            y = rng.integers(0, c, size=n)
+            out = tal_forward(config, z, y, QState(q=state.q, step=state.step))
+            advanced = update_batched(
+                QState(q=state.q, step=state.step),
+                config.kernel,
+                r,
+                np.bincount(y, minlength=c),
+                n,
+                strict=not exploratory,
+            )
+            loss, grad = ref_tal(config, z, y, state.q)
+            step_out, state = training_step(config, state, z, y)
+            assert same_bits(step_out.loss, out.loss) and same_bits(step_out.loss, loss)
+            assert same_bits(step_out.grad_logits, out.grad_logits)
+            assert same_bits(step_out.grad_logits, grad)
+            assert same_bits(state.q, advanced.q) and state.step == advanced.step
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "row_slice"])
+def test_logits_in_any_memory_layout_give_the_same_bits(layout):
+    rng = np.random.default_rng(3)
+    z = 3.0 * rng.standard_normal((9, 5))
+    y = rng.integers(0, 5, size=9)
+    view = {
+        "fortran": np.asfortranarray(z),
+        "transposed": np.ascontiguousarray(z.T).T,
+        "row_slice": np.repeat(z, 2, axis=0)[::2],
+    }[layout]
+    config = TalConfig.for_classes(0.9, 2.0, 5)
+    state = QState(q=rng.uniform(0.0, config.kernel.q_max, size=5))
+    for forward in (lambda m: ce_forward(m, y), lambda m: tal_forward(config, m, y, state)):
+        out, ref = forward(view), forward(z)
+        assert same_bits(out.loss, ref.loss) and same_bits(out.grad_logits, ref.grad_logits)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64, np.int8, np.int32, bool])
+def test_labels_of_any_integer_dtype_give_the_same_bits(dtype):
+    rng = np.random.default_rng(4)
+    z = 3.0 * rng.standard_normal((6, 2))
+    y = rng.integers(0, 2, size=6)
+    config = TalConfig.for_classes(0.9, 1.0, 2)
+    state = QState(q=[0.5, 2.0])
+    for forward in (
+        lambda labels: ce_forward(z, labels),
+        lambda labels: tal_forward(config, z, labels, state),
+    ):
+        out, ref = forward(y.astype(dtype)), forward(y)
+        assert same_bits(out.loss, ref.loss) and same_bits(out.grad_logits, ref.grad_logits)
+
+
+def test_concurrent_forward_passes_on_one_snapshot_keep_their_bits():
+    # forward passes may share a snapshot across threads; the remembered
+    # w(q) is swapped as one (q_max, r, w) record, so a pass with one r
+    # never reads another r's weights
+    import sys
+    import threading
+
+    rng = np.random.default_rng(5)
+    z = 3.0 * rng.standard_normal((8, 6))
+    y = rng.integers(0, 6, size=8)
+    configs = [TalConfig.for_classes(lam, r, 6) for lam in (0.9, 0.99) for r in (1.0, 2.0, 5.0)]
+    q = rng.uniform(0.0, configs[0].kernel.q_max, size=6)
+    expected = [tal_forward(config, z, y, QState(q=q)) for config in configs]
+    shared = QState(q=q)
+    mismatches = []
+
+    def worker(offset):
+        for i in range(300):
+            j = (i + offset) % len(configs)
+            out = tal_forward(configs[j], z, y, shared)
+            if not same_bits(out.grad_logits, expected[j].grad_logits):
+                mismatches.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
