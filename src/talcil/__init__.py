@@ -12,7 +12,15 @@ temporal-imbalance phenomenon and its correction end to end.
 
 from .calibration import CalibrationResult, solve_calibration
 from .errors import DomainError, SolverError, SpecError, TalcilError, TrainingError
-from .kernel import MemoryKernel, QState, check_domain, negative_weight, update_batched, update_tal
+from .kernel import (
+    MemoryKernel,
+    Minibatch,
+    QState,
+    check_domain,
+    negative_weight,
+    update_batched,
+    update_tal,
+)
 from .loss import LossOutput, TalConfig, ce_forward, tal_forward, training_step
 from .metrics import (
     AsymmetryResult,
@@ -49,6 +57,7 @@ __all__ = [
     "__version__",
     "MemoryKernel",
     "QState",
+    "Minibatch",
     "check_domain",
     "negative_weight",
     "update_tal",

@@ -24,13 +24,20 @@ convolution, which tests compare against, live in ``talcil.oracle``):
 Both read w(q) and the range verdict through the ``QState`` they are
 given, which computes each once (see ``QState``), and the strict forms
 hand back a state that already knows it lies in [0, q_max).
+``update_batched`` also takes a ``Minibatch`` in place of the counts:
+its labels were checked once when it was built, so the update reads the
+batch fractions from it and checks only that it fits the tracker.  The
+calibrated domain and the tracker's range are still checked per call,
+since each cell of a lockstep run has its own kernel, r and state.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from .errors import DomainError, TalcilError
 __all__ = [
     "MemoryKernel",
     "QState",
+    "Minibatch",
     "check_domain",
     "negative_weight",
     "update_tal",
@@ -147,6 +155,58 @@ class QState:
         if n_new < 0:
             raise DomainError("cannot append a negative number of classes")
         return QState._owned(np.concatenate([self.q, np.zeros(n_new)]), self.step)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Minibatch:
+    """The labels of one minibatch, checked once against a class count.
+
+    Every cell that trains on the same minibatch (the lockstep ablation
+    runs 21) can share one.  Like ``QState`` it is a snapshot:
+    construction copies ``labels`` into a read-only int64 array of its
+    own and checks them once -- a 1-d vector of at least one label, of
+    an integer or bool dtype (a float or string label is refused, never
+    truncated), each in ``[0, class_count)``.  A label out of range
+    raises ``IndexError``, everything else ``DomainError``.
+
+    Because the labels cannot change, the arrays derived from them are
+    computed once and kept, read-only: ``flat_true`` when the batch is
+    built, since every forward pass reads it, and ``fractions`` the
+    first time a tracker update reads it.
+    """
+
+    labels: np.ndarray
+    class_count: int
+    size: int  #: N, the number of labels
+    #: flat C-order index of each row's true-class entry of an N x C matrix
+    flat_true: np.ndarray
+
+    def __init__(self, labels, class_count: int):
+        y = np.asarray(labels)
+        if y.ndim != 1:
+            raise DomainError("labels must be a 1-d vector")
+        if not y.size:
+            raise DomainError("a minibatch needs at least one label")
+        if y.dtype.kind not in "biu":
+            raise DomainError(f"labels must be integers, got dtype {y.dtype}")
+        c = operator.index(class_count)
+        y = np.array(y, dtype=np.int64)  # uint64 plus the int64 row offsets would be float
+        if np.maximum.reduce(y.view(np.uint64)) >= c:  # a negative label wraps past any c
+            raise IndexError(f"labels must lie in [0, {c})")
+        n = y.shape[0]
+        flat_true = np.arange(0, n * c, c) + y
+        y.flags.writeable = flat_true.flags.writeable = False
+        vars(self).update(labels=y, class_count=c, size=n, flat_true=flat_true)
+
+    @cached_property
+    def fractions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, 1 - p), the batch fractions p = counts / N of the class
+        histogram; the int64 counts are exact as float64, so p is
+        float64(counts) / N."""
+        p = np.bincount(self.labels, minlength=self.class_count) / self.size
+        q = 1.0 - p
+        p.flags.writeable = q.flags.writeable = False
+        return p, q
 
 
 def check_domain(lam, r, exploratory: bool) -> None:
@@ -276,26 +336,38 @@ def update_batched(
         q'_k = lam * (q_k + p_k - (1 - p_k) * w(q_k))
 
     One call per minibatch; ``batch_size=1`` with a one-hot count vector
-    reproduces ``update_tal`` bit for bit.
+    reproduces ``update_tal`` bit for bit.  ``pos_counts`` may be the
+    batch's ``Minibatch``: its fractions are read from it, already
+    checked, and only its size and class count are compared with
+    ``batch_size`` and the tracker.
     """
     check_domain(kernel.lam, r, not strict)
     if batch_size <= 0:
         raise DomainError("batch must contain at least one sample")
-    n_pos = np.asarray(pos_counts, dtype=np.float64)
-    if n_pos.shape != (state.class_count,):
-        raise DomainError(
-            f"pos_counts has shape {n_pos.shape}, expected ({state.class_count},)"
-        )
-    if n_pos.size and not (
-        np.minimum.reduce(n_pos) >= 0.0 and np.maximum.reduce(n_pos) <= batch_size
-    ):  # NaN propagates through both reductions and fails
-        raise DomainError("pos_counts must lie in [0, batch_size]")
+    if isinstance(pos_counts, Minibatch):
+        if (pos_counts.size, pos_counts.class_count) != (batch_size, state.class_count):
+            raise DomainError(
+                f"minibatch of {pos_counts.size} labels over {pos_counts.class_count} "
+                f"classes does not fit batch_size {batch_size} and a tracker of "
+                f"{state.class_count} classes"
+            )
+        frac_pos, frac_neg = pos_counts.fractions
+    else:
+        n_pos = np.asarray(pos_counts, dtype=np.float64)
+        if n_pos.shape != (state.class_count,):
+            raise DomainError(
+                f"pos_counts has shape {n_pos.shape}, expected ({state.class_count},)"
+            )
+        if n_pos.size and not (
+            np.minimum.reduce(n_pos) >= 0.0 and np.maximum.reduce(n_pos) <= batch_size
+        ):  # NaN propagates through both reductions and fails
+            raise DomainError("pos_counts must lie in [0, batch_size]")
+        frac_pos = n_pos / batch_size
+        frac_neg = 1.0 - frac_pos
     q = state.q
     q_max = kernel.q_max
     if strict and not state.within(q_max):
         raise DomainError("tracker state outside [0, q_max); cannot apply attenuated update")
-    frac_pos = n_pos / batch_size
-    frac_neg = 1.0 - frac_pos
     w = state.weight(q_max, r)
     q_next = kernel.lam * (q + frac_pos - frac_neg * w)
     q_next = _settle_range(q_next, q_max, strict)

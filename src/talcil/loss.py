@@ -25,6 +25,15 @@ advances the tracker and so belongs to its single-writer chain.  The
 snapshot's range check and w(q) are read through the ``QState``, which
 remembers them, so a training step's loss and tracker advance share one
 w(q) and the range check of a state a strict update built costs nothing.
+
+Labels are read through a ``Minibatch`` in the same way.  Every step
+function takes raw labels or one; raw labels are wrapped on entry, so
+both go down one checked path.  The labels' checks (a 1-d integer vector
+of N >= 1 labels in [0, C)) and the arrays derived from them (the
+true-class index and the batch fractions of the histogram) are done once
+per minibatch, however many cells train on it.  Each call still checks
+its own logits (a finite N x C matrix), that the minibatch fits them and
+the config's class count, and the tracker snapshot.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import numpy as np
 
 from .calibration import CalibrationResult, solve_calibration
 from .errors import DomainError
-from .kernel import MemoryKernel, QState, check_domain, update_batched
+from .kernel import MemoryKernel, Minibatch, QState, check_domain, update_batched
 
 __all__ = ["TalConfig", "LossOutput", "tal_forward", "ce_forward", "training_step"]
 
@@ -106,37 +115,33 @@ class LossOutput:
 
 
 def _check_inputs(logits, labels, class_count=None):
+    """The logits as a finite C-order N x C matrix and the labels as a
+    ``Minibatch`` that fits them; raw labels are wrapped here."""
     z = np.asarray(logits, dtype=np.float64, order="C")  # flat indexing needs C order
-    y = np.asarray(labels)
     if z.ndim != 2:
         raise DomainError("logits must be an N x C matrix")
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise DomainError("logits contain non-finite values")
-    if y.shape != (z.shape[0],):
-        raise DomainError("labels must be a vector with one entry per row of logits")
-    if y.dtype.kind != "i":  # uint64 plus the int64 row offsets would be float
-        y = y.astype(np.int64)
-    c = z.shape[1] if class_count is None else class_count
-    if z.shape[1] != c:
-        raise DomainError(f"logits have {z.shape[1]} columns, expected {c}")
-    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= c):
-        raise IndexError(f"labels must lie in [0, {c})")
-    return z, y
-
-
-def _true_class_index(z, y):
-    """Flat C-order index of each row's true-class entry of an N x C matrix.
-
-    A matrix with no columns has no entries; its step of 1 only keeps
-    ``arange`` from rejecting a zero step."""
     n, c = z.shape
-    return np.arange(0, n * c, max(c, 1)) + y
+    if class_count is not None and c != class_count:
+        raise DomainError(f"logits have {c} columns, expected {class_count}")
+    if not isinstance(labels, Minibatch):
+        y = np.asarray(labels)
+        if y.shape != (n,):  # before the label values, so a bad shape is never an IndexError
+            raise DomainError("labels must be a vector with one entry per row of logits")
+        labels = Minibatch(y, c)
+    if (labels.size, labels.class_count) != (n, c):
+        raise DomainError(
+            f"minibatch of {labels.size} labels over {labels.class_count} classes "
+            f"does not fit {n} x {c} logits"
+        )
+    return z, labels
 
 
 def _softmax_loss(z_tilde, z_true, flat_true):
     """Mean of logsumexp(zt) - z_true and the softmax-minus-onehot gradient.
 
-    ``flat_true`` is ``_true_class_index``; ``z_tilde`` is only read, so it
+    ``flat_true`` is ``Minibatch.flat_true``; ``z_tilde`` is only read, so it
     may be the caller's logits.  Sum-then-divide is exactly what
     ``np.mean`` does.
     """
@@ -156,15 +161,15 @@ def _softmax_loss(z_tilde, z_true, flat_true):
 
 def ce_forward(logits, labels) -> LossOutput:
     """Plain mean cross-entropy; the baseline for every comparison."""
-    z, y = _check_inputs(logits, labels)
-    flat_true = _true_class_index(z, y)
+    z, batch = _check_inputs(logits, labels)
+    flat_true = batch.flat_true
     loss, grad = _softmax_loss(z, z.ravel()[flat_true], flat_true)
     return LossOutput(loss=loss, grad_logits=grad)
 
 
 def tal_forward(config: TalConfig, logits, labels, q_snapshot: QState) -> LossOutput:
     """Temporally-adjusted loss against a fixed tracker snapshot."""
-    z, y = _check_inputs(logits, labels, config.class_count)
+    z, batch = _check_inputs(logits, labels, config.class_count)
     if q_snapshot.class_count != config.class_count:
         raise DomainError(
             f"tracker has {q_snapshot.class_count} classes, config expects {config.class_count}"
@@ -175,7 +180,7 @@ def tal_forward(config: TalConfig, logits, labels, q_snapshot: QState) -> LossOu
     log_w = np.maximum(q_snapshot.weight(q_max, config.r), config.epsilon)
     log_w *= config.alpha
     np.log(log_w, out=log_w)
-    flat_true = _true_class_index(z, y)
+    flat_true = batch.flat_true
     z_true = z.ravel()[flat_true]
     z_tilde = z + log_w
     z_tilde.ravel()[flat_true] = z_true
@@ -190,17 +195,24 @@ def training_step(
 
     The ordering is part of the contract: the loss never sees the current
     batch's own counts.  The tracker moves by the fractional minibatch
-    rule with pos_counts taken from the label histogram.
+    rule with the batch fractions taken from the label histogram.  Raw
+    labels are wrapped in one ``Minibatch`` that both halves of the step
+    read.
     """
+    if not isinstance(labels, Minibatch):
+        try:
+            labels = Minibatch(labels, config.class_count)
+        except IndexError:
+            # tal_forward reports bad logits before a label out of range
+            _check_inputs(logits, labels, config.class_count)
+            raise
     out = tal_forward(config, logits, labels, q_state)
-    y = np.asarray(labels, dtype=np.int64)
-    pos_counts = np.bincount(y, minlength=config.class_count)
     new_state = update_batched(
         q_state,
         config.kernel,
         config.r,
-        pos_counts,
-        batch_size=y.shape[0],
+        labels,
+        batch_size=labels.size,
         strict=not config.exploratory,
     )
     return out, new_state

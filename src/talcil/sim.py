@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import ExperimentSpec, LossBlock, ScheduleBlock
 from .errors import DomainError, SolverError, TrainingError
-from .kernel import MemoryKernel, QState, update_batched
+from .kernel import MemoryKernel, Minibatch, QState, update_batched
 from .loss import TalConfig, ce_forward, training_step
 from .metrics import (
     MetricsReport,
@@ -297,7 +297,8 @@ def train_cells(
 
     The cells share one seed, schedule block and head shape (checked
     here), so they see one batch stream: the permutations are drawn once
-    and each minibatch is gathered once.  The
+    and each minibatch is gathered once and its labels are checked once,
+    as one ``Minibatch`` that every cell's loss and tracker step read.  The
     heads are stacked along a cells axis and one ``np.matmul`` per
     product gives every cell's logits and SGD step; each cell runs its
     own loss and tracker step on its slice and is evaluated on its own,
@@ -362,6 +363,7 @@ def train_cells(
 
         for epoch, xb, yb in _batches(rng, train_x, train_y, first.schedule.epochs, batch_size):
             z = head.logits(xb)
+            batch = Minibatch(yb, c_now)  # every cell reads the same checked labels
             grads = np.empty_like(z)
             losses = []
             failed = []
@@ -370,15 +372,15 @@ def train_cells(
                 # DomainError; in a training run that means divergence.
                 try:
                     if k in configs:
-                        out, q_states[k] = training_step(configs[k], q_states[k], z[i], yb)
+                        out, q_states[k] = training_step(configs[k], q_states[k], z[i], batch)
                     else:
-                        out = ce_forward(z[i], yb)
+                        out = ce_forward(z[i], batch)
                         q_states[k] = update_batched(
                             q_states[k],
                             kernels[k],
                             states[k].loss.r,
-                            np.bincount(yb, minlength=c_now),
-                            batch_size=yb.shape[0],
+                            batch,
+                            batch_size=batch.size,
                             strict=not states[k].loss.exploratory,
                         )
                 except DomainError as exc:

@@ -396,6 +396,18 @@ def test_bench_loss_rejects_a_grid_without_a_slope(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_bench_loss_with_an_empty_batch_exits_4_before_any_arithmetic(tmp_path, capsys):
+    # a batch of 0 rows used to time a NaN loss after a 0/0 RuntimeWarning
+    out_dir = tmp_path / "bench"
+    argv = ["bench-loss", "--batch-sizes", "0,4", "--class-counts", "3", "--repeats", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--output-dir", str(out_dir)]) == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "DomainError"
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 # ---------------------------------------------------------------------------

@@ -494,3 +494,4 @@ def test_public_names_resolve_and_leave_the_oracles_out():
     for name in talcil.__all__:
         assert getattr(talcil, name) is not None
     assert not set(talcil.oracle.__all__) & set(talcil.__all__)
+    assert talcil.Minibatch is talcil.kernel.Minibatch is talcil.loss.Minibatch

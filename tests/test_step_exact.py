@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from talcil import (
     DomainError,
     MemoryKernel,
+    Minibatch,
     QState,
     TalConfig,
     ce_forward,
@@ -302,3 +303,149 @@ def test_concurrent_forward_passes_on_one_snapshot_keep_their_bits():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+# ---------------------------------------------------------------------------
+# one checked Minibatch shared by every cell changes no bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", R_MODES)
+@pytest.mark.parametrize("lam", [0.5, 0.99, 0.9995])
+def test_shared_minibatch_matches_raw_labels_over_chained_steps(mode, lam):
+    # a lockstep run hands one Minibatch to a CE cell and a TAL cell; each
+    # must follow the chain it would follow on raw labels, bit for bit
+    r, exploratory = mode
+    strict = not exploratory
+    rng = np.random.default_rng(int(lam * 1e4) + int(r * 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # exploratory calibration and clamping
+        for c in range(2, 11):
+            config = TalConfig.for_classes(lam, r, c, exploratory=exploratory)
+            q_max = config.kernel.q_max
+            start = rng.uniform(0.0, q_max, size=c)
+            start[rng.random(c) < 0.3] = 0.0
+            tal_raw = tal_shared = ce_raw = ce_shared = QState(q=start)
+            n_total = int(rng.integers(1, 80))
+            n_max = int(rng.integers(1, 33))
+            for lo in range(0, n_total, n_max):  # the last batch may be short
+                n = min(n_max, n_total - lo)
+                z = 3.0 * rng.standard_normal((n, c))
+                y = rng.integers(0, c, size=n)
+                batch = Minibatch(y, c)
+
+                raw_out, tal_raw = training_step(config, tal_raw, z, y)
+                shared_out, tal_shared = training_step(config, tal_shared, z, batch)
+                assert same_bits(shared_out.loss, raw_out.loss)
+                assert same_bits(shared_out.grad_logits, raw_out.grad_logits)
+                assert same_bits(tal_shared.q, tal_raw.q) and tal_shared.step == tal_raw.step
+
+                ce_ref, ce_out = ce_forward(z, y), ce_forward(z, batch)
+                assert same_bits(ce_out.loss, ce_ref.loss)
+                assert same_bits(ce_out.grad_logits, ce_ref.grad_logits)
+                counts = np.bincount(y, minlength=c)
+                ce_raw = update_batched(ce_raw, config.kernel, r, counts, n, strict=strict)
+                ce_shared = update_batched(ce_shared, config.kernel, r, batch, n, strict=strict)
+                assert same_bits(ce_shared.q, ce_raw.q) and ce_shared.step == ce_raw.step
+                assert same_bits(tal_forward(config, z, batch, tal_shared).grad_logits,
+                                 tal_forward(config, z, y, tal_raw).grad_logits)
+
+
+def test_minibatch_copies_its_labels_and_is_read_only():
+    y = np.array([0, 2, 1, 2])
+    batch = Minibatch(y, 3)
+    y[0] = 2  # the caller's array stays writable and is not the batch's
+    assert batch.labels.tolist() == [0, 2, 1, 2] and batch.labels.dtype == np.int64
+    assert Minibatch(y.astype(np.int32), 3).labels.dtype == np.int64
+    assert batch.size == 4 and batch.class_count == 3
+    frac_pos, frac_neg = batch.fractions
+    assert batch.fractions[0] is frac_pos  # computed once and kept
+    assert same_bits(frac_pos, np.array([1.0, 1.0, 2.0]) / 4)
+    assert same_bits(frac_neg, 1.0 - np.array([1.0, 1.0, 2.0]) / 4)
+    assert batch.flat_true.tolist() == [0, 5, 7, 11]
+    for derived in (batch.labels, batch.flat_true, frac_pos, frac_neg):
+        with pytest.raises(ValueError):
+            derived[0] = 1
+    with pytest.raises(AttributeError):
+        batch.class_count = 5
+
+
+def test_minibatch_that_does_not_fit_is_a_domain_error():
+    config = TalConfig.for_classes(0.9, 1.0, 3)
+    k, state = config.kernel, QState.zeros(3)
+    z = np.zeros((4, 3))
+    wrong_classes = Minibatch([0, 1, 1, 0], 2)
+    wrong_rows = Minibatch([0, 1, 2], 3)
+    for batch in (wrong_classes, wrong_rows):
+        with pytest.raises(DomainError):
+            ce_forward(z, batch)
+        with pytest.raises(DomainError):
+            tal_forward(config, z, batch, state)
+        with pytest.raises(DomainError):
+            training_step(config, state, z, batch)
+    with pytest.raises(DomainError):
+        update_batched(state, k, 1.0, wrong_classes, batch_size=4)
+    with pytest.raises(DomainError):
+        update_batched(state, k, 1.0, wrong_rows, batch_size=4)  # 3 labels, not 4
+    for labels in ([0, 3], [-1, 0], [np.iinfo(np.int64).min], np.array([2**64 - 1], np.uint64)):
+        with pytest.raises(IndexError):
+            Minibatch(labels, 3)
+        with pytest.raises(IndexError):
+            ce_forward(np.zeros((len(labels), 3)), labels)
+    with pytest.raises(DomainError):
+        Minibatch([[0, 1]], 3)
+
+
+def test_empty_batch_is_refused_before_any_arithmetic():
+    config = TalConfig.for_classes(0.9, 1.0, 3)
+    state = QState.zeros(3)
+    calls = [
+        lambda: ce_forward(np.zeros((0, 3)), []),
+        lambda: ce_forward(np.zeros((0, 0)), []),
+        lambda: tal_forward(config, np.zeros((0, 3)), [], state),
+        lambda: training_step(config, state, np.zeros((0, 3)), np.zeros(0, dtype=np.int64)),
+        lambda: Minibatch([], 3),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 RuntimeWarning on the way
+        for call in calls:
+            with pytest.raises(DomainError, match="at least one label"):
+                call()
+    assert state.step == 0
+
+
+@pytest.mark.parametrize(
+    "labels", [[0.7, 2.9], np.array([0.0, 1.0]), ["0", "1"], np.array([0, 1], dtype=object)]
+)
+def test_non_integer_labels_are_refused_not_truncated(labels):
+    config = TalConfig.for_classes(0.9, 1.0, 3)
+    state = QState.zeros(3)
+    z = np.zeros((2, 3))
+    for call in (
+        lambda: ce_forward(z, labels),
+        lambda: tal_forward(config, z, labels, state),
+        lambda: training_step(config, state, z, labels),
+        lambda: Minibatch(labels, 3),
+    ):
+        with pytest.raises(DomainError, match="integers"):
+            call()
+
+
+def test_bad_logits_are_reported_before_a_label_out_of_range():
+    # the order of the checks is part of each exception's meaning: a
+    # logits fault is a DomainError even when a label is out of range too
+    config = TalConfig.for_classes(0.9, 1.0, 3)
+    state = QState.zeros(3)
+    y = [0, 5]
+    for z in (np.full((2, 3), np.nan), np.zeros(3), np.zeros((3, 3)), np.zeros((2, 4))):
+        calls = [
+            lambda: tal_forward(config, z, y, state),
+            lambda: training_step(config, state, z, y),
+        ]
+        if z.shape != (2, 4):  # four columns are no fault without a config
+            calls.append(lambda: ce_forward(z, y))
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+    with pytest.raises(IndexError):
+        training_step(config, state, np.zeros((2, 3)), y)
