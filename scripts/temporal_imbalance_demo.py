@@ -42,7 +42,7 @@ def main():
         marks = [int(s[n]) for n in range(24, len(trace), 25)]
         print(f"  class {k}: S at steps 25,50,... = {marks}   Q[N] = {q:+.4f}")
 
-    verdict = verify_theorem1(kernel, trace, 0, 1)
+    verdict = verify_theorem1(kernel, (trace.polarities(0), trace.polarities(1)))
     print(
         f"dominance S_0 >= S_1 at every step: {verdict.dominance_held} "
         f"(strict somewhere: {verdict.strict_dominance})"

@@ -67,6 +67,8 @@ def run_loss_benchmark(
 ) -> list[BenchRow]:
     if repeats < 1:
         raise DomainError(f"need at least one timed repeat, got {repeats}")
+    if min(batch_sizes) < 1:  # a minibatch needs at least one label
+        raise DomainError(f"batch sizes must be at least 1, got {list(batch_sizes)}")
     _require_slope([n * c for n in batch_sizes for c in class_counts])
     rng = np.random.default_rng(seed)
     rows = []

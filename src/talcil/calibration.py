@@ -11,8 +11,10 @@ makes the loss's negative weights equal 1 at balance, i.e. the adjusted
 loss collapses to plain cross-entropy.
 
 Closed forms exist for r = 1 (x* = 1/(2C-1), alpha = 2C-1) and r = 2
-(quadratic); every other exponent is solved by Newton iterations guarded
-by a bisection bracket, which converges unconditionally on a monotone g.
+(quadratic), and ``solve_calibration`` uses them there; every other
+exponent is solved by Newton iterations guarded by a bisection bracket,
+which converges unconditionally on a monotone g.  ``_solve_x_star``
+solves r in {1, 2} too, so the two paths can be cross-checked.
 For small exploratory r the root can lie far below what linear bisection
 reaches in ``MAX_ITER`` halvings (x* ~ (p/(1-p))**(1/r), 4e-96 at C = 10,
 r = 0.01), so a solve that stalls there continues in u = log x.
@@ -149,20 +151,13 @@ def _closed_form_r2(c: int) -> float:
     return (-c + math.sqrt(c * c + 4.0 * c - 4.0)) / (2.0 * (c - 1.0))
 
 
-def solve_calibration(
-    class_count: int,
-    r: float,
-    *,
-    method: str = "auto",
-    strict: bool = True,
-) -> CalibrationResult:
+def solve_calibration(class_count: int, r: float, *, strict: bool = True) -> CalibrationResult:
     """Solve for (x*, alpha) given the class count and steepness exponent.
 
-    ``method`` picks the evaluation path: "auto" uses the closed form for
-    r in {1, 2} and Newton otherwise, "closed" insists on a closed form,
-    "newton" forces the numeric path (useful for cross-checking).
-    ``strict=False`` additionally admits 0 < r < 1, which sits outside
-    the calibrated training domain and is meant for exploratory sweeps.
+    The closed form is used for r in {1, 2} and bracketed Newton for
+    every other r.  ``strict=False`` additionally admits 0 < r < 1, which
+    sits outside the calibrated training domain and is meant for
+    exploratory sweeps.
     """
     if class_count < 2:
         raise DomainError(f"need at least 2 classes, got {class_count}")
@@ -175,19 +170,15 @@ def solve_calibration(
         )
 
     p = 1.0 / class_count
-    if method not in ("auto", "closed", "newton"):
-        raise DomainError(f"unknown method {method!r}")
-    if method in ("auto", "closed") and r == 1.0:
+    if r == 1.0:
         x = _closed_form_r1(class_count)
         residual = abs(_g(x, p, r))
         alpha = float(2 * class_count - 1)
-    elif method in ("auto", "closed") and r == 2.0:
+    elif r == 2.0:
         x = _closed_form_r2(class_count)
         residual = abs(_g(x, p, r))
         c = class_count
         alpha = ((c + math.sqrt(c * c + 4.0 * c - 4.0)) / 2.0) ** 2
-    elif method == "closed":
-        raise DomainError(f"no closed form for r={r}; use method='newton' or 'auto'")
     else:
         x, residual = _solve_x_star(p, r)
         x_r = x**r

@@ -277,12 +277,7 @@ def _cmd_ablate(args) -> int:
     out_dir = _resolve_output_dir(args.output_dir, spec.output_dir)
     lambdas = tuple(args.lambdas) if args.lambdas else ABLATION_LAMBDAS
     rs = tuple(args.rs) if args.rs else ABLATION_RS
-    per_seed = [
-        ablate(*tasks_for(spec, seed), [seed], schedule=spec.schedule, lambdas=lambdas, rs=rs)
-        for seed in spec.seeds
-    ]
-    # cell-major, seed-minor: the order one multi-seed ``ablate`` call gives
-    rows = [row for cell in zip(*per_seed) for row in cell]
+    rows = ablate(spec, lambdas=lambdas, rs=rs)
     write_csv(
         out_dir / "ablation.csv",
         ("loss", "lambda", "r", "seed", "a_mean", "a_last"),
@@ -351,10 +346,9 @@ def _read_csv(path: Path):
 
 
 def _seed_files(run_dir: Path, prefix: str):
-    found = sorted(
-        run_dir.glob(f"{prefix}_seed*.csv"),
-        key=lambda p: int(p.stem.replace(f"{prefix}_seed", "")),
-    )
+    """(seed, path) of each ``<prefix>_seed<N>.csv`` under the run, by seed."""
+    stem = f"{prefix}_seed"
+    found = sorted((int(p.stem[len(stem) :]), p) for p in run_dir.glob(f"{stem}*.csv"))
     if not found:
         raise SpecError(f"no {prefix}_seed*.csv files under {run_dir}")
     return found
@@ -366,8 +360,7 @@ def _cmd_plotdata(args) -> int:
         raise SpecError(f"run directory not found: {run_dir}")
     out_rows: list[tuple] = []
     if args.what in ("accuracy", "forgetting"):
-        for path in _seed_files(run_dir, "accuracy_matrix"):
-            seed = int(path.stem.replace("accuracy_matrix_seed", ""))
+        for seed, path in _seed_files(run_dir, "accuracy_matrix"):
             _, rows = _read_csv(path)
             n_tasks = max(int(r[0]) for r in rows) + 1
             matrix = np.full((n_tasks, n_tasks), np.nan)
@@ -387,22 +380,12 @@ def _cmd_plotdata(args) -> int:
             if args.what == "accuracy"
             else ("seed", "task", "after_task", "accuracy")
         )
-    elif args.what == "per-class":
-        header = None
-        for path in _seed_files(run_dir, "per_class"):
-            seed = int(path.stem.replace("per_class_seed", ""))
+    else:  # the per-seed tables, each row prefixed with its seed
+        prefix = "per_class" if args.what == "per-class" else "q_snapshots"
+        for seed, path in _seed_files(run_dir, prefix):
             cols, rows = _read_csv(path)
             header = ("seed", *cols)
             out_rows.extend((seed, *r) for r in rows)
-    elif args.what == "q":
-        header = None
-        for path in _seed_files(run_dir, "q_snapshots"):
-            seed = int(path.stem.replace("q_snapshots_seed", ""))
-            cols, rows = _read_csv(path)
-            header = ("seed", *cols)
-            out_rows.extend((seed, *r) for r in rows)
-    else:  # unreachable: argparse constrains choices
-        raise SpecError(f"unknown plotdata kind {args.what!r}")
     lines = [",".join(header)]
     lines.extend(",".join(str(c) for c in row) for row in out_rows)
     text = "\n".join(lines) + "\n"

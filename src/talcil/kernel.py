@@ -16,17 +16,18 @@ convolution, which tests compare against, live in ``talcil.oracle``):
 * ``update_tal``      -- the attenuated rule used for training: negative
   supervision is scaled by w(q) = (q / q_max) ** r, which keeps q inside
   [0, q_max) for r >= 1 and lam >= 1/2 (``check_domain``).
-* ``update_batched``  -- the fractional minibatch form: with N samples of
-  which n_k are positive for class k,
-  q' = lam * (q + n_k/N - ((N - n_k)/N) * w(q)).
+* ``update_batched``  -- the fractional minibatch form: with N labels of
+  which n_k are class k, p_k = n_k/N and
+  q' = lam * (q + p_k - (1 - p_k) * w(q)).
   For N = 1 this reduces bit-exactly to ``update_tal``.
 
 Both read w(q) and the range verdict through the ``QState`` they are
 given, which computes each once (see ``QState``), and the strict forms
 hand back a state that already knows it lies in [0, q_max).
-``update_batched`` also takes a ``Minibatch`` in place of the counts:
-its labels were checked once when it was built, so the update reads the
-batch fractions from it and checks only that it fits the tracker.  The
+``update_batched`` takes the minibatch's labels, raw or as a
+``Minibatch``: raw labels are wrapped on entry, and a ``Minibatch``,
+checked once when it was built, is only compared with the tracker's
+class count before the update reads its batch fractions.  The
 calibrated domain and the tracker's range are still checked per call,
 since each cell of a lockstep run has its own kernel, r and state.
 """
@@ -77,7 +78,7 @@ class MemoryKernel:
         return self.lam ** (np.arange(1, n + 1, dtype=np.float64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QState:
     """Per-class temporal positive-supervision strengths.
 
@@ -94,6 +95,7 @@ class QState:
     when it builds the state, having just checked and clamped the range)
     and w(q) for the last ``(q_max, r)`` that ``weight`` was asked for.
     A failed check is never remembered, so a NaN entry fails every call.
+    A state compares and hashes by identity, like ``Minibatch``.
     """
 
     q: np.ndarray
@@ -324,46 +326,30 @@ def update_batched(
     state: QState,
     kernel: MemoryKernel,
     r: float,
-    pos_counts,
-    batch_size: int,
+    labels,
     *,
     strict: bool = True,
 ) -> QState:
-    """Minibatch tracker advance from per-class positive counts.
+    """Minibatch tracker advance from the batch's labels.
 
-    With batch fractions p_k = pos_counts[k] / batch_size:
+    With p_k the fraction of the batch's labels that are class k:
 
         q'_k = lam * (q_k + p_k - (1 - p_k) * w(q_k))
 
-    One call per minibatch; ``batch_size=1`` with a one-hot count vector
-    reproduces ``update_tal`` bit for bit.  ``pos_counts`` may be the
-    batch's ``Minibatch``: its fractions are read from it, already
-    checked, and only its size and class count are compared with
-    ``batch_size`` and the tracker.
+    One call per minibatch; a single label reproduces ``update_tal`` bit
+    for bit.  ``labels`` is raw labels, wrapped here in a ``Minibatch``
+    over the tracker's classes, or a ``Minibatch`` already checked, which
+    is only compared with the tracker's class count.
     """
     check_domain(kernel.lam, r, not strict)
-    if batch_size <= 0:
-        raise DomainError("batch must contain at least one sample")
-    if isinstance(pos_counts, Minibatch):
-        if (pos_counts.size, pos_counts.class_count) != (batch_size, state.class_count):
-            raise DomainError(
-                f"minibatch of {pos_counts.size} labels over {pos_counts.class_count} "
-                f"classes does not fit batch_size {batch_size} and a tracker of "
-                f"{state.class_count} classes"
-            )
-        frac_pos, frac_neg = pos_counts.fractions
-    else:
-        n_pos = np.asarray(pos_counts, dtype=np.float64)
-        if n_pos.shape != (state.class_count,):
-            raise DomainError(
-                f"pos_counts has shape {n_pos.shape}, expected ({state.class_count},)"
-            )
-        if n_pos.size and not (
-            np.minimum.reduce(n_pos) >= 0.0 and np.maximum.reduce(n_pos) <= batch_size
-        ):  # NaN propagates through both reductions and fails
-            raise DomainError("pos_counts must lie in [0, batch_size]")
-        frac_pos = n_pos / batch_size
-        frac_neg = 1.0 - frac_pos
+    if not isinstance(labels, Minibatch):
+        labels = Minibatch(labels, state.class_count)
+    elif labels.class_count != state.class_count:
+        raise DomainError(
+            f"minibatch over {labels.class_count} classes does not fit a tracker of "
+            f"{state.class_count} classes"
+        )
+    frac_pos, frac_neg = labels.fractions
     q = state.q
     q_max = kernel.q_max
     if strict and not state.within(q_max):

@@ -17,7 +17,8 @@ the update rule's role as a separate online statistic.
 
 At the balanced steady state q_k = x* * q_max the shifts all vanish
 (alpha * w = 1) and both loss and gradient coincide with plain
-cross-entropy.
+cross-entropy.  That holds by construction: alpha is never an input, a
+``TalConfig`` solves it from (C, r) once, when it is built.
 
 Forward passes are pure given a tracker snapshot, so any number may run
 concurrently against the same snapshot; ``training_step`` additionally
@@ -38,11 +39,11 @@ the config's class count, and the tracker snapshot.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibrationResult, solve_calibration
+from .calibration import solve_calibration
 from .errors import DomainError
 from .kernel import MemoryKernel, Minibatch, QState, check_domain, update_batched
 
@@ -52,32 +53,23 @@ __all__ = ["TalConfig", "LossOutput", "tal_forward", "ce_forward", "training_ste
 @dataclass(frozen=True)
 class TalConfig:
     """One fully calibrated loss instance: kernel, steepness, class count,
-    alignment parameter and the log-weight stabilizer."""
+    the log-weight stabilizer, and the alignment parameter alpha, which
+    construction solves from the balanced-stream calibration of
+    (class_count, r)."""
 
     kernel: MemoryKernel
     r: float
     class_count: int
-    alpha: float
     epsilon: float = 1e-12
     exploratory: bool = False
-    #: the calibration ``for_classes`` solved, so alpha is checked against
-    #: it instead of a second solve; any other construction solves it here
-    _calibration: InitVar[CalibrationResult | None] = None
+    alpha: float = field(init=False)
 
-    def __post_init__(self, _calibration):
+    def __post_init__(self):
         if not (0.0 < self.epsilon <= 1e-6):
             raise DomainError(f"epsilon must lie in (0, 1e-6], got {self.epsilon}")
-        if self.class_count < 2:
-            raise DomainError("need at least 2 classes")
         check_domain(self.kernel.lam, self.r, self.exploratory)
-        ref = _calibration
-        if ref is None or (ref.class_count, ref.r) != (self.class_count, self.r):
-            ref = solve_calibration(self.class_count, self.r, strict=not self.exploratory)
-        if abs(self.alpha * ref.x_star**self.r - 1.0) > 1e-9:
-            raise DomainError(
-                f"alpha={self.alpha} inconsistent with (C={self.class_count}, r={self.r}); "
-                f"calibrated value is {ref.alpha}"
-            )
+        result = solve_calibration(self.class_count, self.r, strict=not self.exploratory)
+        object.__setattr__(self, "alpha", result.alpha)
 
     @classmethod
     def for_classes(
@@ -89,21 +81,12 @@ class TalConfig:
         *,
         exploratory: bool = False,
     ) -> "TalConfig":
-        """Build a config by solving the calibration for (class_count, r).
+        """Build a config, and so solve its calibration, from lam.
 
-        The domain is checked before the solve, so a bad lam is a
-        ``DomainError`` even where r alone would stall the solver."""
+        The domain is checked before the kernel is built, so a bad lam is
+        reported by the domain rule, like every other entry point's."""
         check_domain(lam, r, exploratory)
-        result = solve_calibration(class_count, r, strict=not exploratory)
-        return cls(
-            kernel=MemoryKernel(lam=lam),
-            r=r,
-            class_count=class_count,
-            alpha=result.alpha,
-            epsilon=epsilon,
-            exploratory=exploratory,
-            _calibration=result,
-        )
+        return cls(MemoryKernel(lam=lam), r, class_count, epsilon, exploratory=exploratory)
 
 
 @dataclass(frozen=True)
@@ -196,23 +179,13 @@ def training_step(
     The ordering is part of the contract: the loss never sees the current
     batch's own counts.  The tracker moves by the fractional minibatch
     rule with the batch fractions taken from the label histogram.  Raw
-    labels are wrapped in one ``Minibatch`` that both halves of the step
-    read.
+    labels are checked once, after the logits, and wrapped in one
+    ``Minibatch`` that both halves of the step read.
     """
     if not isinstance(labels, Minibatch):
-        try:
-            labels = Minibatch(labels, config.class_count)
-        except IndexError:
-            # tal_forward reports bad logits before a label out of range
-            _check_inputs(logits, labels, config.class_count)
-            raise
+        _, labels = _check_inputs(logits, labels, config.class_count)
     out = tal_forward(config, logits, labels, q_state)
     new_state = update_batched(
-        q_state,
-        config.kernel,
-        config.r,
-        labels,
-        batch_size=labels.size,
-        strict=not config.exploratory,
+        q_state, config.kernel, config.r, labels, strict=not config.exploratory
     )
     return out, new_state

@@ -380,7 +380,6 @@ def train_cells(
                             kernels[k],
                             states[k].loss.r,
                             batch,
-                            batch_size=batch.size,
                             strict=not states[k].loss.exploratory,
                         )
                 except DomainError as exc:
@@ -481,32 +480,25 @@ def train_incremental(
     return train_cells([state], dataset, schedule, [event_sink])[0]
 
 
-def ablate(
-    dataset: SyntheticDataset,
-    tasks: TaskSchedule,
-    seeds,
-    *,
-    schedule: ScheduleBlock = ScheduleBlock(),
-    lambdas=ABLATION_LAMBDAS,
-    rs=ABLATION_RS,
-) -> list[dict]:
-    """Full (lam, r) grid plus one cross-entropy baseline row.
+def ablate(spec: ExperimentSpec, *, lambdas=ABLATION_LAMBDAS, rs=ABLATION_RS) -> list[dict]:
+    """Full (lam, r) grid plus one cross-entropy baseline row, per spec seed.
 
-    Cells with r < 1 sit outside the calibrated domain and run in
-    exploratory mode (range checks demoted to warnings); they are
-    reported like any other cell.  Every cell is enumerated -- nothing
-    is skipped.  The cells of a seed train in lockstep (``train_cells``);
-    rows come cell-major, seed-minor, the CE cell first.
+    Each seed builds its own problem (``tasks_for``), as ``train`` does,
+    and its cells train in lockstep (``train_cells``) under the spec's
+    schedule; the spec's loss block is replaced by the grid.  Cells with
+    r < 1 sit outside the calibrated domain and run in exploratory mode
+    (range checks demoted to warnings); they are reported like any other
+    cell.  Every cell is enumerated -- nothing is skipped.  Rows come
+    cell-major, seed-minor, the CE cell first.
     """
     losses = [LossBlock(kind="CE")] + [
         LossBlock(lam=lam, r=r, exploratory=r < 1.0) for lam in lambdas for r in rs
     ]
-    reports = [
-        train_cells(
-            [fresh_state(loss, schedule, dataset.dim, seed) for loss in losses], dataset, tasks
-        )
-        for seed in seeds
-    ]
+    reports = []
+    for seed in spec.seeds:
+        dataset, tasks = tasks_for(spec, seed)
+        states = [fresh_state(loss, spec.schedule, spec.dataset.dim, seed) for loss in losses]
+        reports.append(train_cells(states, dataset, tasks))
     return [
         {
             "loss": loss.kind.lower(),
@@ -517,7 +509,7 @@ def ablate(
             "a_last": seed_reports[c].a_last,
         }
         for c, loss in enumerate(losses)
-        for seed, seed_reports in zip(seeds, reports)
+        for seed, seed_reports in zip(spec.seeds, reports)
     ]
 
 

@@ -7,8 +7,9 @@ samples plus a fixed number of replay exemplars per old class, shuffled
 within the task -- so earlier classes' positives are front-loaded by
 construction.
 
-``verify_theorem1`` checks the core monotonicity fact: for two classes
-with the same total number of positives, if class A's cumulative
+``verify_theorem1`` checks the core monotonicity fact on a pair of
+polarity sequences (from a trace, ``trace.polarities(k)``): for two
+classes with the same total number of positives, if class A's cumulative
 positive count dominates class B's at every step (front-loaded vs
 back-loaded), then A's tracker value at the end is <= B's, strictly so
 when the dominance is strict somewhere and the kernel strictly
@@ -255,35 +256,26 @@ class TheoremVerdict:
         return self.q_b - self.q_a
 
 
-def verify_theorem1(
-    kernel,
-    trace_or_pair,
-    class_a: int = 0,
-    class_b: int = 1,
-) -> TheoremVerdict:
+def verify_theorem1(kernel, pair) -> TheoremVerdict:
     """Check Q_A <= Q_B for an equal-positive-count, dominance-ordered pair.
 
     ``kernel`` is a MemoryKernel or an explicit nonincreasing value
-    array; ``trace_or_pair`` is a SupervisionTrace (classes picked by id)
-    or a pair of +1/-1 sequences.  Both evaluation paths are computed and
-    cross-checked: Q by direct convolution and Q = 2*Phi - sum(f) through
-    the cumulative curves.  Raises if the pair's positive totals differ
-    (the hypothesis of the statement), or if the two paths disagree
-    beyond 1e-10.
+    array; ``pair`` is a pair of +1/-1 sequences, such as two classes'
+    ``SupervisionTrace.polarities``.  Both evaluation paths are computed
+    and cross-checked: Q by direct convolution and Q = 2*Phi - sum(f)
+    through the cumulative curves.  Raises if the pair's positive totals
+    differ (the hypothesis of the statement), or if the two paths
+    disagree beyond 1e-10.
     """
-    if isinstance(trace_or_pair, SupervisionTrace):
-        a_seq = trace_or_pair.polarities(class_a)
-        b_seq = trace_or_pair.polarities(class_b)
-    else:
-        a_raw, b_raw = trace_or_pair
-        a_seq = np.asarray(a_raw, dtype=np.float64)
-        b_seq = np.asarray(b_raw, dtype=np.float64)
-        if a_seq.ndim != 1 or a_seq.shape != b_seq.shape:
-            raise DomainError("pair sequences must be 1-d and of equal length")
-        if a_seq.size == 0 or not (
-            (np.abs(a_seq) == 1.0).all() and (np.abs(b_seq) == 1.0).all()
-        ):
-            raise DomainError("pair sequences must be nonempty and +1/-1 valued")
+    a_raw, b_raw = pair
+    a_seq = np.asarray(a_raw, dtype=np.float64)
+    b_seq = np.asarray(b_raw, dtype=np.float64)
+    if a_seq.ndim != 1 or a_seq.shape != b_seq.shape:
+        raise DomainError("pair sequences must be 1-d and of equal length")
+    if a_seq.size == 0 or not (
+        (np.abs(a_seq) == 1.0).all() and (np.abs(b_seq) == 1.0).all()
+    ):
+        raise DomainError("pair sequences must be nonempty and +1/-1 valued")
     n = a_seq.shape[0]
     s_a, s_b = np.cumsum((a_seq > 0, b_seq > 0), axis=1, dtype=np.float64)
     if s_a[-1] != s_b[-1]:

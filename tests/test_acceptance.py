@@ -35,6 +35,7 @@ from talcil import (
     verify_theorem1,
 )
 from talcil.bench import overhead_slopes, run_loss_benchmark
+from talcil.calibration import _closed_form_r2, _solve_x_star
 from talcil.cli import main
 from talcil.kernel import negative_weight
 from talcil.oracle import PolaritySequence, q_from_convolution, update_plain
@@ -47,10 +48,11 @@ def test_c01_calibration_closed_form():
     t0 = time.perf_counter()
     for c in range(2, 1001):
         assert abs(solve_calibration(c, 1.0).alpha - (2 * c - 1)) < 1e-10
-        assert abs(solve_calibration(c, 1.0, method="newton").alpha - (2 * c - 1)) < 1e-10
-        closed = solve_calibration(c, 2.0, method="closed")
-        newton = solve_calibration(c, 2.0, method="newton")
-        assert abs(closed.x_star - newton.x_star) < 1e-12
+        assert abs(1.0 / _solve_x_star(1.0 / c, 1.0)[0] - (2 * c - 1)) < 1e-10
+        closed = solve_calibration(c, 2.0)
+        assert closed.x_star == _closed_form_r2(c)
+        newton, _ = _solve_x_star(1.0 / c, 2.0)
+        assert abs(closed.x_star - newton) < 1e-12
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -209,7 +211,7 @@ def test_c07_ce_degeneracy_and_balanced_convergence():
     tail_sum = np.zeros(c)
     for i in range(n_steps):
         labels = rng.integers(0, c, size=batch)
-        st = update_batched(st, k, 1.0, np.bincount(labels, minlength=c), batch)
+        st = update_batched(st, k, 1.0, labels)
         if i >= tail_start:
             tail_sum += st.q
     tail_mean = tail_sum / (n_steps - tail_start) / k.q_max

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from talcil import DomainError, SolverError, solve_calibration
-from talcil.calibration import _g
+from talcil.calibration import _closed_form_r1, _closed_form_r2, _g, _solve_x_star
 from talcil.oracle import degeneracy_check
 
 
@@ -57,16 +57,17 @@ def test_a_nan_result_is_not_a_calibration(field):
 
 def test_closed_and_newton_paths_agree():
     for c in (2, 3, 10, 50, 250, 1000):
-        for r in (1.0, 2.0):
-            closed = solve_calibration(c, r, method="closed")
-            newton = solve_calibration(c, r, method="newton")
-            assert abs(closed.x_star - newton.x_star) < 1e-12
+        for r, closed_form in ((1.0, _closed_form_r1), (2.0, _closed_form_r2)):
+            closed = solve_calibration(c, r)
+            assert closed.x_star == closed_form(c)
+            newton, _ = _solve_x_star(1.0 / c, r)
+            assert abs(closed.x_star - newton) < 1e-12
 
 
 def test_alpha_is_two_c_minus_one_for_linear_weighting():
     for c in (2, 17, 333, 1000):
         assert abs(solve_calibration(c, 1.0).alpha - (2 * c - 1)) < 1e-10
-        assert abs(solve_calibration(c, 1.0, method="newton").alpha - (2 * c - 1)) < 1e-10
+        assert abs(1.0 / _solve_x_star(1.0 / c, 1.0)[0] - (2 * c - 1)) < 1e-10
 
 
 def test_x_star_decreases_with_class_count():
@@ -94,10 +95,6 @@ def test_domain_errors():
         solve_calibration(10, 0.5)
     with pytest.raises(DomainError):
         solve_calibration(10, -1.0, strict=False)
-    with pytest.raises(DomainError):
-        solve_calibration(10, 3.0, method="closed")
-    with pytest.raises(DomainError):
-        solve_calibration(10, 1.0, method="fancy")
 
 
 def test_exploratory_small_r_warns_but_solves():

@@ -396,10 +396,15 @@ def test_bench_loss_rejects_a_grid_without_a_slope(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_bench_loss_with_an_empty_batch_exits_4_before_any_arithmetic(tmp_path, capsys):
-    # a batch of 0 rows used to time a NaN loss after a 0/0 RuntimeWarning
+@pytest.mark.parametrize("batch_sizes", ["0,4", "-1,4"])
+def test_bench_loss_with_an_empty_batch_exits_4_before_any_arithmetic(
+    tmp_path, capsys, batch_sizes
+):
+    # a batch of 0 rows used to time a NaN loss after a 0/0 RuntimeWarning,
+    # and a negative one failed inside numpy as an internal error (exit 1);
+    # "=" passes "-1,4" as a value, not as an option
     out_dir = tmp_path / "bench"
-    argv = ["bench-loss", "--batch-sizes", "0,4", "--class-counts", "3", "--repeats", "1"]
+    argv = ["bench-loss", f"--batch-sizes={batch_sizes}", "--class-counts", "3", "--repeats", "1"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--output-dir", str(out_dir)]) == 4

@@ -262,9 +262,8 @@ def test_batched_single_sample_equals_single_step(q_fracs, lam, r, hot):
     hot = hot % len(q_fracs)
     state = QState(q=q)
     polarity = np.where(np.arange(len(q_fracs)) == hot, 1.0, -1.0)
-    counts = (polarity > 0).astype(int)
     via_single = update_tal(state, k, r, polarity)
-    via_batch = update_batched(state, k, r, counts, batch_size=1)
+    via_batch = update_batched(state, k, r, [hot])
     assert np.array_equal(via_single.q, via_batch.q)
 
 
@@ -273,7 +272,7 @@ def test_batched_balanced_fixed_point():
         res = solve_calibration(c, r)
         k = MemoryKernel(lam=0.9)
         q0 = QState(q=np.full(c, res.x_star * k.q_max))
-        q1 = update_batched(q0, k, r, np.full(c, 4), batch_size=4 * c)
+        q1 = update_batched(q0, k, r, np.repeat(np.arange(c), 4))
         assert np.abs(q1.q - q0.q).max() < 1e-9
 
 
@@ -284,26 +283,29 @@ def test_batched_per_class_priors_reach_their_own_fixed_points():
 
     counts = np.array([1, 3, 6, 10])  # priors 0.05, 0.15, 0.3, 0.5
     n = counts.sum()
+    labels = np.repeat(np.arange(4), counts)
     k = MemoryKernel(lam=0.95)
     st = QState.zeros(4)
     for _ in range(3000):
-        st = update_batched(st, k, 2.0, counts, batch_size=n)
+        st = update_batched(st, k, 2.0, labels)
     for i, c in enumerate(counts):
         x_expected, _ = _solve_x_star(c / n, 2.0)
         assert st.q[i] / k.q_max == pytest.approx(x_expected, abs=1e-10)
 
 
 def test_batched_rejects_empty_batch_and_bad_counts():
+    # the counts are the histogram of the labels, so a bad count is a bad label
     st = QState.zeros(2)
     k = MemoryKernel(lam=0.9)
     with pytest.raises(DomainError):
-        update_batched(st, k, 1.0, [0, 0], batch_size=0)
+        update_batched(st, k, 1.0, [])
     with pytest.raises(DomainError):
-        update_batched(st, k, 1.0, [3, 0], batch_size=2)
+        update_batched(st, k, 1.0, [[0, 1]])
     with pytest.raises(DomainError):
-        update_batched(st, k, 1.0, [-1, 1], batch_size=2)
-    with pytest.raises(DomainError):
-        update_batched(st, k, 1.0, [1, 1, 1], batch_size=3)
+        update_batched(st, k, 1.0, [0.0, 1.0])
+    for labels in ([2, 0], [-1, 1]):
+        with pytest.raises(IndexError):
+            update_batched(st, k, 1.0, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +331,7 @@ def test_batched_exploratory_small_r_clamps_and_warns():
     k = MemoryKernel(lam=0.99)
     st = QState(q=np.array([1e-4 * k.q_max, 0.5]))
     with pytest.warns(RuntimeWarning):
-        st = update_batched(st, k, 0.2, [0, 0], batch_size=8, strict=False)
+        st = update_batched(st, k, 0.2, [1] * 8, strict=False)
     assert st.q[0] == 0.0
     assert st.q[1] >= 0.0
 
@@ -339,7 +341,7 @@ def test_updates_leave_input_state_untouched():
     before = st.q.copy()
     update_tal(st, MemoryKernel(lam=0.9), 1.0, [1.0, -1.0])
     update_plain(st, MemoryKernel(lam=0.9), [1.0, -1.0])
-    update_batched(st, MemoryKernel(lam=0.9), 1.0, [1, 0], batch_size=2)
+    update_batched(st, MemoryKernel(lam=0.9), 1.0, [0, 1])
     assert np.array_equal(st.q, before)
     assert st.step == 0
 
@@ -361,7 +363,7 @@ def test_a_states_q_cannot_be_written():
     k = MemoryKernel(lam=0.9)
     built = QState(q=np.array([0.25, 0.5]))
     stepped = update_tal(built, k, 1.0, [1.0, -1.0])
-    batched = update_batched(built, k, 1.0, [1, 0], batch_size=2, strict=False)
+    batched = update_batched(built, k, 1.0, [0, 1], strict=False)
     for st in (built, stepped, batched, QState.zeros(2)):
         with pytest.raises(ValueError):
             st.q[0] = -5.0
@@ -402,7 +404,7 @@ def test_strict_updates_build_states_known_to_lie_in_range():
     k = MemoryKernel(lam=0.5)
     st = QState.zeros(2)
     for _ in range(60):  # onto the q_max boundary and snapped back
-        st = update_batched(st, k, 1.0, [4, 0], batch_size=4)
+        st = update_batched(st, k, 1.0, [0, 0, 0, 0])
         assert st.within(k.q_max)
         assert np.logical_and.reduce((st.q >= 0.0) & (st.q < k.q_max))
 
@@ -412,13 +414,22 @@ def test_a_permissive_update_does_not_vouch_for_its_range():
     k = MemoryKernel(lam=0.9)
     start = QState(q=[0.0, 100.0])
     for st in (
-        update_batched(start, k, 1.0, [1, 0], batch_size=2, strict=False),
+        update_batched(start, k, 1.0, [0, 1], strict=False),
         update_tal(start, k, 1.0, [1.0, -1.0], strict=False),
     ):
         assert st.q[1] > k.q_max
         assert not st.within(k.q_max)
         with pytest.raises(DomainError):
-            update_batched(st, k, 1.0, [1, 0], batch_size=2)
+            update_batched(st, k, 1.0, [0, 1])
+
+
+def test_states_compare_and_hash_by_identity():
+    # an ndarray field has no truth value, so field-wise equality could
+    # only raise; a state is a snapshot object, equal to itself alone
+    a, b = QState(q=[1.0, 2.0]), QState(q=[1.0, 2.0])
+    assert a == a and a != b and not (a == b)
+    assert {a: "a", b: "b"}[a] == "a"
+    assert len({a, b, a}) == 2
 
 
 @pytest.mark.parametrize("n_new", [0, 2])
@@ -456,9 +467,7 @@ def test_every_entry_point_applies_the_one_domain_rule(lam, r, exploratory):
     calls = [
         lambda: TalConfig.for_classes(lam, r, 3, exploratory=exploratory),
         lambda: update_tal(QState.zeros(2), MemoryKernel(lam=lam), r, [1.0, -1.0], strict=strict),
-        lambda: update_batched(
-            QState.zeros(2), MemoryKernel(lam=lam), r, [1, 1], batch_size=2, strict=strict
-        ),
+        lambda: update_batched(QState.zeros(2), MemoryKernel(lam=lam), r, [0, 1], strict=strict),
     ]
     spec = {"loss": {"lambda": lam, "r": r, "exploratory": exploratory}}
     with warnings.catch_warnings():

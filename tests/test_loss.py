@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,13 +52,6 @@ def random_instance(rng, n_max=8, c_max=12):
 # ---------------------------------------------------------------------------
 
 
-def test_config_rejects_inconsistent_alpha():
-    k = MemoryKernel(lam=0.9)
-    with pytest.raises(DomainError):
-        TalConfig(kernel=k, r=1.0, class_count=10, alpha=5.0)
-    TalConfig(kernel=k, r=1.0, class_count=10, alpha=19.0)  # consistent
-
-
 def test_config_epsilon_and_domain_gates():
     with pytest.raises(DomainError):
         TalConfig.for_classes(0.9, 1.0, 10, epsilon=0.0)
@@ -69,6 +64,24 @@ def test_config_epsilon_and_domain_gates():
     with pytest.warns(RuntimeWarning):
         config = TalConfig.for_classes(0.9, 0.5, 10, exploratory=True)
     assert config.alpha > 1.0  # exploratory calibration still solved
+
+
+@pytest.mark.parametrize("c", [2, 10, 100])
+@pytest.mark.parametrize("r", [0.2, 0.5, 1.0, 1.5, 2.0, 5.0])
+def test_config_alpha_is_the_calibrations_alpha_bit_for_bit(r, c):
+    exploratory = r < 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # exploratory calibration warns
+        config = TalConfig(MemoryKernel(lam=0.9), r, c, exploratory=exploratory)
+        expected = solve_calibration(c, r, strict=not exploratory).alpha
+    assert config.alpha.hex() == expected.hex()
+
+
+def test_config_alpha_is_not_an_argument():
+    with pytest.raises(TypeError):
+        TalConfig(kernel=MemoryKernel(lam=0.9), r=1.0, class_count=10, alpha=19.0)
+    with pytest.raises(DomainError):  # the calibration's own class-count check
+        TalConfig(kernel=MemoryKernel(lam=0.9), r=1.0, class_count=1)
 
 
 def test_for_classes_solves_each_calibration_once(monkeypatch):
@@ -84,10 +97,10 @@ def test_for_classes_solves_each_calibration_once(monkeypatch):
     with pytest.warns(RuntimeWarning) as record:
         config = TalConfig.for_classes(0.9, 0.5, 10, exploratory=True)
     assert len(calls) == 1 and len(record) == 1  # one solve, one warning
-    # a directly built config is still checked
-    with pytest.warns(RuntimeWarning), pytest.raises(DomainError):
-        TalConfig(kernel=config.kernel, r=0.5, class_count=10, alpha=2.0, exploratory=True)
-    assert len(calls) == 2
+    # a directly built config solves its own alpha, once
+    with pytest.warns(RuntimeWarning):
+        direct = TalConfig(kernel=config.kernel, r=0.5, class_count=10, exploratory=True)
+    assert len(calls) == 2 and direct == config
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from talcil import (
     spearman,
     train_incremental,
 )
-from talcil.config import LossBlock, ScheduleBlock
+from talcil.config import DatasetBlock, ExperimentSpec, LossBlock, ScheduleBlock
 from talcil.sim import Classifier, class_ages, fresh_state, train_cells
 
 CE = LossBlock(kind="CE")
@@ -390,17 +390,12 @@ def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
 
 
 def test_ablation_enumerates_every_cell_with_one_baseline():
-    ds, tasks = small_setup(seed=0, per_class=30)
+    spec = ExperimentSpec(
+        dataset=DatasetBlock(per_class=30), schedule=ScheduleBlock(epochs=4), seeds=(0, 1)
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rows = ablate(
-            ds,
-            tasks,
-            seeds=[0, 1],
-            schedule=ScheduleBlock(epochs=4),
-            lambdas=(0.99, 0.995),
-            rs=(0.5, 1.0),
-        )
+        rows = ablate(spec, lambdas=(0.99, 0.995), rs=(0.5, 1.0))
     ce_rows = [r for r in rows if r["loss"] == "ce"]
     tal_rows = [r for r in rows if r["loss"] == "tal"]
     assert len(ce_rows) == 2  # one per seed: a single baseline cell
@@ -410,8 +405,8 @@ def test_ablation_enumerates_every_cell_with_one_baseline():
 
 
 def test_steep_weighting_underperforms_linear_at_desk_scale():
-    ds, tasks = small_setup(seed=0)
-    rows = ablate(ds, tasks, seeds=[0, 1, 2], schedule=QUICK, lambdas=(0.99,), rs=(1.0, 5.0))
+    spec = ExperimentSpec(schedule=QUICK, seeds=(0, 1, 2))
+    rows = ablate(spec, lambdas=(0.99,), rs=(1.0, 5.0))
     mean_last = {
         r: np.mean([row["a_last"] for row in rows if row["loss"] == "tal" and row["r"] == r])
         for r in (1.0, 5.0)

@@ -69,8 +69,8 @@ def ref_tal(config, z, y, q):
     return ref_softmax_loss(z_tilde, z_true, y)
 
 
-def ref_batched(q, kernel, r, pos_counts, batch_size, strict):
-    frac_pos = np.asarray(pos_counts, dtype=np.float64) / batch_size
+def ref_batched(q, kernel, r, labels, strict):
+    frac_pos = np.bincount(labels, minlength=len(q)) / len(labels)
     frac_neg = 1.0 - frac_pos
     w = ref_weight(q, kernel.q_max, r)
     return ref_settle(kernel.lam * (q + frac_pos - frac_neg * w), kernel.q_max, strict)
@@ -127,11 +127,10 @@ def test_step_functions_match_reference_bits(seed, n, c, lam, mode, zero_frac):
     out = tal_forward(config, z, y, state)
     assert same_bits(out.loss, loss) and same_bits(out.grad_logits, grad)
 
-    pos_counts = np.bincount(y, minlength=c)
-    q_ref = ref_batched(state.q, kernel, r, pos_counts, n, strict)
+    q_ref = ref_batched(state.q, kernel, r, y, strict)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # exploratory clamping warns
-        advanced = update_batched(state, kernel, r, pos_counts, n, strict=strict)
+        advanced = update_batched(state, kernel, r, y, strict=strict)
         step_out, stepped = training_step(config, state, z, y)
     assert same_bits(advanced.q, q_ref) and advanced.step == state.step + 1
     assert same_bits(step_out.loss, loss) and same_bits(step_out.grad_logits, grad)
@@ -158,10 +157,8 @@ def test_step_functions_match_reference_bits(seed, n, c, lam, mode, zero_frac):
 def test_empty_tracker_advances_without_reducing_an_empty_array(strict):
     k = MemoryKernel(lam=0.9)
     empty = QState(q=np.zeros(0), step=4)
-    batched = update_batched(empty, k, 1.0, np.zeros(0), batch_size=3, strict=strict)
     single = update_tal(empty, k, 1.0, np.zeros(0), strict=strict)
-    for st_next in (batched, single):
-        assert st_next.q.shape == (0,) and st_next.step == 5
+    assert single.q.shape == (0,) and single.step == 5
 
 
 def test_boundary_snap_at_lam_one_half_matches_reference():
@@ -171,9 +168,9 @@ def test_boundary_snap_at_lam_one_half_matches_reference():
     q_ref = np.array([0.0, 0.0])
     batched = single = QState.zeros(2)
     for _ in range(120):
-        batched = update_batched(batched, k, 1.0, [4, 0], batch_size=4)
+        batched = update_batched(batched, k, 1.0, [0, 0, 0, 0])
         single = update_tal(single, k, 1.0, [1.0, -1.0])
-        q_ref = ref_batched(q_ref, k, 1.0, [4, 0], 4, True)
+        q_ref = ref_batched(q_ref, k, 1.0, [0, 0, 0, 0], True)
         assert same_bits(batched.q, q_ref) and same_bits(single.q, q_ref)
     assert batched.q[0] == np.nextafter(k.q_max, 0.0) and batched.q[1] == 0.0
 
@@ -190,14 +187,14 @@ def test_nan_tracker_counts_or_steepness_rejected_in_strict_mode():
     with pytest.raises(DomainError):
         training_step(config, nan_state, np.zeros((2, 3)), [0, 1])
     with pytest.raises(DomainError):
-        update_batched(nan_state, k, 1.0, [1, 1, 0], batch_size=2)
+        update_batched(nan_state, k, 1.0, [0, 1])
     with pytest.raises(DomainError):
         update_tal(nan_state, k, 1.0, [1.0, -1.0, -1.0])
     for strict in (True, False):
+        with pytest.raises(DomainError):  # counts come from labels, which are integers
+            update_batched(QState.zeros(3), k, 1.0, [1.0, np.nan, 0.0], strict=strict)
         with pytest.raises(DomainError):
-            update_batched(QState.zeros(3), k, 1.0, [1.0, np.nan, 0.0], batch_size=2, strict=strict)
-        with pytest.raises(DomainError):
-            update_batched(QState.zeros(3), k, np.nan, [1, 1, 0], batch_size=2, strict=strict)
+            update_batched(QState.zeros(3), k, np.nan, [0, 1], strict=strict)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +218,7 @@ def test_chained_steps_match_freshly_built_states(mode, lam):
             y = rng.integers(0, c, size=n)
             out = tal_forward(config, z, y, QState(q=state.q, step=state.step))
             advanced = update_batched(
-                QState(q=state.q, step=state.step),
-                config.kernel,
-                r,
-                np.bincount(y, minlength=c),
-                n,
-                strict=not exploratory,
+                QState(q=state.q, step=state.step), config.kernel, r, y, strict=not exploratory
             )
             loss, grad = ref_tal(config, z, y, state.q)
             step_out, state = training_step(config, state, z, y)
@@ -343,9 +335,8 @@ def test_shared_minibatch_matches_raw_labels_over_chained_steps(mode, lam):
                 ce_ref, ce_out = ce_forward(z, y), ce_forward(z, batch)
                 assert same_bits(ce_out.loss, ce_ref.loss)
                 assert same_bits(ce_out.grad_logits, ce_ref.grad_logits)
-                counts = np.bincount(y, minlength=c)
-                ce_raw = update_batched(ce_raw, config.kernel, r, counts, n, strict=strict)
-                ce_shared = update_batched(ce_shared, config.kernel, r, batch, n, strict=strict)
+                ce_raw = update_batched(ce_raw, config.kernel, r, y, strict=strict)
+                ce_shared = update_batched(ce_shared, config.kernel, r, batch, strict=strict)
                 assert same_bits(ce_shared.q, ce_raw.q) and ce_shared.step == ce_raw.step
                 assert same_bits(tal_forward(config, z, batch, tal_shared).grad_logits,
                                  tal_forward(config, z, y, tal_raw).grad_logits)
@@ -384,9 +375,7 @@ def test_minibatch_that_does_not_fit_is_a_domain_error():
         with pytest.raises(DomainError):
             training_step(config, state, z, batch)
     with pytest.raises(DomainError):
-        update_batched(state, k, 1.0, wrong_classes, batch_size=4)
-    with pytest.raises(DomainError):
-        update_batched(state, k, 1.0, wrong_rows, batch_size=4)  # 3 labels, not 4
+        update_batched(state, k, 1.0, wrong_classes)
     for labels in ([0, 3], [-1, 0], [np.iinfo(np.int64).min], np.array([2**64 - 1], np.uint64)):
         with pytest.raises(IndexError):
             Minibatch(labels, 3)

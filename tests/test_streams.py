@@ -164,7 +164,7 @@ def test_unequal_positive_totals_rejected():
 def test_trace_based_verification():
     schedule = TaskSchedule.uniform(class_count=2, tasks=2, samples_per_class=30)
     trace = generate_stream(schedule, seed=0)
-    verdict = verify_theorem1(MemoryKernel(lam=0.9), trace, 0, 1)
+    verdict = verify_theorem1(MemoryKernel(lam=0.9), (trace.polarities(0), trace.polarities(1)))
     assert verdict.dominance_held and verdict.conclusion_held
     assert verdict.q_a < verdict.q_b
 
