@@ -25,7 +25,6 @@ from .loss import LossOutput, TalConfig, ce_forward, tal_forward, training_step
 from .metrics import (
     AsymmetryResult,
     MetricsReport,
-    PerClassRow,
     asymmetry_index,
     confusion_and_prf,
     forgetting_curve,
@@ -85,7 +84,6 @@ __all__ = [
     "train_incremental",
     "ablate",
     "MetricsReport",
-    "PerClassRow",
     "AsymmetryResult",
     "confusion_and_prf",
     "asymmetry_index",

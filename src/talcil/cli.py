@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -120,7 +121,7 @@ def _cmd_simulate_stream(args) -> int:
     out_dir = _resolve_output_dir(args.output_dir)
     step_ids = np.arange(steps)
     write_csv(out_dir / "trace.csv", ("step", "label"), (step_ids, trace.labels))
-    s_curves = np.concatenate([trace.cumulative_positives(k) for k in range(c)])
+    s_curves = np.cumsum(polarity > 0, axis=0).T.ravel()  # S_k, class-major
     write_csv(
         out_dir / "s_curves.csv",
         ("step", "class", "cumulative_positives"),
@@ -189,47 +190,6 @@ def _cmd_verify_theorem1(args) -> int:
     return EXIT_OK if held == total else EXIT_SOLVER
 
 
-def _report_files(report, seed: int):
-    after, on = np.tril_indices(report.accuracy_matrix.shape[0])
-    rows = report.per_class
-    snapshots = report.q_snapshots
-    sizes = [q.shape[0] for _, q in snapshots]
-    return {
-        f"accuracy_matrix_seed{seed}.csv": (
-            ("after_task", "on_task", "accuracy"),
-            (after, on, report.accuracy_matrix[after, on]),
-        ),
-        f"per_class_seed{seed}.csv": (
-            (
-                "task_id",
-                "class_id",
-                "precision",
-                "recall",
-                "support",
-                "q_value",
-                "precision_defined",
-            ),
-            (
-                [row.task_id for row in rows],
-                [row.class_id for row in rows],
-                [row.precision if row.precision_defined else None for row in rows],
-                [row.recall for row in rows],
-                [row.support for row in rows],
-                [row.q_value for row in rows],
-                [row.precision_defined for row in rows],
-            ),
-        ),
-        f"q_snapshots_seed{seed}.csv": (
-            ("step", "class_id", "q_value"),
-            (
-                np.repeat([step for step, _ in snapshots], sizes),
-                np.concatenate([np.arange(size) for size in sizes]),
-                np.concatenate([q for _, q in snapshots]),
-            ),
-        ),
-    }
-
-
 def _run_experiment(spec: ExperimentSpec, seed: int):
     dataset, tasks = tasks_for(spec, seed)
     events: list[dict] = []
@@ -246,7 +206,7 @@ def _cmd_train(args) -> int:
     a_means, a_lasts = [], []
     for seed in spec.seeds:
         report, events = _run_experiment(spec, seed)
-        csv_files.update(_report_files(report, seed))
+        csv_files.update(report.tables())
         jsonl_files[f"events_seed{seed}.jsonl"] = events
         a_means.append(report.a_mean)
         a_lasts.append(report.a_last)
@@ -346,9 +306,14 @@ def _read_csv(path: Path):
 
 
 def _seed_files(run_dir: Path, prefix: str):
-    """(seed, path) of each ``<prefix>_seed<N>.csv`` under the run, by seed."""
-    stem = f"{prefix}_seed"
-    found = sorted((int(p.stem[len(stem) :]), p) for p in run_dir.glob(f"{stem}*.csv"))
+    """(seed, path) of each ``<prefix>_seed<N>.csv`` under the run, by seed.
+
+    N is a seed as ``train`` writes it (decimal digits, no leading zero);
+    any other name, such as ``per_class_seed0_old.csv``, is skipped.
+    """
+    name = re.compile(re.escape(prefix) + r"_seed(0|[1-9][0-9]*)\.csv")
+    matches = (name.fullmatch(p.name) for p in run_dir.iterdir())
+    found = sorted((int(m[1]), run_dir / m[0]) for m in matches if m)
     if not found:
         raise SpecError(f"no {prefix}_seed*.csv files under {run_dir}")
     return found

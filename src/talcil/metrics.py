@@ -12,7 +12,7 @@ are about monotone trends, not about any particular linear scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import DomainError
 
 __all__ = [
     "PerClassMetrics",
-    "PerClassRow",
     "MetricsReport",
     "AsymmetryResult",
     "confusion_matrix",
@@ -40,37 +39,78 @@ class PerClassMetrics:
     recall_defined: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
-class PerClassRow:
-    """One (task, class) record in a training report."""
-
-    task_id: int
-    class_id: int
-    precision: float
-    recall: float
-    support: int
-    q_value: float
-    precision_defined: bool = True
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Everything one incremental run produces.
 
     accuracy_matrix[t][u] is the accuracy on task u's test split after
     training task t (u <= t; upper triangle is NaN).  overall_accuracy[t]
-    is the accuracy over all classes seen by task t; its mean is a_mean
-    and its last entry is a_last.
+    is the accuracy over all classes seen by task t.  per_task[t] holds
+    the per-class metrics over those classes after task t, and
+    q_snapshots[t] the (global step, tracker q) at that point.
     """
 
     accuracy_matrix: np.ndarray
     overall_accuracy: np.ndarray
-    per_class: tuple[PerClassRow, ...]
-    a_mean: float
-    a_last: float
+    per_task: tuple[PerClassMetrics, ...]
+    q_snapshots: tuple[tuple[int, np.ndarray], ...]
     seed: int
-    loss_kind: str
-    q_snapshots: tuple[tuple[int, np.ndarray], ...] = field(default=())
+
+    @property
+    def a_mean(self) -> float:
+        return float(self.overall_accuracy.mean())
+
+    @property
+    def a_last(self) -> float:
+        return float(self.overall_accuracy[-1])
+
+    def tables(self) -> dict[str, tuple[tuple[str, ...], tuple]]:
+        """The run's per-seed CSV tables, ``{file name: (header, columns)}``.
+
+        An undefined precision is an empty cell, flagged 0 in
+        ``precision_defined``.
+        """
+        after, on = np.tril_indices(self.accuracy_matrix.shape[0])
+        sizes = [q.shape[0] for _, q in self.q_snapshots]
+        class_ids = np.concatenate([np.arange(size) for size in sizes])
+        q_values = np.concatenate([q for _, q in self.q_snapshots])
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(prf, name) for prf in self.per_task])
+
+        defined = joined("precision_defined")
+        precision = joined("precision").astype(object)
+        precision[~defined] = None
+        return {
+            f"accuracy_matrix_seed{self.seed}.csv": (
+                ("after_task", "on_task", "accuracy"),
+                (after, on, self.accuracy_matrix[after, on]),
+            ),
+            f"per_class_seed{self.seed}.csv": (
+                (
+                    "task_id",
+                    "class_id",
+                    "precision",
+                    "recall",
+                    "support",
+                    "q_value",
+                    "precision_defined",
+                ),
+                (
+                    np.repeat(np.arange(len(sizes)), sizes),
+                    class_ids,
+                    precision,
+                    joined("recall"),
+                    joined("support"),
+                    q_values,
+                    defined,
+                ),
+            ),
+            f"q_snapshots_seed{self.seed}.csv": (
+                ("step", "class_id", "q_value"),
+                (np.repeat([step for step, _ in self.q_snapshots], sizes), class_ids, q_values),
+            ),
+        }
 
 
 def confusion_matrix(predictions, labels, class_count: int) -> np.ndarray:

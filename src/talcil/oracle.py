@@ -9,6 +9,8 @@ None of this runs in training, so none of it is in ``talcil.__all__``:
   negative-heavy streams.
 * ``degeneracy_check`` -- alpha * w(x* * q_max) through the loss's own
   weight function, which must come back as 1.
+* ``phi_from_counts`` -- the summation-by-parts functional of one
+  cumulative positive curve, which ``verify_theorem1`` ties to Q.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .calibration import solve_calibration
 from .errors import DomainError
 from .kernel import MemoryKernel, QState, _check_polarities, _convolve, negative_weight
+from .streams import _deltas, _phi
 
 __all__ = [
     "PolaritySequence",
@@ -27,6 +30,7 @@ __all__ = [
     "q_from_convolution",
     "update_plain",
     "degeneracy_check",
+    "phi_from_counts",
 ]
 
 
@@ -96,3 +100,18 @@ def degeneracy_check(class_count: int, r: float) -> float:
     kernel = MemoryKernel(lam=0.9)  # any lam: q_max cancels inside w
     q_star = result.x_star * kernel.q_max
     return float(result.alpha * negative_weight(q_star, kernel.q_max, r))
+
+
+def phi_from_counts(kernel_values: np.ndarray, cum_positives: np.ndarray) -> float:
+    """Summation-by-parts functional of the cumulative positive curve.
+
+    Phi = f[0] * S[N-1] - sum_{n=0}^{N-2} (f[N-2-n] - f[N-1-n]) * S[n].
+    Larger Phi means later (back-loaded) positives under a decreasing
+    kernel -- see ``verify_theorem1`` for the identity tying it to Q.
+    """
+    f = np.asarray(kernel_values, dtype=np.float64)
+    s = np.asarray(cum_positives, dtype=np.float64)
+    n = s.shape[0]
+    if n == 0:
+        raise DomainError("empty cumulative curve")
+    return _phi(f, _deltas(f, n), s)

@@ -28,13 +28,7 @@ from .config import ExperimentSpec, LossBlock, ScheduleBlock
 from .errors import DomainError, SolverError, TrainingError
 from .kernel import MemoryKernel, Minibatch, QState, update_batched
 from .loss import TalConfig, ce_forward, training_step
-from .metrics import (
-    MetricsReport,
-    PerClassMetrics,
-    PerClassRow,
-    asymmetry_index,
-    confusion_and_prf,
-)
+from .metrics import MetricsReport, PerClassMetrics, asymmetry_index, confusion_and_prf
 from .streams import TaskSchedule
 
 __all__ = [
@@ -332,7 +326,7 @@ def train_cells(
     errors: dict[int, TrainingError] = {}
     acc_matrix = [np.full((n_tasks, n_tasks), np.nan) for _ in states]
     overall = [np.zeros(n_tasks) for _ in states]
-    per_class_rows: list[list[PerClassRow]] = [[] for _ in states]
+    per_task: list[list[PerClassMetrics]] = [[] for _ in states]
     snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in states]
     replay: dict[int, np.ndarray] = {}
     seen_classes: list[int] = []
@@ -435,21 +429,8 @@ def train_cells(
             overall[k][t] = float(np.mean(preds == test_y))
             for u, mask in enumerate(task_masks):
                 acc_matrix[k][t, u] = float(np.mean(preds[mask] == test_y[mask]))
-            prf = confusion_and_prf(preds, test_y, c_now)
-            q = q_states[k].q
-            per_class_rows[k].extend(
-                PerClassRow(
-                    task_id=t,
-                    class_id=c,
-                    precision=float(prf.precision[c]),
-                    recall=float(prf.recall[c]),
-                    support=int(prf.support[c]),
-                    q_value=float(q[c]),
-                    precision_defined=bool(prf.precision_defined[c]),
-                )
-                for c in range(c_now)
-            )
-            snapshots[k].append((global_step, q.copy()))
+            per_task[k].append(confusion_and_prf(preds, test_y, c_now))
+            snapshots[k].append((global_step, q_states[k].q))
 
     for i, k in enumerate(live):
         vars(states[k].classifier).update(vars(head.cell(i)))
@@ -459,12 +440,9 @@ def train_cells(
         MetricsReport(
             accuracy_matrix=acc_matrix[k],
             overall_accuracy=overall[k],
-            per_class=tuple(per_class_rows[k]),
-            a_mean=float(overall[k].mean()),
-            a_last=float(overall[k][-1]),
-            seed=state.seed,
-            loss_kind=state.loss.kind.lower(),
+            per_task=tuple(per_task[k]),
             q_snapshots=tuple(snapshots[k]),
+            seed=state.seed,
         )
         for k, state in enumerate(states)
     ]
@@ -489,8 +467,12 @@ def ablate(spec: ExperimentSpec, *, lambdas=ABLATION_LAMBDAS, rs=ABLATION_RS) ->
     r < 1 sit outside the calibrated domain and run in exploratory mode
     (range checks demoted to warnings); they are reported like any other
     cell.  Every cell is enumerated -- nothing is skipped.  Rows come
-    cell-major, seed-minor, the CE cell first.
+    cell-major, seed-minor, the CE cell first.  A lambda or r listed
+    twice is a ``DomainError``: it would train one cell twice.
     """
+    for name, values in (("lambda", lambdas), ("r", rs)):
+        if len(set(values)) != len(values):
+            raise DomainError(f"ablation grid repeats a {name} value: {list(values)}")
     losses = [LossBlock(kind="CE")] + [
         LossBlock(lam=lam, r=r, exploratory=r < 1.0) for lam in lambdas for r in rs
     ]
@@ -534,24 +516,14 @@ def desk_scale_pair(seed: int, *, lam: float = 0.995, r: float = 1.0) -> dict[st
         for kind in kinds
     ]
     ages = class_ages(tasks)
-    last = len(tasks.tasks) - 1
     results = {}
     for kind, report in zip(kinds, train_cells(states, dataset, tasks)):
-        final = [row for row in report.per_class if row.task_id == last]
-        precision = np.array([row.precision for row in final])
-        recall = np.array([row.recall for row in final])
-        metrics = PerClassMetrics(
-            precision=precision,
-            recall=recall,
-            support=np.array([row.support for row in final]),
-            precision_defined=np.array([row.precision_defined for row in final]),
-            recall_defined=np.full(len(final), True),
-        )
+        final = report.per_task[-1]
         results[kind] = {
             "a_mean": report.a_mean,
             "a_last": report.a_last,
-            "age_corr": asymmetry_index(metrics, ages).age_correlation,
-            "early_recall": recall[:2].mean(),
-            "early_precision": np.nanmean(precision[:2]),
+            "age_corr": asymmetry_index(final, ages).age_correlation,
+            "early_recall": final.recall[:2].mean(),
+            "early_precision": np.nanmean(final.precision[:2]),
         }
     return results

@@ -25,7 +25,7 @@ must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -118,12 +118,10 @@ class SupervisionTrace:
 
     labels: np.ndarray
     class_count: int
-    task_boundaries: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "task_boundaries", tuple(self.task_boundaries))
         if labels.ndim != 1 or labels.size == 0:
             raise DomainError("trace needs a nonempty 1-d label stream")
         if labels.min() < 0 or labels.max() >= self.class_count:
@@ -132,18 +130,18 @@ class SupervisionTrace:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def polarities(self, class_id: int) -> np.ndarray:
-        """a_k[n]: +1 at the class's own steps, -1 elsewhere."""
+    def _is_class(self, class_id: int) -> np.ndarray:
         if not (0 <= class_id < self.class_count):
             raise DomainError(f"class {class_id} outside [0, {self.class_count})")
-        return np.where(self.labels == class_id, 1.0, -1.0)
+        return self.labels == class_id
+
+    def polarities(self, class_id: int) -> np.ndarray:
+        """a_k[n]: +1 at the class's own steps, -1 elsewhere."""
+        return np.where(self._is_class(class_id), 1.0, -1.0)
 
     def cumulative_positives(self, class_id: int) -> np.ndarray:
         """S_k[n]: positives of the class among steps 0..n."""
-        return np.cumsum(self.labels == class_id).astype(np.int64)
-
-    def positive_total(self, class_id: int) -> int:
-        return int(np.sum(self.labels == class_id))
+        return np.cumsum(self._is_class(class_id)).astype(np.int64)
 
 
 def generate_stream(schedule: TaskSchedule, seed: int | None = None) -> SupervisionTrace:
@@ -154,9 +152,7 @@ def generate_stream(schedule: TaskSchedule, seed: int | None = None) -> Supervis
     """
     rng = np.random.default_rng(schedule.shuffle_seed if seed is None else seed)
     chunks: list[np.ndarray] = []
-    boundaries: list[int] = []
     seen: list[int] = []
-    total = 0
     for task in schedule.tasks:
         block = [
             np.full(task.samples_per_class, k, dtype=np.int64)
@@ -169,14 +165,8 @@ def generate_stream(schedule: TaskSchedule, seed: int | None = None) -> Supervis
         labels = np.concatenate(block)
         rng.shuffle(labels)
         chunks.append(labels)
-        total += labels.size
-        boundaries.append(total)
         seen.extend(task.new_class_ids)
-    return SupervisionTrace(
-        labels=np.concatenate(chunks),
-        class_count=schedule.class_count,
-        task_boundaries=tuple(boundaries),
-    )
+    return SupervisionTrace(labels=np.concatenate(chunks), class_count=schedule.class_count)
 
 
 def _deltas(f: np.ndarray, n: int) -> np.ndarray:
@@ -214,21 +204,6 @@ def _kernel_terms(kernel, n: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _phi(f: np.ndarray, deltas: np.ndarray, s: np.ndarray) -> float:
     return float(f[0] * s[-1] - np.dot(deltas, s[:-1]))
-
-
-def phi_from_counts(kernel_values: np.ndarray, cum_positives: np.ndarray) -> float:
-    """Summation-by-parts functional of the cumulative positive curve.
-
-    Phi = f[0] * S[N-1] - sum_{n=0}^{N-2} (f[N-2-n] - f[N-1-n]) * S[n].
-    Larger Phi means later (back-loaded) positives under a decreasing
-    kernel -- see ``verify_theorem1`` for the identity tying it to Q.
-    """
-    f = np.asarray(kernel_values, dtype=np.float64)
-    s = np.asarray(cum_positives, dtype=np.float64)
-    n = s.shape[0]
-    if n == 0:
-        raise DomainError("empty cumulative curve")
-    return _phi(f, _deltas(f, n), s)
 
 
 @dataclass(frozen=True)

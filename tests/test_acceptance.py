@@ -38,9 +38,8 @@ from talcil.bench import overhead_slopes, run_loss_benchmark
 from talcil.calibration import _closed_form_r2, _solve_x_star
 from talcil.cli import main
 from talcil.kernel import negative_weight
-from talcil.oracle import PolaritySequence, q_from_convolution, update_plain
+from talcil.oracle import PolaritySequence, phi_from_counts, q_from_convolution, update_plain
 from talcil.sim import desk_scale_pair
-from talcil.streams import phi_from_counts
 
 
 def test_c01_calibration_closed_form():

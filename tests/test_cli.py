@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -330,6 +331,22 @@ def test_ablate_seed_builds_the_dataset_train_builds(tmp_path, capsys):
     assert {line.split(",")[0]: line.split(",")[1:] for line in summary} == ce
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [["--lambdas", "0.99,0.99"], ["--lambdas", "0.99,0.995,0.990"], ["--rs", "1,2,1.0"]],
+    ids=" ".join,
+)
+def test_ablate_refuses_a_repeated_grid_value(tmp_path, capsys, grid):
+    out_dir = tmp_path / "ablate"
+    argv = ["ablate", "--spec", str(write_spec(tmp_path)), *grid, "--output-dir", str(out_dir)]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == "DomainError"
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench-loss
 # ---------------------------------------------------------------------------
@@ -478,6 +495,20 @@ def test_plotdata_file_and_stdout_carry_the_same_bytes(finished_run, tmp_path, c
     printed = capsys.readouterr().out
     assert main(argv + ["--output", str(out_file)]) == 0
     assert out_file.read_text() == printed
+
+
+def test_plotdata_reads_only_seed_file_names(tmp_path, capsys):
+    clean = tmp_path / "clean"
+    shutil.copytree(ROOT / "runs" / "demo", clean)
+    stray = tmp_path / "stray"
+    shutil.copytree(clean, stray)
+    shutil.copy(clean / "per_class_seed0.csv", stray / "per_class_seed0_old.csv")
+    shutil.copy(clean / "per_class_seed1.csv", stray / "per_class_seedX.csv")
+    outputs = []
+    for run in (clean, stray):
+        assert main(["plotdata", "--run", str(run), "--what", "per-class"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
 
 
 def test_plotdata_missing_run_dir(tmp_path, capsys):

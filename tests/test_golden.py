@@ -104,3 +104,27 @@ def test_ablate_outputs_match_pinned_digests(tmp_path, hidden, digests):
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(digests)
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+UNDEFINED_PRECISION_SPEC = """\
+dataset: {classes: 6, dim: 8, tasks: 3, per_class: 40, test_per_class: 20, sep: 2.5}
+schedule: {replay_per_class: 0, epochs: 10, batch_size: 16, lr: 0.5, hidden: 0}
+loss: {kind: CE}
+seeds: [0]
+"""
+
+
+def test_undefined_precision_cells_match_pinned_digest(tmp_path):
+    """Without replay, plain cross-entropy forgets the first task outright:
+    nobody predicts its classes, so their precision is 0/0 (an empty cell)."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(UNDEFINED_PRECISION_SPEC)
+    out = tmp_path / "out"
+    assert main(["train", "--spec", str(spec), "--output-dir", str(out)]) == 0
+    table = (out / "per_class_seed0.csv").read_bytes()
+    assert [line for line in table.splitlines() if b",," in line] == [
+        b"2,0,,0.0,20,7.611670424899545,0",
+        b"2,1,,0.0,20,7.619681087609539,0",
+    ]
+    digest = "1512c0ac63b6035727125520960546715457fe7c0d63009e42253c99dda27fdd"
+    assert hashlib.sha256(table).hexdigest() == digest

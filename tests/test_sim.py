@@ -156,10 +156,10 @@ def test_ce_run_shows_age_skew_and_positive_q_recall_association():
     for seed in range(3):
         ds, schedule = small_setup(seed=seed)
         report = train_incremental(fresh_state(CE, QUICK, 16, seed), ds, schedule)
-        final = [row for row in report.per_class if row.task_id == 4]
-        recall = np.array([row.recall for row in final])
-        precision = np.array([row.precision for row in final])
-        q = np.array([row.q_value for row in final])
+        final = report.per_task[4]
+        recall = final.recall
+        precision = final.precision
+        q = report.q_snapshots[4][1]
         corr_q_recall.append(spearman(q, recall))
         if recall[:2].mean() < np.nanmean(precision[:2]):
             early_skew += 1
@@ -186,7 +186,11 @@ def test_reports_are_reproducible():
     a = train_incremental(fresh_state(TAL, QUICK, 16, 3), ds, schedule)
     b = train_incremental(fresh_state(TAL, QUICK, 16, 3), ds, schedule)
     assert np.array_equal(a.accuracy_matrix, b.accuracy_matrix, equal_nan=True)
-    assert a.per_class == b.per_class
+    assert all(
+        np.array_equal(getattr(m1, f.name), getattr(m2, f.name), equal_nan=True)
+        for m1, m2 in zip(a.per_task, b.per_task, strict=True)
+        for f in fields(m1)
+    )
     assert a.a_mean == b.a_mean and a.a_last == b.a_last
     assert all(
         s1 == s2 and np.array_equal(q1, q2)

@@ -12,8 +12,8 @@ from talcil import (
     sample_dominance_pair,
     verify_theorem1,
 )
-from talcil.oracle import PolaritySequence, q_from_convolution
-from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms, phi_from_counts
+from talcil.oracle import PolaritySequence, phi_from_counts, q_from_convolution
+from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +64,12 @@ def test_replay_keeps_old_class_curves_rising():
         class_count=4, tasks=2, samples_per_class=10, replay_per_old_class=2
     )
     trace = generate_stream(schedule, seed=3)
-    boundary = trace.task_boundaries[0]
+    first = schedule.tasks[0]  # no class is old yet, so it replays nothing
+    boundary = first.samples_per_class * len(first.new_class_ids)
     s0 = trace.cumulative_positives(0)
     assert s0[boundary - 1] == 10
     assert s0[-1] == 12  # replay added positives in the second task
-    assert trace.positive_total(2) == 10
+    assert trace.cumulative_positives(2)[-1] == 10
 
 
 def test_stream_respects_schedule_counts_exactly():
@@ -80,7 +81,7 @@ def test_stream_respects_schedule_counts_exactly():
     for task in schedule.tasks:
         for k in task.new_class_ids:
             expected = 17 + 4 * (len(schedule.tasks) - 1 - task.task_id)
-            assert trace.positive_total(k) == expected
+            assert trace.cumulative_positives(k)[-1] == expected
     # single-label stream: exactly one positive per step
     polarity_sum = sum(
         (trace.polarities(k) + 1) / 2 for k in range(trace.class_count)
@@ -111,10 +112,10 @@ def test_stream_defaults_to_schedule_shuffle_seed():
 def test_trace_class_id_validation():
     schedule = TaskSchedule.uniform(class_count=2, tasks=1, samples_per_class=5)
     trace = generate_stream(schedule, seed=0)
-    with pytest.raises(DomainError):
-        trace.polarities(2)
-    with pytest.raises(DomainError):
-        trace.polarities(-1)
+    for per_class in (trace.polarities, trace.cumulative_positives):
+        for class_id in (2, -1, 99):
+            with pytest.raises(DomainError):
+                per_class(class_id)
 
 
 # ---------------------------------------------------------------------------
