@@ -33,9 +33,7 @@ from .metrics import (
 from .sim import (
     Classifier,
     SyntheticDataset,
-    TrainState,
     ablate,
-    fresh_state,
     make_gaussian_tasks,
     train_cells,
     train_incremental,
@@ -77,8 +75,6 @@ __all__ = [
     "sample_dominance_pair",
     "SyntheticDataset",
     "Classifier",
-    "TrainState",
-    "fresh_state",
     "make_gaussian_tasks",
     "train_cells",
     "train_incremental",

@@ -34,12 +34,12 @@ from .bench import (
     run_loss_benchmark,
 )
 from .calibration import solve_calibration
-from .config import ExperimentSpec, load_spec
+from .config import load_spec
 from .errors import DomainError, SolverError, SpecError, TalcilError, TrainingError
 from .kernel import MemoryKernel, QState, update_tal
-from .metrics import forgetting_curve
+from .metrics import TABLE_HEADERS, forgetting_curve, seed_summary
 from .output import atomic_write_text, write_csv, write_jsonl, write_manifest
-from .sim import ABLATION_LAMBDAS, ABLATION_RS, ablate, fresh_state, tasks_for, train_incremental
+from .sim import ABLATION_LAMBDAS, ABLATION_RS, ablate, train_incremental
 from .streams import TaskSchedule, generate_stream, sample_dominance_pair, verify_theorem1
 
 EXIT_OK = 0
@@ -190,26 +190,19 @@ def _cmd_verify_theorem1(args) -> int:
     return EXIT_OK if held == total else EXIT_SOLVER
 
 
-def _run_experiment(spec: ExperimentSpec, seed: int):
-    dataset, tasks = tasks_for(spec, seed)
-    events: list[dict] = []
-    state = fresh_state(spec.loss, spec.schedule, spec.dataset.dim, seed)
-    report = train_incremental(state, dataset, tasks, event_sink=events.append)
-    return report, events
-
-
 def _cmd_train(args) -> int:
     spec = load_spec(args.spec)
     out_dir = _resolve_output_dir(args.output_dir, spec.output_dir)
     csv_files: dict[str, tuple] = {}
     jsonl_files: dict[str, list] = {}
-    a_means, a_lasts = [], []
+    rows = []
     for seed in spec.seeds:
-        report, events = _run_experiment(spec, seed)
+        events: list[dict] = []
+        report = train_incremental(spec, seed, event_sink=events.append)
         csv_files.update(report.tables())
         jsonl_files[f"events_seed{seed}.jsonl"] = events
-        a_means.append(report.a_mean)
-        a_lasts.append(report.a_last)
+        rows.append({"seed": seed, "a_mean": report.a_mean, "a_last": report.a_last})
+    [summary] = seed_summary(rows)
     for name, (header, columns) in csv_files.items():
         write_csv(out_dir / name, header, columns)
     for name, events in jsonl_files.items():
@@ -219,15 +212,15 @@ def _cmd_train(args) -> int:
         ("seed", "a_mean", "a_last"),
         (
             [*spec.seeds, "mean", "std"],
-            [*a_means, float(np.mean(a_means)), float(np.std(a_means))],
-            [*a_lasts, float(np.mean(a_lasts)), float(np.std(a_lasts))],
+            [*(row["a_mean"] for row in rows), summary["a_mean_mean"], summary["a_mean_std"]],
+            [*(row["a_last"] for row in rows), summary["a_last_mean"], summary["a_last_std"]],
         ),
     )
     write_manifest(out_dir, spec.resolved_dict(), spec.seeds, __version__)
     print(
         f"{spec.loss.kind} over {len(spec.seeds)} seeds: "
-        f"a_mean={np.mean(a_means):.4f}+-{np.std(a_means):.4f} "
-        f"a_last={np.mean(a_lasts):.4f}+-{np.std(a_lasts):.4f} -> {out_dir}"
+        f"a_mean={summary['a_mean_mean']:.4f}+-{summary['a_mean_std']:.4f} "
+        f"a_last={summary['a_last_mean']:.4f}+-{summary['a_last_std']:.4f} -> {out_dir}"
     )
     return EXIT_OK
 
@@ -246,23 +239,12 @@ def _cmd_ablate(args) -> int:
             for key in ("loss", "lam", "r", "seed", "a_mean", "a_last")
         ],
     )
-    summary = {}
-    for row in rows:
-        summary.setdefault((row["loss"], row["lam"], row["r"]), []).append(
-            (row["a_mean"], row["a_last"])
-        )
-    keys = sorted(summary, key=lambda key: (key[0], key[1] or 0.0, key[2] or 0.0))
-    cells = [np.array(summary[key]) for key in keys]  # one (seeds, 2) array per cell
+    summary = seed_summary(rows, by=("loss", "lam", "r"))
+    stats = ("a_mean_mean", "a_mean_std", "a_last_mean", "a_last_std")
     write_csv(
         out_dir / "ablation_summary.csv",
-        ("loss", "lambda", "r", "a_mean_mean", "a_mean_std", "a_last_mean", "a_last_std"),
-        (
-            *zip(*keys),
-            [float(arr[:, 0].mean()) for arr in cells],
-            [float(arr[:, 0].std()) for arr in cells],
-            [float(arr[:, 1].mean()) for arr in cells],
-            [float(arr[:, 1].std()) for arr in cells],
-        ),
+        ("loss", "lambda", "r", *stats),
+        [[cell[key] for cell in summary] for key in ("loss", "lam", "r", *stats)],
     )
     write_manifest(out_dir, spec.resolved_dict(), spec.seeds, __version__)
     print(f"ablation grid {len(lambdas)}x{len(rs)} (+CE) over {len(spec.seeds)} seeds -> {out_dir}")
@@ -299,10 +281,39 @@ def _cmd_bench_loss(args) -> int:
     return EXIT_OK
 
 
-def _read_csv(path: Path):
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+_FLOAT_COLUMNS = frozenset({"accuracy", "precision", "recall", "q_value"})
+
+
+def _check_cell(column: str, cell: str) -> None:
+    """A cell as ``train`` writes it: a float, or a nonnegative integer in a
+    count or id column; an undefined precision is an empty cell."""
+    if column not in _FLOAT_COLUMNS:
+        if int(cell) < 0:
+            raise ValueError(f"negative {column} {cell!r}")
+    elif cell or column != "precision":
+        float(cell)
+
+
+def _read_table(path: Path, table: str) -> list[list[str]]:
+    """The rows of one run table, checked against what ``train`` writes: the
+    table's header, at least one row, and a parseable cell per column.
+    Anything else is a malformed run directory (``SpecError``)."""
+    header, *lines = path.read_text().strip().split("\n")
+    columns = TABLE_HEADERS[table]
+    if header.split(",") != list(columns):
+        raise SpecError(f"{path}: header is not {','.join(columns)}")
+    if not lines:
+        raise SpecError(f"{path}: no rows")
+    rows = [line.split(",") for line in lines]
+    for number, row in enumerate(rows, start=2):
+        try:
+            if len(row) != len(columns):
+                raise ValueError(f"{len(row)} cells, expected {len(columns)}")
+            for column, cell in zip(columns, row):
+                _check_cell(column, cell)
+        except ValueError as exc:
+            raise SpecError(f"{path}, line {number}: {exc}") from exc
+    return rows
 
 
 def _seed_files(run_dir: Path, prefix: str):
@@ -326,10 +337,12 @@ def _cmd_plotdata(args) -> int:
     out_rows: list[tuple] = []
     if args.what in ("accuracy", "forgetting"):
         for seed, path in _seed_files(run_dir, "accuracy_matrix"):
-            _, rows = _read_csv(path)
+            rows = _read_table(path, "accuracy_matrix")
             n_tasks = max(int(r[0]) for r in rows) + 1
             matrix = np.full((n_tasks, n_tasks), np.nan)
             for after, on, acc in rows:
+                if int(on) > int(after):
+                    raise SpecError(f"{path}: task {on} evaluated after task {after}")
                 matrix[int(after), int(on)] = float(acc)
             if args.what == "accuracy":
                 out_rows.extend(
@@ -346,11 +359,10 @@ def _cmd_plotdata(args) -> int:
             else ("seed", "task", "after_task", "accuracy")
         )
     else:  # the per-seed tables, each row prefixed with its seed
-        prefix = "per_class" if args.what == "per-class" else "q_snapshots"
-        for seed, path in _seed_files(run_dir, prefix):
-            cols, rows = _read_csv(path)
-            header = ("seed", *cols)
-            out_rows.extend((seed, *r) for r in rows)
+        table = "per_class" if args.what == "per-class" else "q_snapshots"
+        header = ("seed", *TABLE_HEADERS[table])
+        for seed, path in _seed_files(run_dir, table):
+            out_rows.extend((seed, *r) for r in _read_table(path, table))
     lines = [",".join(header)]
     lines.extend(",".join(str(c) for c in row) for row in out_rows)
     text = "\n".join(lines) + "\n"

@@ -26,8 +26,24 @@ __all__ = [
     "confusion_and_prf",
     "asymmetry_index",
     "forgetting_curve",
+    "seed_summary",
     "spearman",
 ]
+
+# The header of each per-seed table a run writes (``<table>_seed<N>.csv``).
+TABLE_HEADERS = {
+    "accuracy_matrix": ("after_task", "on_task", "accuracy"),
+    "per_class": (
+        "task_id",
+        "class_id",
+        "precision",
+        "recall",
+        "support",
+        "q_value",
+        "precision_defined",
+    ),
+    "q_snapshots": ("step", "class_id", "q_value"),
+}
 
 
 @dataclass(frozen=True)
@@ -81,36 +97,51 @@ class MetricsReport:
         defined = joined("precision_defined")
         precision = joined("precision").astype(object)
         precision[~defined] = None
-        return {
-            f"accuracy_matrix_seed{self.seed}.csv": (
-                ("after_task", "on_task", "accuracy"),
-                (after, on, self.accuracy_matrix[after, on]),
+        columns = {
+            "accuracy_matrix": (after, on, self.accuracy_matrix[after, on]),
+            "per_class": (
+                np.repeat(np.arange(len(sizes)), sizes),
+                class_ids,
+                precision,
+                joined("recall"),
+                joined("support"),
+                q_values,
+                defined,
             ),
-            f"per_class_seed{self.seed}.csv": (
-                (
-                    "task_id",
-                    "class_id",
-                    "precision",
-                    "recall",
-                    "support",
-                    "q_value",
-                    "precision_defined",
-                ),
-                (
-                    np.repeat(np.arange(len(sizes)), sizes),
-                    class_ids,
-                    precision,
-                    joined("recall"),
-                    joined("support"),
-                    q_values,
-                    defined,
-                ),
-            ),
-            f"q_snapshots_seed{self.seed}.csv": (
-                ("step", "class_id", "q_value"),
-                (np.repeat([step for step, _ in self.q_snapshots], sizes), class_ids, q_values),
+            "q_snapshots": (
+                np.repeat([step for step, _ in self.q_snapshots], sizes),
+                class_ids,
+                q_values,
             ),
         }
+        return {
+            f"{table}_seed{self.seed}.csv": (header, columns[table])
+            for table, header in TABLE_HEADERS.items()
+        }
+
+
+def seed_summary(rows, by=()) -> list[dict]:
+    """Mean and (population) std over seeds of ``a_mean`` and ``a_last``.
+
+    ``rows`` are dicts holding ``a_mean``, ``a_last`` and the keys named
+    in ``by``; the rows that agree on those keys are one group, such as
+    one ablation cell over its seeds.  Each group gives one dict: its
+    ``by`` keys plus ``a_mean_mean``, ``a_mean_std``, ``a_last_mean`` and
+    ``a_last_std``.  Groups come sorted by their keys, a ``None`` key
+    (the CE cell's lambda and r) counting as 0.
+    """
+    groups: dict[tuple, list] = {}
+    for row in rows:
+        groups.setdefault(tuple(row[key] for key in by), []).append(row)
+    out = []
+    for key in sorted(groups, key=lambda key: tuple(0.0 if v is None else v for v in key)):
+        summary = dict(zip(by, key))
+        for name in ("a_mean", "a_last"):
+            values = np.array([row[name] for row in groups[key]])
+            summary[f"{name}_mean"] = float(values.mean())
+            summary[f"{name}_std"] = float(values.std())
+        out.append(summary)
+    return out
 
 
 def confusion_matrix(predictions, labels, class_count: int) -> np.ndarray:

@@ -14,6 +14,11 @@ Both loss kinds advance the tracker with the fractional minibatch rule;
 under plain cross-entropy the tracker is a pure diagnostic (it never
 touches the loss), which is what lets the Q-vs-recall association be
 measured on the baseline.
+
+A run is one seed of an ``ExperimentSpec``: the seed draws the dataset,
+the head's initial weights and the batch order, and the spec's
+``ScheduleBlock`` fixes the rest.  Cells that train together in
+lockstep (``train_cells``) differ only in their ``LossBlock``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentSpec, LossBlock, ScheduleBlock
+from .config import ExperimentSpec, LossBlock
 from .errors import DomainError, SolverError, TrainingError
 from .kernel import MemoryKernel, Minibatch, QState, update_batched
 from .loss import TalConfig, ce_forward, training_step
@@ -34,8 +39,6 @@ from .streams import TaskSchedule
 __all__ = [
     "SyntheticDataset",
     "Classifier",
-    "TrainState",
-    "fresh_state",
     "make_gaussian_tasks",
     "tasks_for",
     "train_cells",
@@ -213,34 +216,9 @@ class Classifier:
 _WEIGHTS = ("w1", "b1", "w", "b")
 
 
-@dataclass
-class TrainState:
-    """Everything one incremental run needs besides the data: the head,
-    the tracker, and the spec's loss and schedule blocks, which are valid
-    by construction."""
-
-    classifier: Classifier
-    q_state: QState
-    loss: LossBlock
-    schedule: ScheduleBlock
-    seed: int
-
-
-def fresh_state(loss: LossBlock, schedule: ScheduleBlock, dim: int, seed: int) -> TrainState:
-    """A run before its first task: a head over ``dim`` inputs with no
-    classes yet (initial weights drawn from ``seed``) and an empty tracker."""
-    return TrainState(
-        classifier=Classifier(dim=dim, hidden=schedule.hidden, seed=seed),
-        q_state=QState(q=np.zeros(0)),
-        loss=loss,
-        schedule=schedule,
-        seed=seed,
-    )
-
-
 def tasks_for(spec: ExperimentSpec, seed: int) -> tuple[SyntheticDataset, TaskSchedule]:
-    """The dataset and task schedule of one spec seed; ``train``, ``ablate``
-    and ``desk_scale_pair`` all build their problem here."""
+    """The dataset and task schedule of one spec seed; ``train_cells``
+    builds every run's problem here."""
     return make_gaussian_tasks(
         spec.dataset.classes,
         spec.dataset.dim,
@@ -281,57 +259,49 @@ def _batches(rng, train_x, train_y, epochs: int, batch_size: int):
             yield epoch, train_x[idx], train_y[idx]
 
 
-def train_cells(
-    states,
-    dataset: SyntheticDataset,
-    schedule: TaskSchedule,
-    event_sinks=None,
-) -> list[MetricsReport]:
-    """Task-sequential training with replay of several cells in lockstep.
+def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> list[MetricsReport]:
+    """Task-sequential training with replay of several loss cells in lockstep.
 
-    The cells share one seed, schedule block and head shape (checked
-    here), so they see one batch stream: the permutations are drawn once
-    and each minibatch is gathered once and its labels are checked once,
-    as one ``Minibatch`` that every cell's loss and tracker step read.  The
+    Every cell trains on the problem of one spec seed (``tasks_for``)
+    under the spec's ``ScheduleBlock``, from the head
+    ``Classifier(spec.dataset.dim, spec.schedule.hidden, seed)`` and an
+    empty tracker; the cells differ only in their ``LossBlock``.  So they
+    see one batch stream: the permutations are drawn once and each
+    minibatch is gathered once and its labels are checked once, as one
+    ``Minibatch`` that every cell's loss and tracker step read.  The
     heads are stacked along a cells axis and one ``np.matmul`` per
     product gives every cell's logits and SGD step; each cell runs its
     own loss and tracker step on its slice and is evaluated on its own,
-    so its report is bit for bit that of training it alone.  Each state's
-    classifier ends holding its cell's weights.
+    so its report is bit for bit that of training it alone.
 
     The tracker is advanced once per training minibatch (never during
     evaluation).  For the adjusted loss the calibration is re-solved at
     every task boundary because the class count grows.  A cell whose
     loss diverges leaves the lockstep and the others train on; the
-    ``TrainingError`` of the first failed cell in ``states`` order is
+    ``TrainingError`` of the first failed cell in ``losses`` order is
     raised at the end, carrying that cell's own step.
     """
-    states = list(states)
-    sinks = [None] * len(states) if event_sinks is None else list(event_sinks)
-    if not states or len(sinks) != len(states):
+    losses = list(losses)
+    sinks = [None] * len(losses) if event_sinks is None else list(event_sinks)
+    if not losses or len(sinks) != len(losses):
         raise DomainError("need at least one cell and one event sink (or None) per cell")
-    shared = {
-        (s.seed, s.schedule, s.classifier.dim, s.classifier.hidden, s.classifier.w.shape)
-        for s in states
-    }
-    if len(shared) != 1:
-        raise DomainError("lockstep cells must share seed, schedule and head shape")
-    first = states[0]
+    dataset, schedule = tasks_for(spec, seed)
     n_tasks = len(schedule.tasks)
-    rng = np.random.default_rng(first.seed)
-    head = Classifier.stack([s.classifier for s in states])
-    live = list(range(len(states)))  # the cell of each stacked slice
-    q_states = [s.q_state for s in states]
-    kernels = [MemoryKernel(lam=s.loss.lam) for s in states]
+    rng = np.random.default_rng(seed)
+    head = Classifier(spec.dataset.dim, spec.schedule.hidden, seed)
+    head = Classifier.stack([head] * len(losses))
+    live = list(range(len(losses)))  # the cell of each stacked slice
+    q_states = [QState(q=np.zeros(0))] * len(losses)
+    kernels = [MemoryKernel(lam=loss.lam) for loss in losses]
     errors: dict[int, TrainingError] = {}
-    acc_matrix = [np.full((n_tasks, n_tasks), np.nan) for _ in states]
-    overall = [np.zeros(n_tasks) for _ in states]
-    per_task: list[list[PerClassMetrics]] = [[] for _ in states]
-    snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in states]
+    acc_matrix = [np.full((n_tasks, n_tasks), np.nan) for _ in losses]
+    overall = [np.zeros(n_tasks) for _ in losses]
+    per_task: list[list[PerClassMetrics]] = [[] for _ in losses]
+    snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in losses]
     replay: dict[int, np.ndarray] = {}
     seen_classes: list[int] = []
     global_step = 0
-    batch_size, lr = first.schedule.batch_size, first.schedule.lr
+    epochs, batch_size, lr = spec.schedule.epochs, spec.schedule.batch_size, spec.schedule.lr
 
     for t, task in enumerate(schedule.tasks):
         head.add_classes(len(task.new_class_ids))
@@ -339,7 +309,7 @@ def train_cells(
         configs = {}
         for k in live:
             q_states[k] = q_states[k].append_classes(len(task.new_class_ids))
-            loss = states[k].loss
+            loss = losses[k]
             if loss.kind == "TAL":
                 configs[k] = TalConfig.for_classes(
                     loss.lam, loss.r, c_now, loss.epsilon, exploratory=loss.exploratory
@@ -355,11 +325,11 @@ def train_cells(
         train_x = np.concatenate(parts_x)
         train_y = np.concatenate(parts_y).astype(np.int64)
 
-        for epoch, xb, yb in _batches(rng, train_x, train_y, first.schedule.epochs, batch_size):
+        for epoch, xb, yb in _batches(rng, train_x, train_y, epochs, batch_size):
             z = head.logits(xb)
             batch = Minibatch(yb, c_now)  # every cell reads the same checked labels
             grads = np.empty_like(z)
-            losses = []
+            values = []
             failed = []
             for i, k in enumerate(live):
                 # The loss functions reject non-finite logits with a
@@ -372,9 +342,9 @@ def train_cells(
                         q_states[k] = update_batched(
                             q_states[k],
                             kernels[k],
-                            states[k].loss.r,
+                            losses[k].r,
                             batch,
-                            strict=not states[k].loss.exploratory,
+                            strict=not losses[k].exploratory,
                         )
                 except DomainError as exc:
                     if np.isfinite(z[i]).all():
@@ -392,11 +362,8 @@ def train_cells(
                     failed.append(i)
                     continue
                 grads[i] = out.grad_logits
-                losses.append(out.loss)
+                values.append(out.loss)
             if failed:
-                # a failed cell keeps the weights it diverged with
-                for i in failed:
-                    vars(states[live[i]].classifier).update(vars(head.cell(i)))
                 keep = [i for i in range(len(live)) if i not in failed]
                 live = [live[i] for i in keep]
                 if not live:
@@ -404,9 +371,9 @@ def train_cells(
                 head = Classifier.stack([head.cell(i) for i in keep])
                 grads = grads[keep]
             head.train_batch(xb, grads, lr)
-            for k, loss in zip(live, losses):
+            for k, value in zip(live, values):
                 if sinks[k] is not None:
-                    sinks[k]({"task": t, "epoch": epoch, "step": global_step, "loss": loss})
+                    sinks[k]({"task": t, "epoch": epoch, "step": global_step, "loss": value})
             global_step += 1
         if not live:
             break
@@ -432,8 +399,6 @@ def train_cells(
             per_task[k].append(confusion_and_prf(preds, test_y, c_now))
             snapshots[k].append((global_step, q_states[k].q))
 
-    for i, k in enumerate(live):
-        vars(states[k].classifier).update(vars(head.cell(i)))
     if errors:
         raise errors[min(errors)]
     return [
@@ -442,28 +407,24 @@ def train_cells(
             overall_accuracy=overall[k],
             per_task=tuple(per_task[k]),
             q_snapshots=tuple(snapshots[k]),
-            seed=state.seed,
+            seed=seed,
         )
-        for k, state in enumerate(states)
+        for k in range(len(losses))
     ]
 
 
-def train_incremental(
-    state: TrainState,
-    dataset: SyntheticDataset,
-    schedule: TaskSchedule,
-    event_sink=None,
-) -> MetricsReport:
-    """Task-sequential training with replay of one cell; see ``train_cells``."""
-    return train_cells([state], dataset, schedule, [event_sink])[0]
+def train_incremental(spec: ExperimentSpec, seed: int, event_sink=None) -> MetricsReport:
+    """One spec seed trained under the spec's own loss: the one-cell case
+    of ``train_cells``."""
+    return train_cells(spec, seed, [spec.loss], [event_sink])[0]
 
 
 def ablate(spec: ExperimentSpec, *, lambdas=ABLATION_LAMBDAS, rs=ABLATION_RS) -> list[dict]:
     """Full (lam, r) grid plus one cross-entropy baseline row, per spec seed.
 
-    Each seed builds its own problem (``tasks_for``), as ``train`` does,
-    and its cells train in lockstep (``train_cells``) under the spec's
-    schedule; the spec's loss block is replaced by the grid.  Cells with
+    Each seed's cells train in lockstep on that seed's problem
+    (``train_cells``), as ``train`` trains its one cell; the spec's loss
+    block is replaced by the grid.  Cells with
     r < 1 sit outside the calibrated domain and run in exploratory mode
     (range checks demoted to warnings); they are reported like any other
     cell.  Every cell is enumerated -- nothing is skipped.  Rows come
@@ -476,11 +437,7 @@ def ablate(spec: ExperimentSpec, *, lambdas=ABLATION_LAMBDAS, rs=ABLATION_RS) ->
     losses = [LossBlock(kind="CE")] + [
         LossBlock(lam=lam, r=r, exploratory=r < 1.0) for lam in lambdas for r in rs
     ]
-    reports = []
-    for seed in spec.seeds:
-        dataset, tasks = tasks_for(spec, seed)
-        states = [fresh_state(loss, spec.schedule, spec.dataset.dim, seed) for loss in losses]
-        reports.append(train_cells(states, dataset, tasks))
+    reports = [train_cells(spec, seed, losses) for seed in spec.seeds]
     return [
         {
             "loss": loss.kind.lower(),
@@ -509,15 +466,13 @@ def desk_scale_pair(seed: int, *, lam: float = 0.995, r: float = 1.0) -> dict[st
     classes (``early_recall``, ``early_precision``).
     """
     spec = ExperimentSpec(loss=LossBlock(lam=lam, r=r))
-    dataset, tasks = tasks_for(spec, seed)
     kinds = ("ce", "tal")
-    states = [
-        fresh_state(replace(spec.loss, kind=kind.upper()), spec.schedule, spec.dataset.dim, seed)
-        for kind in kinds
-    ]
-    ages = class_ages(tasks)
+    losses = [replace(spec.loss, kind=kind.upper()) for kind in kinds]
+    ages = class_ages(
+        TaskSchedule.uniform(spec.dataset.classes, spec.dataset.tasks, spec.dataset.per_class)
+    )
     results = {}
-    for kind, report in zip(kinds, train_cells(states, dataset, tasks)):
+    for kind, report in zip(kinds, train_cells(spec, seed, losses)):
         final = report.per_task[-1]
         results[kind] = {
             "a_mean": report.a_mean,

@@ -511,6 +511,60 @@ def test_plotdata_reads_only_seed_file_names(tmp_path, capsys):
     assert outputs[1] == outputs[0]
 
 
+def _keep_header(text):
+    return text.split("\n")[0] + "\n"
+
+
+def _spoil_a_cell(text):
+    return text.replace("0,0,0.", "0,0,x.", 1)
+
+
+def _lift_a_row(text):
+    return text.replace("\n1,0,", "\n1,4,", 1)  # task 4 evaluated after task 1
+
+
+def _drop_a_cell(text):
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, first.rsplit(",", 1)[0], rest])
+
+
+@pytest.mark.parametrize(
+    "name, damage, what",
+    [
+        ("accuracy_matrix_seed0.csv", _keep_header, "accuracy"),
+        ("accuracy_matrix_seed0.csv", _keep_header, "forgetting"),
+        ("accuracy_matrix_seed0.csv", _spoil_a_cell, "accuracy"),
+        ("accuracy_matrix_seed0.csv", _drop_a_cell, "accuracy"),
+        ("accuracy_matrix_seed3.csv", _lift_a_row, "forgetting"),
+        ("per_class_seed2.csv", _drop_a_cell, "per-class"),
+        ("q_snapshots_seed1.csv", _keep_header, "q"),
+    ],
+    ids=[
+        "header-only",
+        "header-only-forgetting",
+        "non-numeric",
+        "missing-cell",
+        "upper-triangle",
+        "missing-cell-per-class",
+        "seed-dropped",
+    ],
+)
+def test_plotdata_malformed_run_file_exits_3_with_nothing_written(
+    tmp_path, capsys, name, damage, what
+):
+    # these used to exit 1 (an internal error), or 0 with a short row or
+    # without the seed's rows
+    run = tmp_path / "run"
+    shutil.copytree(ROOT / "runs" / "demo", run)
+    path = run / name
+    path.write_text(damage(path.read_text()))
+    out_file = tmp_path / "long.csv"
+    assert main(["plotdata", "--run", str(run), "--what", what, "--output", str(out_file)]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SpecError" and name in record["message"]
+    assert not out_file.exists()
+
+
 def test_plotdata_missing_run_dir(tmp_path, capsys):
     assert main(["plotdata", "--run", str(tmp_path / "nope"), "--what", "q"]) == 3
 

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from talcil import DomainError, asymmetry_index, confusion_and_prf, forgetting_curve, spearman
-from talcil.metrics import confusion_matrix
+from talcil.metrics import confusion_matrix, seed_summary
 
 
 def rank_by_pair_counting(values):
@@ -203,3 +203,26 @@ def test_known_matrix_reshapes_correctly():
     assert curves[2].tolist() == [0.97]
     with pytest.raises(DomainError):
         forgetting_curve(np.zeros((2, 3)))
+
+
+def test_seed_summary_groups_cells_in_key_order():
+    # an unsorted grid (--lambdas 0.999,0.99) still summarizes in key order,
+    # the CE cell's None lambda counting as 0
+    rows = [
+        {"loss": "tal", "lam": 0.999, "seed": 0, "a_mean": 0.5, "a_last": 0.25},
+        {"loss": "tal", "lam": 0.99, "seed": 0, "a_mean": 0.75, "a_last": 0.5},
+        {"loss": "ce", "lam": None, "seed": 0, "a_mean": 0.25, "a_last": 0.125},
+        {"loss": "tal", "lam": 0.999, "seed": 1, "a_mean": 0.25, "a_last": 0.75},
+    ]
+    summary = seed_summary(rows, by=("loss", "lam"))
+    assert [(cell["loss"], cell["lam"]) for cell in summary] == [
+        ("ce", None), ("tal", 0.99), ("tal", 0.999)
+    ]
+    assert summary[2] == {
+        "loss": "tal", "lam": 0.999,
+        "a_mean_mean": 0.375, "a_mean_std": 0.125, "a_last_mean": 0.5, "a_last_std": 0.25,
+    }
+    [whole] = seed_summary(rows)
+    a_means = [row["a_mean"] for row in rows]
+    assert whole["a_mean_mean"] == float(np.mean(a_means))
+    assert whole["a_mean_std"] == float(np.std(a_means))

@@ -14,7 +14,7 @@ from talcil import (
     train_incremental,
 )
 from talcil.config import DatasetBlock, ExperimentSpec, LossBlock, ScheduleBlock
-from talcil.sim import Classifier, class_ages, fresh_state, train_cells
+from talcil.sim import Classifier, class_ages, train_cells
 
 CE = LossBlock(kind="CE")
 TAL = LossBlock(kind="TAL")
@@ -27,6 +27,12 @@ def small_setup(seed=0, classes=10, tasks=5, per_class=100, sep=2.5, replay=20):
         classes, 16, tasks, per_class, sep, seed,
         test_per_class=100, replay_per_old_class=replay,
     )
+
+
+def spec_of(loss=CE, schedule=QUICK, **dataset):
+    """A run on ``small_setup``'s problem, or on one with ``dataset`` changed;
+    the schedule block carries the replay count."""
+    return ExperimentSpec(dataset=DatasetBlock(**dataset), schedule=schedule, loss=loss)
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +74,8 @@ def test_dataset_parameter_validation():
 
 
 def test_widely_separated_classes_are_jointly_learnable():
-    ds, schedule = make_gaussian_tasks(
-        10, 16, 1, 100, 6.0, 0, test_per_class=100, replay_per_old_class=0
-    )
-    report = train_incremental(fresh_state(CE, QUICK, 16, 0), ds, schedule)
+    spec = spec_of(schedule=replace(QUICK, replay_per_class=0), tasks=1, sep=6.0)
+    report = train_incremental(spec, 0)
     assert report.a_last > 0.95
 
 
@@ -95,23 +99,21 @@ def test_classifier_head_grows_with_zero_columns():
 
 
 def test_hidden_layer_classifier_trains():
-    ds, schedule = make_gaussian_tasks(
-        4, 8, 1, 60, 4.0, 0, test_per_class=50, replay_per_old_class=0
+    spec = spec_of(
+        schedule=replace(QUICK, hidden=32, replay_per_class=0),
+        classes=4, dim=8, tasks=1, per_class=60, test_per_class=50, sep=4.0,
     )
-    report = train_incremental(
-        fresh_state(CE, replace(QUICK, hidden=32), 8, 0), ds, schedule
-    )
+    report = train_incremental(spec, 0)
     assert report.a_last > 0.9
 
 
 def test_hidden_layer_incremental_run_grows_head_only():
-    ds, schedule = make_gaussian_tasks(
-        4, 8, 2, 40, 3.0, 0, test_per_class=30, replay_per_old_class=5
+    spec = spec_of(
+        TAL,
+        ScheduleBlock(replay_per_class=5, hidden=16, lr=0.1, epochs=15, batch_size=16),
+        classes=4, dim=8, tasks=2, per_class=40, test_per_class=30, sep=3.0,
     )
-    state = fresh_state(TAL, ScheduleBlock(hidden=16, lr=0.1, epochs=15, batch_size=16), 8, 0)
-    report = train_incremental(state, ds, schedule)
-    assert state.classifier.w1.shape == (8, 16)
-    assert state.classifier.w.shape == (16, 4)
+    report = train_incremental(spec, 0)
     assert report.overall_accuracy[-1] > 0.5  # well above the 0.25 chance level
 
 
@@ -121,19 +123,15 @@ def test_hidden_layer_incremental_run_grows_head_only():
 
 
 def test_single_task_adjusted_and_plain_losses_agree_closely():
-    ds, schedule = make_gaussian_tasks(
-        10, 16, 1, 100, 2.5, 0, test_per_class=100, replay_per_old_class=0
-    )
     acc = {}
     for kind in ("ce", "tal"):
-        report = train_incremental(fresh_state(LOSSES[kind], QUICK, 16, 0), ds, schedule)
-        acc[kind] = report.a_last
+        spec = spec_of(LOSSES[kind], replace(QUICK, replay_per_class=0), tasks=1)
+        acc[kind] = train_incremental(spec, 0).a_last
     assert abs(acc["tal"] - acc["ce"]) < 0.02
 
 
 def test_accuracy_matrix_is_lower_triangular():
-    ds, schedule = small_setup(seed=0, per_class=40)
-    report = train_incremental(fresh_state(CE, QUICK, 16, 0), ds, schedule)
+    report = train_incremental(spec_of(per_class=40), 0)
     acc = report.accuracy_matrix
     for t in range(5):
         for u in range(5):
@@ -154,8 +152,7 @@ def test_ce_run_shows_age_skew_and_positive_q_recall_association():
     corr_q_recall = []
     early_skew = 0
     for seed in range(3):
-        ds, schedule = small_setup(seed=seed)
-        report = train_incremental(fresh_state(CE, QUICK, 16, seed), ds, schedule)
+        report = train_incremental(spec_of(), seed)
         final = report.per_task[4]
         recall = final.recall
         precision = final.precision
@@ -170,21 +167,16 @@ def test_ce_run_shows_age_skew_and_positive_q_recall_association():
 def test_adjusted_loss_beats_plain_on_paired_seeds():
     wins = 0
     for seed in range(2):
-        ds, schedule = small_setup(seed=seed)
         a_last = {}
         for kind in ("ce", "tal"):
-            report = train_incremental(
-                fresh_state(LOSSES[kind], QUICK, 16, seed), ds, schedule
-            )
-            a_last[kind] = report.a_last
+            a_last[kind] = train_incremental(spec_of(LOSSES[kind]), seed).a_last
         wins += a_last["tal"] > a_last["ce"]
     assert wins == 2
 
 
 def test_reports_are_reproducible():
-    ds, schedule = small_setup(seed=3, per_class=40)
-    a = train_incremental(fresh_state(TAL, QUICK, 16, 3), ds, schedule)
-    b = train_incremental(fresh_state(TAL, QUICK, 16, 3), ds, schedule)
+    a = train_incremental(spec_of(TAL, per_class=40), 3)
+    b = train_incremental(spec_of(TAL, per_class=40), 3)
     assert np.array_equal(a.accuracy_matrix, b.accuracy_matrix, equal_nan=True)
     assert all(
         np.array_equal(getattr(m1, f.name), getattr(m2, f.name), equal_nan=True)
@@ -199,36 +191,31 @@ def test_reports_are_reproducible():
 
 
 def test_tracker_tracks_classifier_growth():
-    ds, schedule = small_setup(seed=0, per_class=30)
-    report = train_incremental(fresh_state(TAL, QUICK, 16, 0), ds, schedule)
+    report = train_incremental(spec_of(TAL, per_class=30), 0)
     # after task t there are 2*(t+1) classes, all with a tracker entry
     for t, (_, q) in enumerate(report.q_snapshots):
         assert q.shape == (2 * (t + 1),)
 
 
 def test_divergent_run_raises_training_error_with_step():
-    ds, schedule = make_gaussian_tasks(
-        4, 8, 2, 20, 2.5, 0, test_per_class=10, replay_per_old_class=2
+    spec = spec_of(
+        schedule=ScheduleBlock(replay_per_class=2, lr=1e308, epochs=3),
+        classes=4, dim=8, tasks=2, per_class=20, test_per_class=10,
     )
-    state = fresh_state(CE, ScheduleBlock(lr=1e308, epochs=3), 8, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingError) as err:
-            train_incremental(state, ds, schedule)
+            train_incremental(spec, 0)
     assert err.value.step is not None
 
 
 def test_event_sink_sees_every_step():
-    ds, schedule = make_gaussian_tasks(
-        4, 8, 2, 24, 2.5, 0, test_per_class=10, replay_per_old_class=4
+    spec = spec_of(
+        schedule=ScheduleBlock(replay_per_class=4, lr=0.1, epochs=2, batch_size=16),
+        classes=4, dim=8, tasks=2, per_class=24, test_per_class=10,
     )
     events = []
-    train_incremental(
-        fresh_state(CE, ScheduleBlock(lr=0.1, epochs=2, batch_size=16), 8, 0),
-        ds,
-        schedule,
-        event_sink=events.append,
-    )
+    train_incremental(spec, 0, event_sink=events.append)
     # task 0: 48 samples -> 3 batches/epoch; task 1: 48+8 -> 4 batches/epoch
     assert len(events) == 2 * 3 + 2 * 4
     assert [e["step"] for e in events] == list(range(len(events)))
@@ -243,11 +230,8 @@ def test_forgetting_curve_directions():
     finals = {"ce": [], "tal": []}
     initial_drop = 0
     for seed in range(5):
-        ds, schedule = small_setup(seed=seed)
         for kind in ("ce", "tal"):
-            report = train_incremental(
-                fresh_state(LOSSES[kind], QUICK, 16, seed), ds, schedule
-            )
+            report = train_incremental(spec_of(LOSSES[kind]), seed)
             task0 = forgetting_curve(report.accuracy_matrix)[0]
             finals[kind].append(task0[-1])
             if kind == "ce" and task0[-1] < task0[0]:
@@ -282,10 +266,6 @@ def report_bits(report):
     return {f.name: bits(getattr(report, f.name)) for f in fields(report)}
 
 
-def head_bits(classifier):
-    return [bits(getattr(classifier, name)) for name in ("w1", "b1", "w", "b")]
-
-
 LOCKSTEP_CELLS = [
     CE,
     LossBlock(lam=0.99, r=1.0),
@@ -296,96 +276,60 @@ LOCKSTEP_CELLS = [
 
 @pytest.mark.parametrize("hidden", [0, 8])
 def test_lockstep_cells_equal_one_cell_runs_bit_for_bit(hidden):
-    ds, schedule = make_gaussian_tasks(
-        6, 8, 3, 40, 2.5, 2, test_per_class=20, replay_per_old_class=5
+    spec = spec_of(
+        schedule=ScheduleBlock(replay_per_class=5, hidden=hidden, lr=0.1, epochs=4, batch_size=16),
+        classes=6, dim=8, tasks=3, per_class=40, test_per_class=20,
     )
-
-    def states():
-        schedule_block = ScheduleBlock(hidden=hidden, lr=0.1, epochs=4, batch_size=16)
-        return [fresh_state(loss, schedule_block, 8, 2) for loss in LOCKSTEP_CELLS]
-
-    alone_states, lock_states = states(), states()
-    alone_events = [[] for _ in alone_states]
-    lock_events = [[] for _ in lock_states]
+    alone_events = [[] for _ in LOCKSTEP_CELLS]
+    lock_events = [[] for _ in LOCKSTEP_CELLS]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         alone = [
-            train_incremental(state, ds, schedule, event_sink=events.append)
-            for state, events in zip(alone_states, alone_events)
+            train_incremental(replace(spec, loss=loss), 2, event_sink=events.append)
+            for loss, events in zip(LOCKSTEP_CELLS, alone_events)
         ]
-        lock = train_cells(
-            lock_states, ds, schedule, [events.append for events in lock_events]
-        )
+        lock = train_cells(spec, 2, LOCKSTEP_CELLS, [events.append for events in lock_events])
     assert [report_bits(r) for r in lock] == [report_bits(r) for r in alone]
-    assert [head_bits(s.classifier) for s in lock_states] == [
-        head_bits(s.classifier) for s in alone_states
-    ]
     assert [bits(tuple(tuple(e.items()) for e in ev)) for ev in lock_events] == [
         bits(tuple(tuple(e.items()) for e in ev)) for ev in alone_events
     ]
 
 
 def test_lockstep_raises_the_first_failed_cell_in_grid_order():
-    # With a huge learning rate a hidden layer's weights grow every step;
-    # the larger the initial weights, the sooner the logits overflow.
-    ds, schedule = make_gaussian_tasks(
-        4, 8, 2, 20, 2.5, 0, test_per_class=10, replay_per_old_class=2
+    # With a huge learning rate the logits overflow within a few steps,
+    # and the cross-entropy cell overflows one step before the TAL cell.
+    spec = spec_of(
+        schedule=ScheduleBlock(replay_per_class=2, hidden=4, epochs=6, lr=1e24),
+        classes=4, dim=8, tasks=2, per_class=20, test_per_class=10,
     )
-
-    def states():
-        cells = [("ce", 1e60), ("ce", 1e120), ("tal", 1.0)]
-        out = []
-        for kind, scale in cells:
-            state = fresh_state(LOSSES[kind], ScheduleBlock(hidden=4, epochs=3, lr=1e10), 8, 0)
-            state.classifier.w1 *= scale
-            out.append(state)
-        return out
-
-    alone_states, lock_states = states(), states()
+    cells = [LossBlock(lam=0.99, r=1.0), CE]
+    alone_events = [[] for _ in cells]
+    lock_events = [[] for _ in cells]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         steps = []
-        for state in alone_states[:2]:
+        for loss, events in zip(cells, alone_events):
             with pytest.raises(TrainingError) as err:
-                train_incremental(state, ds, schedule)
+                train_incremental(replace(spec, loss=loss), 0, event_sink=events.append)
             steps.append(err.value.step)
-        train_incremental(alone_states[2], ds, schedule)
         with pytest.raises(TrainingError) as err:
-            train_cells(lock_states, ds, schedule)
+            train_cells(spec, 0, cells, [events.append for events in lock_events])
     assert steps[1] < steps[0]  # the second cell fails first in time ...
     assert err.value.step == steps[0]  # ... but the first cell's error is raised
     assert str(err.value) == f"training diverged at step {steps[0]}"
-    # every cell, failed or not, ends with the weights its own run ends with
-    assert [head_bits(s.classifier) for s in lock_states] == [
-        head_bits(s.classifier) for s in alone_states
-    ]
+    # the first cell trains on after the second has left the lockstep
+    assert lock_events == alone_events
+    assert len(lock_events[0]) == steps[0] > len(lock_events[1]) == steps[1]
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        dict(seed=1),
-        dict(lr=0.2),
-        dict(epochs=2),
-        dict(batch_size=16),
-        dict(hidden=4),
-        dict(dim=6),
-    ],
-    ids=lambda change: next(iter(change)),
-)
-def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
-    ds, schedule = make_gaussian_tasks(4, 8, 2, 20, 2.5, 0, test_per_class=10)
-    base = dict(lr=0.1, epochs=3, batch_size=32, hidden=0)
-    other = {"seed": 0, "dim": 8, **base, **change}
-    seed, dim = other.pop("seed"), other.pop("dim")
-    states = [
-        fresh_state(CE, ScheduleBlock(**base), 8, 0),
-        fresh_state(TAL, ScheduleBlock(**other), dim, seed),
-    ]
+def test_lockstep_needs_a_cell_and_one_sink_per_cell():
+    spec = spec_of(classes=4, dim=8, tasks=2, per_class=20, test_per_class=10)
     with pytest.raises(DomainError):
-        train_cells(states, ds, schedule)
+        train_cells(spec, 0, [])
     with pytest.raises(DomainError):
-        train_cells([], ds, schedule)
+        train_cells(spec, 0, [CE, TAL], [None])
+    with pytest.raises(DomainError):
+        train_cells(spec, 0, [CE], [None, None])
 
 
 # ---------------------------------------------------------------------------
