@@ -322,6 +322,47 @@ def test_lockstep_raises_the_first_failed_cell_in_grid_order():
     assert len(lock_events[0]) == steps[0] > len(lock_events[1]) == steps[1]
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(seed=1),
+        dict(lr=0.2),
+        dict(epochs=2),
+        dict(batch_size=16),
+        dict(hidden=4),
+        dict(dim=6),
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
+    # The seed, the schedule and the head shape belong to the run, not to a
+    # cell: changing one of them changes it for every cell alike.
+    base = dict(seed=0, dim=8, lr=0.1, epochs=3, batch_size=32, hidden=0)
+    cells = [CE, TAL]
+
+    def run(seed, dim, **schedule):
+        spec = spec_of(
+            schedule=ScheduleBlock(replay_per_class=2, **schedule),
+            classes=4, dim=dim, tasks=2, per_class=20, test_per_class=10,
+        )
+        lock_events = [[] for _ in cells]
+        lock = train_cells(spec, seed, cells, [events.append for events in lock_events])
+        alone = [train_incremental(replace(spec, loss=loss), seed) for loss in cells]
+        assert [report_bits(r) for r in lock] == [report_bits(r) for r in alone]
+        return lock, [[(e["task"], e["epoch"], e["step"]) for e in ev] for ev in lock_events]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        before, before_stream = run(**base)
+        after, after_stream = run(**{**base, **change})
+    # both cells walk one batch stream, before and after the change
+    assert before_stream[0] == before_stream[1]
+    assert after_stream[0] == after_stream[1]
+    # and the change reaches each of them
+    for old, new in zip(before, after):
+        assert report_bits(old) != report_bits(new)
+
+
 def test_lockstep_needs_a_cell_and_one_sink_per_cell():
     spec = spec_of(classes=4, dim=8, tasks=2, per_class=20, test_per_class=10)
     with pytest.raises(DomainError):
