@@ -14,8 +14,6 @@ Run:
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from talcil import MemoryKernel, TaskSchedule, generate_stream, verify_theorem1
 from talcil.oracle import PolaritySequence, q_from_convolution
 from talcil.output import write_csv
@@ -56,16 +54,7 @@ def main():
 
     if args.output_dir:
         out = Path(args.output_dir)
-        steps = len(trace)
-        write_csv(
-            out / "s_curves.csv",
-            ("step", "class", "cumulative_positives"),
-            (
-                np.tile(np.arange(steps), 2),
-                np.repeat([0, 1], steps),
-                np.concatenate([trace.cumulative_positives(k) for k in (0, 1)]),
-            ),
-        )
+        write_csv(out / "s_curves.csv", *trace.s_curve_table())
         print(f"wrote {out / 's_curves.csv'}")
 
 

@@ -121,12 +121,7 @@ def _cmd_simulate_stream(args) -> int:
     out_dir = _resolve_output_dir(args.output_dir)
     step_ids = np.arange(steps)
     write_csv(out_dir / "trace.csv", ("step", "label"), (step_ids, trace.labels))
-    s_curves = np.cumsum(polarity > 0, axis=0).T.ravel()  # S_k, class-major
-    write_csv(
-        out_dir / "s_curves.csv",
-        ("step", "class", "cumulative_positives"),
-        (np.tile(step_ids, c), np.repeat(classes, steps), s_curves),
-    )
+    write_csv(out_dir / "s_curves.csv", *trace.s_curve_table())
     write_csv(
         out_dir / "q_trajectory.csv",
         ("step", "class_id", "q_value"),

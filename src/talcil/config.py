@@ -24,7 +24,14 @@ from .calibration import solve_calibration
 from .errors import DomainError, SolverError, SpecError
 from .kernel import check_domain
 
-__all__ = ["DatasetBlock", "ScheduleBlock", "LossBlock", "ExperimentSpec", "load_spec"]
+__all__ = [
+    "DatasetBlock",
+    "ScheduleBlock",
+    "LossBlock",
+    "ExperimentSpec",
+    "check_calibration",
+    "load_spec",
+]
 
 _KEY_RENAMES = {"lambda": "lam"}
 _SPEC_KEYS = {v: k for k, v in _KEY_RENAMES.items()}
@@ -122,6 +129,28 @@ class LossBlock:
     __post_init__ = validate
 
 
+def check_calibration(dataset: DatasetBlock, loss: LossBlock) -> None:
+    """A TAL loss block needs at least 2 classes per task of the dataset and
+    a calibration that a double can hold at its final class count; a
+    ``SpecError`` otherwise.  A CE block always passes."""
+    if loss.kind != "TAL":
+        return
+    classes, tasks = dataset.classes, dataset.tasks
+    if classes // tasks < 2:
+        raise SpecError(
+            f"loss.kind TAL needs at least 2 classes per task "
+            f"(dataset.classes={classes}, dataset.tasks={tasks})"
+        )
+    # alpha = 1/x*^r grows with the class count, so if the last task's
+    # calibration is representable, every earlier one is too
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            solve_calibration(classes, loss.r, strict=not loss.exploratory)
+    except (DomainError, SolverError) as exc:
+        raise SpecError(f"loss.r={loss.r!r} cannot be calibrated: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     dataset: DatasetBlock = field(default_factory=DatasetBlock)
@@ -131,8 +160,7 @@ class ExperimentSpec:
     output_dir: str | None = None
 
     def validate(self):
-        if self.loss.kind == "TAL":
-            self._check_calibration()
+        check_calibration(self.dataset, self.loss)
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise SpecError("seeds must be a non-empty list")
         if not all(_is_int(s) and s >= 0 for s in self.seeds):
@@ -141,22 +169,6 @@ class ExperimentSpec:
             raise SpecError(f"seeds must be unique, got {list(self.seeds)}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise SpecError(f"output_dir must be a string, got {self.output_dir!r}")
-
-    def _check_calibration(self):
-        classes, tasks = self.dataset.classes, self.dataset.tasks
-        if classes // tasks < 2:
-            raise SpecError(
-                f"loss.kind TAL needs at least 2 classes per task "
-                f"(dataset.classes={classes}, dataset.tasks={tasks})"
-            )
-        # alpha = 1/x*^r grows with the class count, so if the last task's
-        # calibration is representable, every earlier one is too
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                solve_calibration(classes, self.loss.r, strict=not self.loss.exploratory)
-        except (DomainError, SolverError) as exc:
-            raise SpecError(f"loss.r={self.loss.r!r} cannot be calibrated: {exc}") from exc
 
     def resolved_dict(self) -> dict:
         """Fully materialized mapping (defaults applied) for hashing/echoing."""

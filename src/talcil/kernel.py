@@ -62,8 +62,7 @@ class MemoryKernel:
     lam: float
 
     def __post_init__(self):
-        if not (0.0 < self.lam < 1.0):
-            raise DomainError(f"memory parameter must lie in (0, 1), got {self.lam}")
+        _check_lam(self.lam)
 
     @property
     def q_max(self) -> float:
@@ -211,6 +210,12 @@ class Minibatch:
         return p, q
 
 
+def _check_lam(lam) -> None:
+    """The domain rule's clause on lam alone, which every kernel obeys."""
+    if not 0.0 < lam < 1.0:
+        raise DomainError(f"memory parameter lam must lie in (0, 1), got {lam}")
+
+
 def check_domain(lam, r, exploratory: bool) -> None:
     """The calibrated-domain rule; every entry point calls this one copy.
 
@@ -224,8 +229,8 @@ def check_domain(lam, r, exploratory: bool) -> None:
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"steepness r must be finite and positive, got {r}")
-    if lam is not None and not 0.0 < lam < 1.0:
-        raise DomainError(f"memory parameter lam must lie in (0, 1), got {lam}")
+    if lam is not None:
+        _check_lam(lam)
     if exploratory:
         return
     if not r >= 1.0:

@@ -81,11 +81,7 @@ class TalConfig:
         *,
         exploratory: bool = False,
     ) -> "TalConfig":
-        """Build a config, and so solve its calibration, from lam.
-
-        The domain is checked before the kernel is built, so a bad lam is
-        reported by the domain rule, like every other entry point's."""
-        check_domain(lam, r, exploratory)
+        """Build a config, and so solve its calibration, from lam."""
         return cls(MemoryKernel(lam=lam), r, class_count, epsilon, exploratory=exploratory)
 
 

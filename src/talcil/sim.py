@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentSpec, LossBlock
+from .config import ExperimentSpec, LossBlock, check_calibration
 from .errors import DomainError, SolverError, TrainingError
 from .kernel import MemoryKernel, Minibatch, QState, update_batched
 from .loss import TalConfig, ce_forward, training_step
@@ -40,7 +40,6 @@ __all__ = [
     "SyntheticDataset",
     "Classifier",
     "make_gaussian_tasks",
-    "tasks_for",
     "train_cells",
     "train_incremental",
     "ablate",
@@ -57,18 +56,8 @@ class SyntheticDataset:
     """Gaussian mixture with balanced, seed-disjoint train/test splits."""
 
     class_means: np.ndarray      # (C, d)
-    cov_scale: float
     train: np.ndarray            # (C, train_per_class, d)
     test: np.ndarray             # (C, test_per_class, d)
-    seed: int
-
-    @property
-    def class_count(self) -> int:
-        return self.class_means.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.class_means.shape[1]
 
 
 def _place_means(
@@ -89,46 +78,29 @@ def _place_means(
     )
 
 
-def make_gaussian_tasks(
-    class_count: int,
-    dim: int,
-    tasks: int,
-    per_class: int,
-    sep: float,
-    seed: int,
-    *,
-    test_per_class: int = 100,
-    cov_scale: float = 1.0,
-    replay_per_old_class: int = 20,
-) -> tuple[SyntheticDataset, TaskSchedule]:
-    """Synthetic dataset plus the equal-width task schedule over it."""
-    if sep <= 0:
-        raise DomainError("separation must be positive")
-    if class_count % tasks != 0:
-        raise DomainError(
-            f"class count {class_count} not divisible by task count {tasks}"
-        )
-    if per_class < 1 or test_per_class < 1:
-        raise DomainError("need at least one sample per class and split")
+def make_gaussian_tasks(spec: ExperimentSpec, seed: int) -> tuple[SyntheticDataset, TaskSchedule]:
+    """The dataset and equal-width task schedule of one spec seed.
+
+    The spec's ``DatasetBlock`` has checked the shape of the problem when
+    it was built; the seed draws the means and the samples.
+    """
+    data = spec.dataset
     rng = np.random.default_rng(seed)
-    means = _place_means(rng, class_count, dim, sep)
-    train = means[:, None, :] + cov_scale * rng.standard_normal(
-        (class_count, per_class, dim)
+    means = _place_means(rng, data.classes, data.dim, data.sep)
+    train = means[:, None, :] + data.cov_scale * rng.standard_normal(
+        (data.classes, data.per_class, data.dim)
     )
-    test = means[:, None, :] + cov_scale * rng.standard_normal(
-        (class_count, test_per_class, dim)
-    )
-    dataset = SyntheticDataset(
-        class_means=means, cov_scale=cov_scale, train=train, test=test, seed=seed
+    test = means[:, None, :] + data.cov_scale * rng.standard_normal(
+        (data.classes, data.test_per_class, data.dim)
     )
     schedule = TaskSchedule.uniform(
-        class_count=class_count,
-        tasks=tasks,
-        samples_per_class=per_class,
-        replay_per_old_class=replay_per_old_class,
+        class_count=data.classes,
+        tasks=data.tasks,
+        samples_per_class=data.per_class,
+        replay_per_old_class=spec.schedule.replay_per_class,
         shuffle_seed=seed,
     )
-    return dataset, schedule
+    return SyntheticDataset(class_means=means, train=train, test=test), schedule
 
 
 class Classifier:
@@ -142,8 +114,6 @@ class Classifier:
     """
 
     def __init__(self, dim: int, hidden: int = 0, seed: int = 0):
-        self.dim = dim
-        self.hidden = hidden
         rng = np.random.default_rng(seed)
         if hidden > 0:
             self.w1 = 0.3 * rng.standard_normal((dim, hidden)) / np.sqrt(dim)
@@ -165,13 +135,12 @@ class Classifier:
                 setattr(stacked, name, np.stack([getattr(h, name) for h in heads]))
         return stacked
 
-    def cell(self, k: int) -> "Classifier":
-        """A copy of cell ``k`` of a stacked head, as a lone head."""
-        head = copy.copy(self)
+    def clear(self, k: int) -> None:
+        """Zero cell ``k`` of a stacked head: from here on it computes zero
+        logits and, given a zero logit gradient, a zero SGD step."""
         for name in _WEIGHTS:
             if getattr(self, name) is not None:
-                setattr(head, name, getattr(self, name)[k].copy())
-        return head
+                getattr(self, name)[k] = 0.0
 
     @property
     def class_count(self) -> int:
@@ -216,22 +185,6 @@ class Classifier:
 _WEIGHTS = ("w1", "b1", "w", "b")
 
 
-def tasks_for(spec: ExperimentSpec, seed: int) -> tuple[SyntheticDataset, TaskSchedule]:
-    """The dataset and task schedule of one spec seed; ``train_cells``
-    builds every run's problem here."""
-    return make_gaussian_tasks(
-        spec.dataset.classes,
-        spec.dataset.dim,
-        spec.dataset.tasks,
-        spec.dataset.per_class,
-        spec.dataset.sep,
-        seed,
-        test_per_class=spec.dataset.test_per_class,
-        cov_scale=spec.dataset.cov_scale,
-        replay_per_old_class=spec.schedule.replay_per_class,
-    )
-
-
 def _select_exemplars(pool: np.ndarray, count: int) -> np.ndarray:
     """Mean-matching pick: the ``count`` samples closest to the class mean."""
     center = pool.mean(axis=0)
@@ -259,43 +212,66 @@ def _batches(rng, train_x, train_y, epochs: int, batch_size: int):
             yield epoch, train_x[idx], train_y[idx]
 
 
+def _cell_step(loss: LossBlock, class_count: int):
+    """One cell's step for a task over ``class_count`` classes:
+    ``(q, logits, minibatch) -> (LossOutput, q')``.
+
+    The adjusted loss is ``training_step`` under the task's calibration;
+    cross-entropy leaves the loss alone and only advances its tracker.
+    The step functions are looked up when the step runs, not here.
+    """
+    if loss.kind == "TAL":
+        config = TalConfig.for_classes(
+            loss.lam, loss.r, class_count, loss.epsilon, exploratory=loss.exploratory
+        )
+        return lambda q, z, batch: training_step(config, q, z, batch)
+    kernel = MemoryKernel(lam=loss.lam)
+
+    def ce_step(q, z, batch):
+        out = ce_forward(z, batch)
+        return out, update_batched(q, kernel, loss.r, batch, strict=not loss.exploratory)
+
+    return ce_step
+
+
 def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> list[MetricsReport]:
     """Task-sequential training with replay of several loss cells in lockstep.
 
-    Every cell trains on the problem of one spec seed (``tasks_for``)
-    under the spec's ``ScheduleBlock``, from the head
-    ``Classifier(spec.dataset.dim, spec.schedule.hidden, seed)`` and an
-    empty tracker; the cells differ only in their ``LossBlock``.  So they
-    see one batch stream: the permutations are drawn once and each
+    Every cell trains on the problem of one spec seed
+    (``make_gaussian_tasks``) under the spec's ``ScheduleBlock``, from the
+    head ``Classifier(spec.dataset.dim, spec.schedule.hidden, seed)`` and
+    an empty tracker; the cells differ only in their ``LossBlock``.  So
+    they see one batch stream: the permutations are drawn once and each
     minibatch is gathered once and its labels are checked once, as one
-    ``Minibatch`` that every cell's loss and tracker step read.  The
-    heads are stacked along a cells axis and one ``np.matmul`` per
-    product gives every cell's logits and SGD step; each cell runs its
-    own loss and tracker step on its slice and is evaluated on its own,
-    so its report is bit for bit that of training it alone.
+    ``Minibatch`` that every cell's loss and tracker step read.  Cell
+    ``k`` is slice ``k`` of one stacked head from the first step to the
+    last: one ``np.matmul`` per product gives every cell's logits, SGD
+    step and test predictions, and each cell runs its own loss and
+    tracker step on its slice, so its report is bit for bit that of
+    training it alone.
 
     The tracker is advanced once per training minibatch (never during
-    evaluation).  For the adjusted loss the calibration is re-solved at
-    every task boundary because the class count grows.  A cell whose
-    loss diverges leaves the lockstep and the others train on; the
+    evaluation).  Each cell's step is built at every task boundary, where
+    the adjusted loss re-solves its calibration because the class count
+    grows.  A cell whose loss diverges stops: its slice is zeroed, so
+    the stacked products stay finite, and the others train on.  The
     ``TrainingError`` of the first failed cell in ``losses`` order is
     raised at the end, carrying that cell's own step.
     """
     losses = list(losses)
-    sinks = [None] * len(losses) if event_sinks is None else list(event_sinks)
-    if not losses or len(sinks) != len(losses):
+    cells = len(losses)
+    sinks = [None] * cells if event_sinks is None else list(event_sinks)
+    if not losses or len(sinks) != cells:
         raise DomainError("need at least one cell and one event sink (or None) per cell")
-    dataset, schedule = tasks_for(spec, seed)
+    dataset, schedule = make_gaussian_tasks(spec, seed)
     n_tasks = len(schedule.tasks)
     rng = np.random.default_rng(seed)
-    head = Classifier(spec.dataset.dim, spec.schedule.hidden, seed)
-    head = Classifier.stack([head] * len(losses))
-    live = list(range(len(losses)))  # the cell of each stacked slice
-    q_states = [QState(q=np.zeros(0))] * len(losses)
-    kernels = [MemoryKernel(lam=loss.lam) for loss in losses]
+    head = Classifier.stack([Classifier(spec.dataset.dim, spec.schedule.hidden, seed)] * cells)
+    q_states = [QState(q=np.zeros(0))] * cells
+    steps = [None] * cells  # a cell's step for the current task; None once it failed
     errors: dict[int, TrainingError] = {}
-    acc_matrix = [np.full((n_tasks, n_tasks), np.nan) for _ in losses]
-    overall = [np.zeros(n_tasks) for _ in losses]
+    acc_matrix = np.full((cells, n_tasks, n_tasks), np.nan)
+    overall = np.zeros((cells, n_tasks))
     per_task: list[list[PerClassMetrics]] = [[] for _ in losses]
     snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in losses]
     replay: dict[int, np.ndarray] = {}
@@ -306,97 +282,72 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
     for t, task in enumerate(schedule.tasks):
         head.add_classes(len(task.new_class_ids))
         c_now = head.class_count
-        configs = {}
-        for k in live:
-            q_states[k] = q_states[k].append_classes(len(task.new_class_ids))
-            loss = losses[k]
-            if loss.kind == "TAL":
-                configs[k] = TalConfig.for_classes(
-                    loss.lam, loss.r, c_now, loss.epsilon, exploratory=loss.exploratory
-                )
+        for k, loss in enumerate(losses):
+            if k not in errors:
+                q_states[k] = q_states[k].append_classes(len(task.new_class_ids))
+                steps[k] = _cell_step(loss, c_now)
 
-        parts_x = [dataset.train[k] for k in task.new_class_ids]
-        parts_y = [np.full(dataset.train.shape[1], k) for k in task.new_class_ids]
-        for k in seen_classes:
-            if task.replay_per_old_class > 0 and k in replay:
-                buf = replay[k][: task.replay_per_old_class]
-                parts_x.append(buf)
-                parts_y.append(np.full(buf.shape[0], k))
-        train_x = np.concatenate(parts_x)
-        train_y = np.concatenate(parts_y).astype(np.int64)
+        pool = [(k, dataset.train[k]) for k in task.new_class_ids]
+        pool += [(k, replay[k]) for k in seen_classes]
+        train_x = np.concatenate([x for _, x in pool])
+        train_y = np.concatenate([np.full(x.shape[0], k, dtype=np.int64) for k, x in pool])
 
         for epoch, xb, yb in _batches(rng, train_x, train_y, epochs, batch_size):
             z = head.logits(xb)
             batch = Minibatch(yb, c_now)  # every cell reads the same checked labels
-            grads = np.empty_like(z)
-            values = []
-            failed = []
-            for i, k in enumerate(live):
+            grads = np.zeros_like(z)
+            for k, step in enumerate(steps):
+                if step is None:
+                    continue
                 # The loss functions reject non-finite logits with a
                 # DomainError; in a training run that means divergence.
                 try:
-                    if k in configs:
-                        out, q_states[k] = training_step(configs[k], q_states[k], z[i], batch)
-                    else:
-                        out = ce_forward(z[i], batch)
-                        q_states[k] = update_batched(
-                            q_states[k],
-                            kernels[k],
-                            losses[k].r,
-                            batch,
-                            strict=not losses[k].exploratory,
-                        )
+                    out, q_states[k] = step(q_states[k], z[k], batch)
                 except DomainError as exc:
-                    if np.isfinite(z[i]).all():
+                    if np.isfinite(z[k]).all():
                         raise
-                    errors[k] = TrainingError(
+                    error = TrainingError(
                         f"training diverged at step {global_step}", step=global_step
                     )
-                    errors[k].__cause__ = exc
-                    failed.append(i)
-                    continue
-                if not math.isfinite(out.loss):
-                    errors[k] = TrainingError(
+                    error.__cause__ = exc
+                else:
+                    if math.isfinite(out.loss):
+                        grads[k] = out.grad_logits
+                        if sinks[k] is not None:
+                            event = {"task": t, "epoch": epoch, "step": global_step}
+                            sinks[k]({**event, "loss": out.loss})
+                        continue
+                    error = TrainingError(
                         f"loss diverged at step {global_step}", step=global_step
                     )
-                    failed.append(i)
-                    continue
-                grads[i] = out.grad_logits
-                values.append(out.loss)
-            if failed:
-                keep = [i for i in range(len(live)) if i not in failed]
-                live = [live[i] for i in keep]
-                if not live:
-                    break
-                head = Classifier.stack([head.cell(i) for i in keep])
-                grads = grads[keep]
+                errors[k], steps[k] = error, None
+                head.clear(k)
+            if not any(steps):
+                break
             head.train_batch(xb, grads, lr)
-            for k, value in zip(live, values):
-                if sinks[k] is not None:
-                    sinks[k]({"task": t, "epoch": epoch, "step": global_step, "loss": value})
             global_step += 1
-        if not live:
+        if not any(steps):
             break
 
         seen_classes.extend(task.new_class_ids)
         for k in task.new_class_ids:
-            replay[k] = _select_exemplars(
-                dataset.train[k], task.replay_per_old_class
-            )
+            replay[k] = _select_exemplars(dataset.train[k], task.replay_per_old_class)
 
         test_x = np.concatenate([dataset.test[k] for k in seen_classes])
         test_y = np.concatenate(
-            [np.full(dataset.test.shape[1], k) for k in seen_classes]
-        ).astype(np.int64)
+            [np.full(dataset.test.shape[1], k, dtype=np.int64) for k in seen_classes]
+        )
         task_masks = [
             np.isin(test_y, schedule.tasks[u].new_class_ids) for u in range(t + 1)
         ]
-        for i, k in enumerate(live):
-            preds = head.cell(i).predict(test_x)
-            overall[k][t] = float(np.mean(preds == test_y))
+        preds = head.predict(test_x)  # (cells, N)
+        for k, step in enumerate(steps):
+            if step is None:
+                continue
+            overall[k, t] = float(np.mean(preds[k] == test_y))
             for u, mask in enumerate(task_masks):
-                acc_matrix[k][t, u] = float(np.mean(preds[mask] == test_y[mask]))
-            per_task[k].append(confusion_and_prf(preds, test_y, c_now))
+                acc_matrix[k, t, u] = float(np.mean(preds[k][mask] == test_y[mask]))
+            per_task[k].append(confusion_and_prf(preds[k], test_y, c_now))
             snapshots[k].append((global_step, q_states[k].q))
 
     if errors:
@@ -409,7 +360,7 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
             q_snapshots=tuple(snapshots[k]),
             seed=seed,
         )
-        for k in range(len(losses))
+        for k in range(cells)
     ]
 
 
@@ -429,7 +380,10 @@ def ablate(spec: ExperimentSpec, *, lambdas=ABLATION_LAMBDAS, rs=ABLATION_RS) ->
     (range checks demoted to warnings); they are reported like any other
     cell.  Every cell is enumerated -- nothing is skipped.  Rows come
     cell-major, seed-minor, the CE cell first.  A lambda or r listed
-    twice is a ``DomainError``: it would train one cell twice.
+    twice is a ``DomainError``: it would train one cell twice.  A TAL
+    cell the spec's dataset cannot calibrate (``check_calibration``) is a
+    ``SpecError``, raised before any cell trains, as ``train`` raises it
+    for the spec's own loss.
     """
     for name, values in (("lambda", lambdas), ("r", rs)):
         if len(set(values)) != len(values):
@@ -437,6 +391,8 @@ def ablate(spec: ExperimentSpec, *, lambdas=ABLATION_LAMBDAS, rs=ABLATION_RS) ->
     losses = [LossBlock(kind="CE")] + [
         LossBlock(lam=lam, r=r, exploratory=r < 1.0) for lam in lambdas for r in rs
     ]
+    for loss in losses:
+        check_calibration(spec.dataset, loss)
     reports = [train_cells(spec, seed, losses) for seed in spec.seeds]
     return [
         {

@@ -143,6 +143,17 @@ class SupervisionTrace:
         """S_k[n]: positives of the class among steps 0..n."""
         return np.cumsum(self._is_class(class_id)).astype(np.int64)
 
+    def s_curve_table(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+        """The ``s_curves.csv`` table as ``(header, columns)``: S_k[n] of
+        every class k at every step n, class-major."""
+        steps, classes = len(self), np.arange(self.class_count)
+        s_curves = np.cumsum(self.labels[:, None] == classes, axis=0, dtype=np.int64)
+        return ("step", "class", "cumulative_positives"), (
+            np.tile(np.arange(steps), self.class_count),
+            np.repeat(classes, steps),
+            s_curves.T.ravel(),
+        )
+
 
 def generate_stream(schedule: TaskSchedule, seed: int | None = None) -> SupervisionTrace:
     """Emit the step-per-sample label stream a schedule induces.

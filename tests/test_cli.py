@@ -347,6 +347,27 @@ def test_ablate_refuses_a_repeated_grid_value(tmp_path, capsys, grid):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "dataset, grid",
+    [
+        ("{classes: 4, tasks: 4}", ["--lambdas", "0.99", "--rs", "1"]),
+        ("{classes: 4, tasks: 2}", ["--rs", "1000"]),
+    ],
+    ids=["one class per task", "alpha overflows"],
+)
+def test_ablate_refuses_a_cell_the_dataset_cannot_calibrate(tmp_path, capsys, dataset, grid):
+    # a CE spec passes its own checks, but the grid's TAL cells must fit the
+    # dataset as a TAL spec must for train: exit 3 before anything trains
+    spec = write_spec(tmp_path, f"dataset: {dataset}\nloss: {{kind: CE}}\n")
+    out_dir = tmp_path / "ablate"
+    assert main(["ablate", "--spec", str(spec), *grid, "--output-dir", str(out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == "SpecError"
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench-loss
 # ---------------------------------------------------------------------------

@@ -50,6 +50,25 @@ def test_lam_outside_open_interval_rejected(bad):
         MemoryKernel(lam=bad)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1.7, math.nan])
+def test_every_lam_entry_point_reports_one_message(lam):
+    # the kernel (simulate-stream --lam), the domain rule (a spec's loss
+    # block) and a config built from lam report a lam outside (0, 1) alike
+    message = f"memory parameter lam must lie in (0, 1), got {lam}"
+    for call in (
+        lambda: MemoryKernel(lam=lam),
+        lambda: check_domain(lam, 1.0, False),
+        lambda: TalConfig.for_classes(lam, 1.0, 4),
+    ):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+    if math.isfinite(lam):  # a spec rejects a non-finite number by its type first
+        with pytest.raises(SpecError) as err:
+            spec_from_mapping({"loss": {"lambda": lam}})
+        assert str(err.value) == f"bad value in loss: {message}"
+
+
 def test_kernel_weights_strictly_decreasing_and_positive():
     w = MemoryKernel(lam=0.7).weights(50)
     assert np.all(w > 0)

@@ -1,3 +1,4 @@
+import copy
 import warnings
 from dataclasses import fields, replace
 
@@ -22,17 +23,15 @@ LOSSES = {"ce": CE, "tal": TAL}
 QUICK = ScheduleBlock(lr=0.1, epochs=20, batch_size=32)
 
 
-def small_setup(seed=0, classes=10, tasks=5, per_class=100, sep=2.5, replay=20):
-    return make_gaussian_tasks(
-        classes, 16, tasks, per_class, sep, seed,
-        test_per_class=100, replay_per_old_class=replay,
-    )
-
-
 def spec_of(loss=CE, schedule=QUICK, **dataset):
-    """A run on ``small_setup``'s problem, or on one with ``dataset`` changed;
-    the schedule block carries the replay count."""
+    """A run on the default spec's problem, or on one with ``dataset``
+    changed; the schedule block carries the replay count."""
     return ExperimentSpec(dataset=DatasetBlock(**dataset), schedule=schedule, loss=loss)
+
+
+def small_setup(seed=0, **dataset):
+    """The dataset and task schedule of one seed of ``spec_of(**dataset)``."""
+    return make_gaussian_tasks(spec_of(**dataset), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +63,15 @@ def test_dataset_shapes_and_separation():
 
 
 def test_dataset_parameter_validation():
+    # the dataset block rejects a problem that cannot be built ...
     with pytest.raises(DomainError):
-        make_gaussian_tasks(10, 16, 3, 50, 2.5, 0)  # 10 % 3 != 0
+        DatasetBlock(classes=10, tasks=3)  # 10 % 3 != 0
     with pytest.raises(DomainError):
-        make_gaussian_tasks(10, 16, 5, 50, -1.0, 0)
+        DatasetBlock(sep=-1.0)
+    # ... and a seed whose means cannot be placed is a solver failure:
+    # 20 points on a radius-5 circle cannot be pairwise 5 apart
     with pytest.raises(SolverError):
-        # 20 points on a radius-5 circle cannot be pairwise 5 apart
-        make_gaussian_tasks(20, 2, 2, 10, 5.0, 0)
+        small_setup(classes=20, dim=2, tasks=2, per_class=10, sep=5.0)
 
 
 def test_widely_separated_classes_are_jointly_learnable():
@@ -96,6 +97,33 @@ def test_classifier_head_grows_with_zero_columns():
     assert z.shape == (3, 3)
     assert np.all(z[:, 2] == 0.0)  # new column starts silent
     assert np.all(z[:, :2] == 4.0)
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_cleared_cell_computes_zeros_and_the_others_keep_their_bits(hidden):
+    rng = np.random.default_rng(0)
+    head = Classifier.stack([Classifier(dim=5, hidden=hidden, seed=s) for s in range(3)])
+    head.add_classes(4)
+    head.w = rng.standard_normal(head.w.shape)
+    head.b = rng.standard_normal(head.b.shape)
+    cleared = copy.deepcopy(head)
+    cleared.clear(1)
+    x = rng.standard_normal((7, 5))
+    grads = rng.standard_normal((3, 7, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = cleared.logits(x)
+        assert np.all(z[1] == 0.0)
+        assert np.array_equal(z[[0, 2]], head.logits(x)[[0, 2]])
+        head.train_batch(x, grads, 0.1)
+        grads[1] = 0.0  # a failed cell gets a zero gradient row
+        cleared.train_batch(x, grads, 0.1)
+    for name in ("w1", "b1", "w", "b"):
+        if getattr(head, name) is None:
+            continue
+        assert np.all(getattr(cleared, name)[1] == 0.0)
+        assert bits(getattr(cleared, name)[[0, 2]]) == bits(getattr(head, name)[[0, 2]])
+    assert np.all(cleared.predict(x)[1] == 0)
 
 
 def test_hidden_layer_classifier_trains():

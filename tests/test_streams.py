@@ -47,6 +47,20 @@ def test_two_single_class_tasks_saturate_in_order():
     assert np.all(s0 >= s1)
 
 
+def test_s_curve_table_lays_out_every_class_curve_class_major():
+    schedule = TaskSchedule.uniform(class_count=6, tasks=3, samples_per_class=7, replay_per_old_class=2)
+    trace = generate_stream(schedule, seed=4)
+    header, (steps, classes, s_curves) = trace.s_curve_table()
+    n = len(trace)
+    assert header == ("step", "class", "cumulative_positives")
+    assert steps.tolist() == list(range(n)) * 6
+    assert classes.tolist() == [k for k in range(6) for _ in range(n)]
+    assert s_curves.dtype == np.int64
+    assert s_curves.tolist() == np.concatenate(
+        [trace.cumulative_positives(k) for k in range(6)]
+    ).tolist()
+
+
 def test_earlier_class_dominates_later_class_cumulative_curve():
     schedule = TaskSchedule.uniform(
         class_count=4, tasks=2, samples_per_class=25, replay_per_old_class=0
