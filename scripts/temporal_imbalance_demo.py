@@ -15,7 +15,7 @@ import argparse
 from pathlib import Path
 
 from talcil import MemoryKernel, TaskSchedule, generate_stream, verify_theorem1
-from talcil.oracle import PolaritySequence, q_from_convolution
+from talcil.oracle import convolve_q
 from talcil.output import write_csv
 
 
@@ -32,11 +32,12 @@ def main():
     )
     trace = generate_stream(schedule, seed=args.seed)
     kernel = MemoryKernel(lam=args.lam)
+    f = kernel.weights(len(trace))
 
     print(f"stream: {len(trace)} steps, 2 classes, lam={args.lam} (q_max={kernel.q_max:.3f})")
     for k in (0, 1):
         s = trace.cumulative_positives(k)
-        q = q_from_convolution(kernel, PolaritySequence(values=trace.polarities(k)))
+        q = convolve_q(f, trace.polarities(k))
         marks = [int(s[n]) for n in range(24, len(trace), 25)]
         print(f"  class {k}: S at steps 25,50,... = {marks}   Q[N] = {q:+.4f}")
 

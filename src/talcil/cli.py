@@ -106,9 +106,8 @@ def _cmd_simulate_stream(args) -> int:
         tasks=args.tasks,
         samples_per_class=args.per_class,
         replay_per_old_class=args.replay,
-        shuffle_seed=args.seed,
     )
-    trace = generate_stream(schedule)
+    trace = generate_stream(schedule, args.seed)
     steps, c = len(trace), trace.class_count
     kernel = MemoryKernel(lam=args.lam)
     state = QState.zeros(c)

@@ -8,7 +8,9 @@ declared type, every number must be finite, and the loss block must lie
 in the calibrated domain (``kernel.check_domain``), so a block in hand is
 always valid and the library code downstream can rely on it.  A block
 built in code raises ``DomainError``; ``load_spec`` reports the same
-failure as a ``SpecError``, before any computation or output.
+failure as a ``SpecError``, before any computation or output.  The
+spec checks itself when it is built too (its seeds, and the TAL
+calibration of its dataset, ``check_calibration``) and raises ``SpecError``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import yaml
 from .calibration import solve_calibration
 from .errors import DomainError, SolverError, SpecError
 from .kernel import check_domain
+from .loss import _check_epsilon
 
 __all__ = [
     "DatasetBlock",
@@ -122,8 +125,7 @@ class LossBlock:
         _check_types(self, "loss")
         if self.kind not in ("CE", "TAL"):
             raise DomainError(f"loss.kind must be CE or TAL, got {self.kind!r}")
-        if not (0.0 < self.epsilon <= 1e-6):
-            raise DomainError("loss.epsilon must lie in (0, 1e-6]")
+        _check_epsilon(self.epsilon)
         check_domain(self.lam, self.r, self.exploratory)
 
     __post_init__ = validate
@@ -170,6 +172,8 @@ class ExperimentSpec:
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise SpecError(f"output_dir must be a string, got {self.output_dir!r}")
 
+    __post_init__ = validate
+
     def resolved_dict(self) -> dict:
         """Fully materialized mapping (defaults applied) for hashing/echoing."""
         out = asdict(self)
@@ -205,15 +209,13 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
     seeds = data.get("seeds", ExperimentSpec.__dataclass_fields__["seeds"].default)
     if isinstance(seeds, list):
         seeds = tuple(seeds)
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         dataset=_build_block(DatasetBlock, data.get("dataset"), "dataset"),
         schedule=_build_block(ScheduleBlock, data.get("schedule"), "schedule"),
         loss=_build_block(LossBlock, data.get("loss"), "loss"),
         seeds=seeds,
         output_dir=data.get("output_dir"),
     )
-    spec.validate()
-    return spec
 
 
 def load_spec(path) -> ExperimentSpec:

@@ -10,26 +10,25 @@ so the most recent step carries weight lam and influence fades
 geometrically.  Under all-positive supervision Q approaches but never
 reaches q_max = lam / (1 - lam).
 
-Two update rules are provided (the raw recursion and the direct
+One update rule, in two input forms (the raw recursion and the direct
 convolution, which tests compare against, live in ``talcil.oracle``):
+q' = lam * (q + p - (1 - p) * w(q)) with w(q) = (q / q_max) ** r, where
+p is the share of the step's supervision that is positive for the class.
+Scaling negative supervision by w(q) keeps q inside [0, q_max) for
+r >= 1 and lam >= 1/2 (``check_domain``).
 
-* ``update_tal``      -- the attenuated rule used for training: negative
-  supervision is scaled by w(q) = (q / q_max) ** r, which keeps q inside
-  [0, q_max) for r >= 1 and lam >= 1/2 (``check_domain``).
-* ``update_batched``  -- the fractional minibatch form: with N labels of
-  which n_k are class k, p_k = n_k/N and
-  q' = lam * (q + p_k - (1 - p_k) * w(q)).
-  For N = 1 this reduces bit-exactly to ``update_tal``.
+* ``update_tal``      -- one step of +1/-1 polarities: p is 1 or 0.
+* ``update_batched``  -- one minibatch of N labels, n_k of class k:
+  p_k = n_k/N.  For N = 1 this is ``update_tal`` bit for bit.
 
-Both read w(q) and the range verdict through the ``QState`` they are
-given, which computes each once (see ``QState``), and the strict forms
-hand back a state that already knows it lies in [0, q_max).
-``update_batched`` takes the minibatch's labels, raw or as a
-``Minibatch``: raw labels are wrapped on entry, and a ``Minibatch``,
-checked once when it was built, is only compared with the tracker's
-class count before the update reads its batch fractions.  The
-calibrated domain and the tracker's range are still checked per call,
-since each cell of a lockstep run has its own kernel, r and state.
+Both go through one advance.  It reads w(q), and in the strict form the
+range check, through the ``QState`` it is given, which computes each
+once (``QState.weight``), and it hands back a state that already knows
+it lies in [0, q_max).  ``update_batched`` takes raw labels, wrapped on
+entry, or a ``Minibatch``, checked when it was built and here only
+compared with the tracker's class count.  The calibrated domain and the
+tracker's range are still checked per call, since each cell of a
+lockstep run has its own kernel, r and state.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class QState:
     can change it.
 
     Because q cannot change, a state remembers work done on it: the
-    ``q_max`` that ``within`` last confirmed (a strict update records it
+    ``q_max`` whose range check last passed (a strict update records it
     when it builds the state, having just checked and clamped the range)
     and w(q) for the last ``(q_max, r)`` that ``weight`` was asked for.
     A failed check is never remembered, so a NaN entry fails every call.
@@ -98,24 +97,21 @@ class QState:
     """
 
     q: np.ndarray
-    step: int = 0
 
     def __post_init__(self):
         q = np.array(self.q, dtype=np.float64)
         if q.ndim != 1:
             raise DomainError("q must be a 1-d vector of per-class strengths")
-        if self.step < 0:
-            raise DomainError("step count cannot be negative")
         q.flags.writeable = False
         vars(self).update(q=q, _known_within=None, _w_memo=None)
 
     @classmethod
-    def _owned(cls, q: np.ndarray, step: int, within: float | None = None) -> "QState":
+    def _owned(cls, q: np.ndarray, within: float | None = None) -> "QState":
         """Wrap a fresh 1-d float64 array no one else holds, without a copy
         or checks; ``within`` is a q_max the caller has already verified."""
         q.flags.writeable = False
         state = object.__new__(cls)
-        vars(state).update(q=q, step=step, _known_within=within, _w_memo=None)
+        vars(state).update(q=q, _known_within=within, _w_memo=None)
         return state
 
     @classmethod
@@ -123,26 +119,22 @@ class QState:
         """Fresh tracker: every class starts at zero strength."""
         if class_count < 1:
             raise DomainError("need at least one class")
-        return cls._owned(np.zeros(class_count), 0)
+        return cls._owned(np.zeros(class_count))
 
     @property
     def class_count(self) -> int:
         return self.q.shape[0]
 
-    def within(self, q_max: float) -> bool:
-        """True when every entry lies in [0, q_max); NaN entries never do."""
-        if q_max == self._known_within:
-            return True
-        q = self.q
-        if not np.logical_and.reduce((q >= 0.0) & (q < q_max)):
-            return False
-        object.__setattr__(self, "_known_within", q_max)
-        return True
-
-    def weight(self, q_max: float, r: float) -> np.ndarray:
+    def weight(self, q_max: float, r: float, checked: bool = False) -> np.ndarray:
         """Read-only w(q) = ``negative_weight(q, q_max, r)``, computed once
         per ``(q_max, r)`` in a row, so the loss and the tracker advance of
-        one training step share it."""
+        one training step share it.  ``checked`` first raises ``DomainError``
+        unless every entry lies in [0, q_max); NaN entries never do."""
+        if checked and q_max != self._known_within:
+            q = self.q
+            if not np.logical_and.reduce((q >= 0.0) & (q < q_max)):
+                raise DomainError("tracker state outside [0, q_max)")
+            object.__setattr__(self, "_known_within", q_max)
         memo = self._w_memo
         if memo is not None and memo[0] == q_max and memo[1] == r:
             return memo[2]
@@ -155,7 +147,7 @@ class QState:
         """Grow the tracker when a task introduces classes; new entries start at 0."""
         if n_new < 0:
             raise DomainError("cannot append a negative number of classes")
-        return QState._owned(np.concatenate([self.q, np.zeros(n_new)]), self.step)
+        return QState._owned(np.concatenate([self.q, np.zeros(n_new)]))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -300,10 +292,19 @@ def _settle_range(q: np.ndarray, q_max: float, strict: bool) -> np.ndarray:
         warnings.warn(
             "attenuated update left [0, q_max); clamping at 0 (exploratory r < 1 path)",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         np.maximum(q, 0.0, out=q)
     return q
+
+
+def _advance(state: QState, kernel: MemoryKernel, r: float, gain, loss, strict: bool) -> QState:
+    """The tracker rule, q' = lam * (q + gain - loss * w(q)), with its range
+    settled; a strict advance first checks the state's range."""
+    q_max = kernel.q_max
+    w = state.weight(q_max, r, strict)
+    q_next = _settle_range(kernel.lam * (state.q + gain - loss * w), q_max, strict)
+    return QState._owned(q_next, q_max if strict else None)
 
 
 def update_tal(
@@ -316,15 +317,8 @@ def update_tal(
 ) -> QState:
     """One attenuated step: q' = lam*(q+1) on +1, q' = lam*(q - w(q)) on -1."""
     check_domain(kernel.lam, r, not strict)
-    a = _check_polarities(polarities, state.class_count)
-    q = state.q
-    q_max = kernel.q_max
-    if strict and not state.within(q_max):
-        raise DomainError("tracker state outside [0, q_max); cannot apply attenuated update")
-    w = state.weight(q_max, r)
-    q_next = kernel.lam * (q + np.where(a > 0, 1.0, -w))
-    q_next = _settle_range(q_next, q_max, strict)
-    return QState._owned(q_next, state.step + 1, q_max if strict else None)
+    positive = _check_polarities(polarities, state.class_count) > 0
+    return _advance(state, kernel, r, positive, ~positive, strict)
 
 
 def update_batched(
@@ -354,12 +348,4 @@ def update_batched(
             f"minibatch over {labels.class_count} classes does not fit a tracker of "
             f"{state.class_count} classes"
         )
-    frac_pos, frac_neg = labels.fractions
-    q = state.q
-    q_max = kernel.q_max
-    if strict and not state.within(q_max):
-        raise DomainError("tracker state outside [0, q_max); cannot apply attenuated update")
-    w = state.weight(q_max, r)
-    q_next = kernel.lam * (q + frac_pos - frac_neg * w)
-    q_next = _settle_range(q_next, q_max, strict)
-    return QState._owned(q_next, state.step + 1, q_max if strict else None)
+    return _advance(state, kernel, r, *labels.fractions, strict)

@@ -50,6 +50,12 @@ from .kernel import MemoryKernel, Minibatch, QState, check_domain, update_batche
 __all__ = ["TalConfig", "LossOutput", "tal_forward", "ce_forward", "training_step"]
 
 
+def _check_epsilon(epsilon) -> None:
+    """The log-weight stabilizer's bound, which a spec's loss block shares."""
+    if not 0.0 < epsilon <= 1e-6:
+        raise DomainError(f"epsilon must lie in (0, 1e-6], got {epsilon}")
+
+
 @dataclass(frozen=True)
 class TalConfig:
     """One fully calibrated loss instance: kernel, steepness, class count,
@@ -65,8 +71,7 @@ class TalConfig:
     alpha: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon <= 1e-6):
-            raise DomainError(f"epsilon must lie in (0, 1e-6], got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         check_domain(self.kernel.lam, self.r, self.exploratory)
         result = solve_calibration(self.class_count, self.r, strict=not self.exploratory)
         object.__setattr__(self, "alpha", result.alpha)
@@ -153,10 +158,8 @@ def tal_forward(config: TalConfig, logits, labels, q_snapshot: QState) -> LossOu
         raise DomainError(
             f"tracker has {q_snapshot.class_count} classes, config expects {config.class_count}"
         )
-    q_max = config.kernel.q_max
-    if not config.exploratory and not q_snapshot.within(q_max):
-        raise DomainError("tracker snapshot outside [0, q_max)")
-    log_w = np.maximum(q_snapshot.weight(q_max, config.r), config.epsilon)
+    w = q_snapshot.weight(config.kernel.q_max, config.r, not config.exploratory)
+    log_w = np.maximum(w, config.epsilon)
     log_w *= config.alpha
     np.log(log_w, out=log_w)
     flat_true = batch.flat_true

@@ -2,8 +2,9 @@
 
 None of this runs in training, so none of it is in ``talcil.__all__``:
 
-* ``q_from_convolution`` / ``convolve_q`` -- the tracker value by direct
-  convolution of a polarity sequence with a decay kernel, O(N) per value.
+* ``convolve_q`` -- the tracker value by direct convolution of a
+  polarity sequence with decay kernel values, such as
+  ``MemoryKernel.weights(N)``, O(N) per value.
 * ``update_plain`` -- the raw one-step recursion q' = lam * (q + a).
   Exactly equivalent to the convolution but can go negative on
   negative-heavy streams.
@@ -15,8 +16,6 @@ None of this runs in training, so none of it is in ``talcil.__all__``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calibration import solve_calibration
@@ -25,34 +24,11 @@ from .kernel import MemoryKernel, QState, _check_polarities, _convolve, negative
 from .streams import _deltas, _phi
 
 __all__ = [
-    "PolaritySequence",
     "convolve_q",
-    "q_from_convolution",
     "update_plain",
     "degeneracy_check",
     "phi_from_counts",
 ]
-
-
-@dataclass(frozen=True)
-class PolaritySequence:
-    """A recorded +1/-1 supervision sequence for one class."""
-
-    values: np.ndarray
-    class_id: int = 0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise DomainError("polarity sequence must be 1-d")
-        if values.size and not np.all(np.abs(values) == 1.0):
-            raise DomainError("polarities must be exactly +1 or -1")
-        if self.class_id < 0:
-            raise DomainError("class_id must be nonnegative")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def convolve_q(kernel_values: np.ndarray, polarities: np.ndarray) -> float:
@@ -72,13 +48,6 @@ def convolve_q(kernel_values: np.ndarray, polarities: np.ndarray) -> float:
     return _convolve(f[: a.size], a)
 
 
-def q_from_convolution(kernel: MemoryKernel, seq: PolaritySequence) -> float:
-    """Tracker value by direct convolution with the exponential kernel."""
-    if len(seq) == 0:
-        raise DomainError("cannot evaluate the tracker on an empty sequence")
-    return convolve_q(kernel.weights(len(seq)), seq.values)
-
-
 def update_plain(state: QState, kernel: MemoryKernel, polarities) -> QState:
     """One step of the raw recursion q' = lam * (q + a).
 
@@ -87,7 +56,7 @@ def update_plain(state: QState, kernel: MemoryKernel, polarities) -> QState:
     ``update_batched``.
     """
     a = _check_polarities(polarities, state.class_count)
-    return QState(q=kernel.lam * (state.q + a), step=state.step + 1)
+    return QState(q=kernel.lam * (state.q + a))
 
 
 def degeneracy_check(class_count: int, r: float) -> float:

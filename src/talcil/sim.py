@@ -98,7 +98,6 @@ def make_gaussian_tasks(spec: ExperimentSpec, seed: int) -> tuple[SyntheticDatas
         tasks=data.tasks,
         samples_per_class=data.per_class,
         replay_per_old_class=spec.schedule.replay_per_class,
-        shuffle_seed=seed,
     )
     return SyntheticDataset(class_means=means, train=train, test=test), schedule
 
@@ -337,16 +336,15 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
         test_y = np.concatenate(
             [np.full(dataset.test.shape[1], k, dtype=np.int64) for k in seen_classes]
         )
-        task_masks = [
-            np.isin(test_y, schedule.tasks[u].new_class_ids) for u in range(t + 1)
-        ]
         preds = head.predict(test_x)  # (cells, N)
+        correct = preds == test_y  # a failed cell's rows are never reported
+        overall[:, t] = correct.mean(axis=1)
+        for u in range(t + 1):
+            mask = np.isin(test_y, schedule.tasks[u].new_class_ids)
+            acc_matrix[:, t, u] = correct[:, mask].mean(axis=1)
         for k, step in enumerate(steps):
             if step is None:
                 continue
-            overall[k, t] = float(np.mean(preds[k] == test_y))
-            for u, mask in enumerate(task_masks):
-                acc_matrix[k, t, u] = float(np.mean(preds[k][mask] == test_y[mask]))
             per_task[k].append(confusion_and_prf(preds[k], test_y, c_now))
             snapshots[k].append((global_step, q_states[k].q))
 

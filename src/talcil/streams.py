@@ -63,10 +63,9 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class TaskSchedule:
-    """Ordered tasks with disjoint class ids and a default shuffle seed."""
+    """Ordered tasks with disjoint class ids."""
 
     tasks: tuple[TaskSpec, ...]
-    shuffle_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -90,7 +89,6 @@ class TaskSchedule:
         tasks: int,
         samples_per_class: int,
         replay_per_old_class: int = 0,
-        shuffle_seed: int = 0,
     ) -> "TaskSchedule":
         """Equal-width tasks over classes 0..class_count-1, in id order."""
         if tasks < 1 or class_count < 1:
@@ -109,7 +107,7 @@ class TaskSchedule:
             )
             for t in range(tasks)
         )
-        return cls(tasks=specs, shuffle_seed=shuffle_seed)
+        return cls(tasks=specs)
 
 
 @dataclass(frozen=True)
@@ -155,13 +153,14 @@ class SupervisionTrace:
         )
 
 
-def generate_stream(schedule: TaskSchedule, seed: int | None = None) -> SupervisionTrace:
+def generate_stream(schedule: TaskSchedule, seed: int) -> SupervisionTrace:
     """Emit the step-per-sample label stream a schedule induces.
 
     Within each task the new-class samples and the replay exemplars of
-    every already-seen class are shuffled uniformly; tasks stay in order.
+    every already-seen class are shuffled uniformly, by a generator
+    seeded with ``seed``; tasks stay in order.
     """
-    rng = np.random.default_rng(schedule.shuffle_seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     chunks: list[np.ndarray] = []
     seen: list[int] = []
     for task in schedule.tasks:
@@ -236,10 +235,6 @@ class TheoremVerdict:
     dominance_held: bool
     strict_dominance: bool
     conclusion_held: bool
-
-    @property
-    def gap(self) -> float:
-        return self.q_b - self.q_a
 
 
 def verify_theorem1(kernel, pair) -> TheoremVerdict:

@@ -38,7 +38,7 @@ from talcil.bench import overhead_slopes, run_loss_benchmark
 from talcil.calibration import _closed_form_r2, _solve_x_star
 from talcil.cli import main
 from talcil.kernel import negative_weight
-from talcil.oracle import PolaritySequence, phi_from_counts, q_from_convolution, update_plain
+from talcil.oracle import convolve_q, phi_from_counts, update_plain
 from talcil.sim import desk_scale_pair
 
 
@@ -95,9 +95,9 @@ def test_c03_recursion_convolution_equivalence():
             st = update_plain(st, k, polarities[n])
             done = lengths == n + 1
             recursed[done] = st.q[done]
+        f = k.weights(max_len)
         for j in range(streams_per_lam):
-            seq = PolaritySequence(values=polarities[: lengths[j], j])
-            conv = q_from_convolution(k, seq)
+            conv = convolve_q(f, polarities[: lengths[j], j])
             rel = abs(recursed[j] - conv) / max(1.0, abs(conv))
             worst = max(worst, rel)
     assert worst < 1e-10

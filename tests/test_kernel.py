@@ -26,7 +26,7 @@ from talcil import (
 )
 from talcil.config import spec_from_mapping
 from talcil.kernel import negative_weight
-from talcil.oracle import PolaritySequence, convolve_q, q_from_convolution, update_plain
+from talcil.oracle import convolve_q, update_plain
 
 LAMBDAS = [0.5, 0.9, 0.99, 0.995, 0.999]
 
@@ -83,14 +83,14 @@ def test_kernel_weights_strictly_decreasing_and_positive():
 
 def test_convolution_single_positive_step():
     k = MemoryKernel(lam=0.5)
-    assert q_from_convolution(k, PolaritySequence(values=[1.0])) == 0.5
+    assert convolve_q(k.weights(1), [1.0]) == 0.5
 
 
 @pytest.mark.parametrize("n", [1, 3, 10, 64])
 def test_convolution_all_positive_closed_form(n):
     # under all-positive supervision the value is q_max * (1 - lam**n)
     k = MemoryKernel(lam=0.5)
-    got = q_from_convolution(k, PolaritySequence(values=np.ones(n)))
+    got = convolve_q(k.weights(n), np.ones(n))
     assert got == pytest.approx(1.0 - 0.5**n, abs=1e-14)
 
 
@@ -99,18 +99,13 @@ def test_convolution_alternating_matches_direct_summation():
     values = np.array([1.0, -1.0] * 5)
     expected = sum(lam ** (10 - 1 - n + 1) * values[n] for n in range(10))
     k = MemoryKernel(lam=lam)
-    got = q_from_convolution(k, PolaritySequence(values=values))
+    got = convolve_q(k.weights(10), values)
     assert got == pytest.approx(expected, abs=1e-15)
 
 
 def test_convolution_rejects_empty_sequence():
     with pytest.raises(DomainError):
-        q_from_convolution(MemoryKernel(lam=0.5), PolaritySequence(values=[]))
-
-
-def test_polarity_sequence_rejects_nonunit_values():
-    with pytest.raises(DomainError):
-        PolaritySequence(values=[1.0, 0.5])
+        convolve_q(MemoryKernel(lam=0.5).weights(0), [])
 
 
 def test_convolve_q_accepts_any_decreasing_kernel():
@@ -129,7 +124,6 @@ def test_plain_one_step_values():
     st = update_plain(QState.zeros(2), k, [1.0, -1.0])
     # raw recursion reports the negative value as-is
     assert st.q.tolist() == [0.5, -0.5]
-    assert st.step == 1
 
     st2 = update_plain(QState(q=np.array([0.9])), MemoryKernel(lam=0.9), [1.0])
     assert st2.q[0] == pytest.approx(1.71, abs=1e-15)
@@ -161,7 +155,7 @@ def test_plain_recursion_equals_convolution(values, lam):
     st = QState.zeros(1)
     for v in values:
         st = update_plain(st, k, [v])
-    conv = q_from_convolution(k, PolaritySequence(values=np.array(values)))
+    conv = convolve_q(k.weights(len(values)), values)
     assert st.q[0] == pytest.approx(conv, abs=1e-10 * max(1.0, k.q_max))
 
 
@@ -215,10 +209,13 @@ def test_tal_rejects_state_outside_range():
 
 def test_range_invariant_raises_even_under_python_O():
     # a tracker beyond rounding distance of [0, q_max) is a library bug:
-    # it must raise (CLI exit 1) rather than clamp, also when asserts are off
+    # it must raise (CLI exit 1) rather than clamp, also when asserts are
+    # off; and a NaN or out-of-range state handed to the loss or either
+    # update is refused by the one checked read
     src = str(Path(talcil.__file__).resolve().parents[1])
     script = (
         "import numpy as np\n"
+        "from talcil import QState, TalConfig, tal_forward, update_batched, update_tal\n"
         "from talcil.errors import TalcilError\n"
         "from talcil.kernel import _settle_range\n"
         "assert False, 'asserts are on'\n"
@@ -227,13 +224,26 @@ def test_range_invariant_raises_even_under_python_O():
         "        _settle_range(np.array(q), 10.0, True)\n"
         "    except TalcilError as exc:\n"
         "        print(type(exc).__name__)\n"
+        "config = TalConfig.for_classes(0.9, 1.0, 2)\n"
+        "k = config.kernel\n"
+        "calls = (\n"
+        "    lambda st: tal_forward(config, np.zeros((1, 2)), [0], st),\n"
+        "    lambda st: update_tal(st, k, 1.0, [1.0, -1.0]),\n"
+        "    lambda st: update_batched(st, k, 1.0, [0]),\n"
+        ")\n"
+        "for q in ([0.5, np.nan], [0.5, k.q_max]):\n"
+        "    for call in calls:\n"
+        "        try:\n"
+        "            call(QState(q=q))\n"
+        "        except TalcilError as exc:\n"
+        "            print(type(exc).__name__)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["TalcilError"] * 3
+    assert proc.stdout.split() == ["TalcilError"] * 3 + ["DomainError"] * 6
 
 
 def test_tal_exploratory_r_clamps_and_warns():
@@ -339,7 +349,6 @@ def test_qstate_starts_at_zero_and_grows_with_zeros():
     grown = st.append_classes(2)
     assert grown.class_count == 5
     assert grown.q[3] == 0.0 and grown.q[4] == 0.0
-    assert grown.step == st.step
     with pytest.raises(DomainError):
         st.append_classes(-1)
     with pytest.raises(DomainError):
@@ -362,7 +371,6 @@ def test_updates_leave_input_state_untouched():
     update_plain(st, MemoryKernel(lam=0.9), [1.0, -1.0])
     update_batched(st, MemoryKernel(lam=0.9), 1.0, [0, 1])
     assert np.array_equal(st.q, before)
-    assert st.step == 0
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +418,19 @@ def test_a_failed_range_check_is_never_remembered():
     q_max = MemoryKernel(lam=0.9).q_max
     for bad in ([0.5, np.nan], [0.5, q_max], [-1e-300, 0.5], [np.inf, 0.5]):
         st = QState(q=np.array(bad))
-        assert [st.within(q_max) for _ in range(3)] == [False] * 3
+        for _ in range(3):
+            with pytest.raises(DomainError, match=r"tracker state outside \[0, q_max\)"):
+                st.weight(q_max, 1.0, checked=True)
+        st.weight(q_max, 1.0)  # an unchecked read does not look at the range
     good = QState(q=np.array([0.0, 0.5]))
-    assert good.within(q_max) and good.within(q_max)
-    assert not good.within(0.25)  # a smaller q_max is checked, not assumed
-    assert not good.within(np.nan)
+    for _ in range(2):
+        assert good.weight(q_max, 1.0, checked=True).tobytes() == (good.q / q_max).tobytes()
+    for smaller in (0.25, np.nan):  # a smaller q_max is checked, not assumed
+        with pytest.raises(DomainError):
+            good.weight(smaller, 1.0, checked=True)
     empty = QState(q=np.zeros(0))
-    assert empty.within(q_max) and empty.within(-1.0)  # vacuously, as before
+    for any_q_max in (q_max, -1.0):  # vacuously, as before
+        assert empty.weight(any_q_max, 1.0, checked=True).shape == (0,)
 
 
 def test_strict_updates_build_states_known_to_lie_in_range():
@@ -424,7 +438,7 @@ def test_strict_updates_build_states_known_to_lie_in_range():
     st = QState.zeros(2)
     for _ in range(60):  # onto the q_max boundary and snapped back
         st = update_batched(st, k, 1.0, [0, 0, 0, 0])
-        assert st.within(k.q_max)
+        st.weight(k.q_max, 1.0, checked=True)
         assert np.logical_and.reduce((st.q >= 0.0) & (st.q < k.q_max))
 
 
@@ -437,7 +451,8 @@ def test_a_permissive_update_does_not_vouch_for_its_range():
         update_tal(start, k, 1.0, [1.0, -1.0], strict=False),
     ):
         assert st.q[1] > k.q_max
-        assert not st.within(k.q_max)
+        with pytest.raises(DomainError):
+            st.weight(k.q_max, 1.0, checked=True)
         with pytest.raises(DomainError):
             update_batched(st, k, 1.0, [0, 1])
 

@@ -9,6 +9,7 @@ from talcil import (
     DomainError,
     MemoryKernel,
     QState,
+    SpecError,
     TalConfig,
     ce_forward,
     solve_calibration,
@@ -16,6 +17,7 @@ from talcil import (
     training_step,
     update_tal,
 )
+from talcil.config import spec_from_mapping
 
 
 def finite_difference(loss_fn, logits, h=1e-5):
@@ -64,6 +66,16 @@ def test_config_epsilon_and_domain_gates():
     with pytest.warns(RuntimeWarning):
         config = TalConfig.for_classes(0.9, 0.5, 10, exploratory=True)
     assert config.alpha > 1.0  # exploratory calibration still solved
+
+
+def test_a_spec_and_a_config_report_one_epsilon_message():
+    message = "epsilon must lie in (0, 1e-6], got 1.0"
+    with pytest.raises(DomainError) as err:
+        TalConfig.for_classes(0.9, 1.0, 10, epsilon=1.0)
+    assert str(err.value) == message
+    with pytest.raises(SpecError) as err:
+        spec_from_mapping({"loss": {"epsilon": 1.0}})
+    assert str(err.value) == f"bad value in loss: {message}"
 
 
 @pytest.mark.parametrize("c", [2, 10, 100])

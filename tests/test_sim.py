@@ -8,6 +8,7 @@ import pytest
 from talcil import (
     DomainError,
     SolverError,
+    SpecError,
     TrainingError,
     ablate,
     make_gaussian_tasks,
@@ -419,6 +420,20 @@ def test_ablation_enumerates_every_cell_with_one_baseline():
     assert len(tal_rows) == 2 * 2 * 2
     cells = {(r["lam"], r["r"]) for r in tal_rows}
     assert cells == {(0.99, 0.5), (0.99, 1.0), (0.995, 0.5), (0.995, 1.0)}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"seeds": (0, 0)},  # ablate would train seed 0 twice
+        {"seeds": ()},  # ablate would return no rows
+        {"dataset": DatasetBlock(classes=4, tasks=4)},  # one class per task for TAL
+    ],
+    ids=["repeated-seed", "no-seed", "one-class-per-task"],
+)
+def test_a_spec_built_in_code_checks_itself(fields):
+    with pytest.raises(SpecError):
+        ExperimentSpec(**fields)
 
 
 def test_steep_weighting_underperforms_linear_at_desk_scale():

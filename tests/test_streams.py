@@ -12,7 +12,7 @@ from talcil import (
     sample_dominance_pair,
     verify_theorem1,
 )
-from talcil.oracle import PolaritySequence, phi_from_counts, q_from_convolution
+from talcil.oracle import convolve_q, phi_from_counts
 from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms
 
 
@@ -114,15 +114,6 @@ def test_stream_generation_is_deterministic():
     assert not np.array_equal(a.labels, c.labels)
 
 
-def test_stream_defaults_to_schedule_shuffle_seed():
-    schedule = TaskSchedule.uniform(
-        class_count=4, tasks=2, samples_per_class=20, shuffle_seed=11
-    )
-    assert np.array_equal(
-        generate_stream(schedule).labels, generate_stream(schedule, seed=11).labels
-    )
-
-
 def test_trace_class_id_validation():
     schedule = TaskSchedule.uniform(class_count=2, tasks=1, samples_per_class=5)
     trace = generate_stream(schedule, seed=0)
@@ -144,7 +135,7 @@ def test_phi_identity_on_small_cases():
         f = k.weights(len(values))
         s = np.cumsum(values > 0).astype(float)
         phi = phi_from_counts(f, s)
-        direct = q_from_convolution(k, PolaritySequence(values=values))
+        direct = convolve_q(f, values)
         assert direct == pytest.approx(2.0 * phi - f.sum(), abs=1e-12)
 
 
