@@ -15,6 +15,7 @@ calibration of its dataset, ``check_calibration``) and raises ``SpecError``.
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -218,12 +219,23 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
     )
 
 
+class _SpecLoader(yaml.SafeLoader):
+    """Safe YAML 1.1, which reads ``1e-3`` as a string, plus YAML 1.2's exponent floats."""
+
+
+_SpecLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_spec(path) -> ExperimentSpec:
     path = Path(path)
     if not path.is_file():
         raise SpecError(f"spec file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=_SpecLoader)
     except yaml.YAMLError as exc:
         raise SpecError(f"could not parse {path}: {exc}") from exc
     if data is None:

@@ -25,10 +25,10 @@ Both go through one advance.  It reads w(q), and in the strict form the
 range check, through the ``QState`` it is given, which computes each
 once (``QState.weight``), and it hands back a state that already knows
 it lies in [0, q_max).  ``update_batched`` takes raw labels, wrapped on
-entry, or a ``Minibatch``, checked when it was built and here only
-compared with the tracker's class count.  The calibrated domain and the
-tracker's range are still checked per call, since each cell of a
-lockstep run has its own kernel, r and state.
+entry, or a ``Minibatch``, checked when it (or its ``Minibatch.split``)
+was built and here only compared with the tracker's class count.  The
+calibrated domain and the tracker's range are still checked per call,
+since each cell of a lockstep run has its own kernel, r and state.
 """
 
 from __future__ import annotations
@@ -160,12 +160,13 @@ class Minibatch:
     own and checks them once -- a 1-d vector of at least one label, of
     an integer or bool dtype (a float or string label is refused, never
     truncated), each in ``[0, class_count)``.  A label out of range
-    raises ``IndexError``, everything else ``DomainError``.
+    raises ``IndexError``, everything else ``DomainError``.  ``split``
+    cuts a label vector into minibatches under one such check.
 
     Because the labels cannot change, the arrays derived from them are
     computed once and kept, read-only: ``flat_true`` when the batch is
     built, since every forward pass reads it, and ``fractions`` the
-    first time a tracker update reads it.
+    first time a tracker update reads it (a split's pieces get both).
     """
 
     labels: np.ndarray
@@ -190,6 +191,28 @@ class Minibatch:
         flat_true = np.arange(0, n * c, c) + y
         y.flags.writeable = flat_true.flags.writeable = False
         vars(self).update(labels=y, class_count=c, size=n, flat_true=flat_true)
+
+    @classmethod
+    def split(cls, labels, class_count: int, batch_size: int) -> list["Minibatch"]:
+        """The consecutive minibatches of ``batch_size`` labels (the last
+        may be shorter), each bit for bit ``Minibatch(piece, class_count)``.
+        The labels are checked once, a piece's arrays are read-only views of
+        the split's own, and one histogram gives every piece its fractions."""
+        whole = cls(labels, class_count)
+        y, c, n, b = whole.labels, whole.class_count, whole.size, operator.index(batch_size)
+        if b < 1:
+            raise DomainError(f"batch size must be at least 1, got {b}")
+        piece = np.arange(n) // b
+        flat_true = whole.flat_true - piece * (b * c)  # row offsets restart in each piece
+        sizes = np.bincount(piece)[:, None]
+        p = np.bincount(piece * c + y, minlength=sizes.size * c).reshape(-1, c) / sizes
+        q = 1.0 - p
+        flat_true.flags.writeable = p.flags.writeable = q.flags.writeable = False
+        pieces = [object.__new__(cls) for _ in range(sizes.size)]
+        for batch, lo, frac_pos, frac_neg in zip(pieces, range(0, n, b), p, q):
+            vars(batch).update(labels=y[lo : lo + b], class_count=c, size=min(b, n - lo),
+                               flat_true=flat_true[lo : lo + b], fractions=(frac_pos, frac_neg))
+        return pieces
 
     @cached_property
     def fractions(self) -> tuple[np.ndarray, np.ndarray]:

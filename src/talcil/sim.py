@@ -165,17 +165,13 @@ class Classifier:
         """SGD step from the loss's logit gradient (mean-reduced already)."""
         x = np.asarray(x, dtype=np.float64)
         h = self._features(x)
-        grad_w = h.swapaxes(-1, -2) @ grad_logits
-        grad_b = grad_logits.sum(axis=-2)
-        if self.w1 is not None:
+        if self.w1 is not None:  # the hidden layer's gradient reads w before its step
             grad_h = grad_logits @ self.w.swapaxes(-1, -2)
             grad_h[h <= 0.0] = 0.0
             self.w1 -= lr * (x.T @ grad_h)
-            self.b1 -= lr * grad_h.sum(axis=-2)
-        grad_w *= lr
-        grad_b *= lr
-        self.w -= grad_w
-        self.b -= grad_b
+            self.b1 -= lr * np.add.reduce(grad_h, axis=-2)  # ndarray.sum without its wrapper
+        self.w -= lr * (h.swapaxes(-1, -2) @ grad_logits)
+        self.b -= lr * np.add.reduce(grad_logits, axis=-2)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=-1)
@@ -202,13 +198,14 @@ def class_ages(schedule: TaskSchedule) -> np.ndarray:
     return ages
 
 
-def _batches(rng, train_x, train_y, epochs: int, batch_size: int):
-    """(epoch, inputs, labels) of every minibatch of a task, in training order."""
+def _batches(rng, train_x, train_y, class_count: int, epochs: int, batch_size: int):
+    """(epoch, inputs, minibatch) of every minibatch of a task, in training
+    order: one gather and one ``Minibatch.split`` per epoch."""
     for epoch in range(epochs):
         perm = rng.permutation(train_x.shape[0])
-        for start in range(0, perm.shape[0], batch_size):
-            idx = perm[start : start + batch_size]
-            yield epoch, train_x[idx], train_y[idx]
+        xs = train_x[perm]
+        for i, batch in enumerate(Minibatch.split(train_y[perm], class_count, batch_size)):
+            yield epoch, xs[i * batch_size : (i + 1) * batch_size], batch
 
 
 def _cell_step(loss: LossBlock, class_count: int):
@@ -241,13 +238,13 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
     head ``Classifier(spec.dataset.dim, spec.schedule.hidden, seed)`` and
     an empty tracker; the cells differ only in their ``LossBlock``.  So
     they see one batch stream: the permutations are drawn once and each
-    minibatch is gathered once and its labels are checked once, as one
-    ``Minibatch`` that every cell's loss and tracker step read.  Cell
-    ``k`` is slice ``k`` of one stacked head from the first step to the
-    last: one ``np.matmul`` per product gives every cell's logits, SGD
-    step and test predictions, and each cell runs its own loss and
-    tracker step on its slice, so its report is bit for bit that of
-    training it alone.
+    epoch is gathered once and its labels are checked once, by one
+    ``Minibatch.split`` whose pieces every cell's loss and tracker step
+    read.  Cell ``k`` is slice ``k`` of one stacked head from the first
+    step to the last: one ``np.matmul`` per product gives every cell's
+    logits, SGD step and test predictions, and each cell runs its own
+    loss and tracker step on its slice, so its report is bit for bit
+    that of training it alone.
 
     The tracker is advanced once per training minibatch (never during
     evaluation).  Each cell's step is built at every task boundary, where
@@ -291,10 +288,9 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
         train_x = np.concatenate([x for _, x in pool])
         train_y = np.concatenate([np.full(x.shape[0], k, dtype=np.int64) for k, x in pool])
 
-        for epoch, xb, yb in _batches(rng, train_x, train_y, epochs, batch_size):
+        for epoch, xb, batch in _batches(rng, train_x, train_y, c_now, epochs, batch_size):
             z = head.logits(xb)
-            batch = Minibatch(yb, c_now)  # every cell reads the same checked labels
-            grads = np.zeros_like(z)
+            grads = np.zeros(z.shape)
             for k, step in enumerate(steps):
                 if step is None:
                     continue
@@ -313,8 +309,7 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
                     if math.isfinite(out.loss):
                         grads[k] = out.grad_logits
                         if sinks[k] is not None:
-                            event = {"task": t, "epoch": epoch, "step": global_step}
-                            sinks[k]({**event, "loss": out.loss})
+                            sinks[k](dict(task=t, epoch=epoch, step=global_step, loss=out.loss))
                         continue
                     error = TrainingError(
                         f"loss diverged at step {global_step}", step=global_step

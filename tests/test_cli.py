@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import talcil
 from talcil.bench import run_loss_benchmark
 from talcil.cli import _error_record, main
+from talcil.config import load_spec
 from talcil.errors import DomainError, SolverError, TrainingError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -154,6 +155,29 @@ def test_malformed_specs_map_to_spec_error(tmp_path, mutation, capsys):
     assert main(["train", "--spec", str(spec), "--output-dir", str(out_dir)]) == 3
     assert not out_dir.exists()
     assert json.loads(capsys.readouterr().err.strip())["error"] == "SpecError"
+
+
+def test_an_exponent_without_a_dot_reads_as_its_dotted_form(tmp_path):
+    # YAML 1.1 (PyYAML) reads 1e-3 as a string, YAML 1.2 as a float
+    def loaded(lr, epsilon, sep):
+        text = TINY_SPEC.replace("lr: 0.1", f"lr: {lr}").replace("sep: 2.5", f"sep: {sep}")
+        text = text.replace("kind: TAL", f"kind: TAL\n  epsilon: {epsilon}")
+        return load_spec(write_spec(tmp_path, text))
+
+    dotted = loaded("1.0e-3", "5.0e-13", "10.0")
+    assert (dotted.schedule.lr, dotted.loss.epsilon, dotted.dataset.sep) == (1e-3, 5e-13, 10.0)
+    assert loaded("1e-3", "5e-13", "1e1") == dotted
+    assert loaded("1E-3", "5.e-13", "1.0e1") == dotted
+
+
+def test_an_exponent_is_still_a_float_in_an_int_field(tmp_path, capsys):
+    spec = write_spec(tmp_path, TINY_SPEC.replace("per_class: 30", "per_class: 1e2"))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--spec", str(spec), "--output-dir", str(out_dir)]) == 3
+    assert not out_dir.exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "SpecError"
+    assert "dataset.per_class must be an integer, got 100.0" in record["message"]
 
 
 def test_train_writes_expected_files(tmp_path, capsys):

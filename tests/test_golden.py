@@ -106,6 +106,21 @@ def test_ablate_outputs_match_pinned_digests(tmp_path, hidden, digests):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_hidden_layer_train_matches_pinned_digests(tmp_path):
+    """A ReLU-layer head whose batch size divides neither task's pool
+    (60 and 70 samples in batches of 16), so every epoch ends short."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(TINY_ABLATE_SPEC.replace("HIDDEN", "8"))
+    out = tmp_path / "out"
+    assert main(["train", "--spec", str(spec), "--output-dir", str(out)]) == 0
+    digests = {
+        "events_seed0.jsonl": "60eca56c39ab76f5fd1b34cc3a0ffe965c252f7c4715ce64402a827f1c6a8236",
+        "q_snapshots_seed0.csv": "e0419d5a4ec1417c15642ba321e19ea61ca461ae2932b66c39d6e19b842c581b",
+    }
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 UNDEFINED_PRECISION_SPEC = """\
 dataset: {classes: 6, dim: 8, tasks: 3, per_class: 40, test_per_class: 20, sep: 2.5}
 schedule: {replay_per_class: 0, epochs: 10, batch_size: 16, lr: 0.5, hidden: 0}

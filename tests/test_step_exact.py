@@ -365,6 +365,56 @@ def test_minibatch_copies_its_labels_and_is_read_only():
         batch.class_count = 5
 
 
+@st.composite
+def split_cases(draw):
+    n = draw(st.integers(1, 200))
+    c = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    return np.array(labels), c, draw(st.integers(1, n + 5))
+
+
+@given(split_cases())
+def test_split_pieces_are_the_minibatches_of_their_labels_bit_for_bit(case):
+    # the last piece is short whenever batch_size does not divide N, and
+    # batch_size >= N gives a single piece
+    y, c, b = case
+    pieces = Minibatch.split(y, c, b)
+    assert len(pieces) == -(-y.shape[0] // b)
+    for i, piece in enumerate(pieces):
+        ref = Minibatch(y[i * b : (i + 1) * b], c)
+        assert (piece.size, piece.class_count) == (ref.size, ref.class_count)
+        for got, want in (
+            (piece.labels, ref.labels),
+            (piece.flat_true, ref.flat_true),
+            *zip(piece.fractions, ref.fractions),
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0
+    y += 1  # the pieces hold the split's own copy of the labels
+    assert pieces[0].labels[0] == y[0] - 1
+
+
+def test_split_refuses_what_a_minibatch_refuses():
+    for labels, error in (
+        ([], DomainError),
+        ([0.0, 1.0], DomainError),
+        (np.array([0.5]), DomainError),
+        ([[0, 1]], DomainError),
+        ([0, -1], IndexError),
+        ([0, 3], IndexError),
+        (np.array([2**64 - 1], np.uint64), IndexError),
+    ):
+        with pytest.raises(error) as want:
+            Minibatch(labels, 3)
+        with pytest.raises(error) as got:
+            Minibatch.split(labels, 3, 2)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(DomainError):
+        Minibatch.split([0, 1], 3, 0)
+
+
 def test_minibatch_that_does_not_fit_is_a_domain_error():
     config = TalConfig.for_classes(0.9, 1.0, 3)
     k, state = config.kernel, QState.zeros(3)
