@@ -15,7 +15,6 @@ import argparse
 from pathlib import Path
 
 from talcil import MemoryKernel, TaskSchedule, generate_stream, verify_theorem1
-from talcil.oracle import convolve_q
 from talcil.output import write_csv
 
 
@@ -27,21 +26,16 @@ def main():
     parser.add_argument("--output-dir", default=None)
     args = parser.parse_args()
 
-    schedule = TaskSchedule.uniform(
-        class_count=2, tasks=2, samples_per_class=args.per_class
-    )
-    trace = generate_stream(schedule, seed=args.seed)
+    trace = generate_stream(TaskSchedule(2, 2, args.per_class, 0), seed=args.seed)
     kernel = MemoryKernel(lam=args.lam)
-    f = kernel.weights(len(trace))
+    verdict = verify_theorem1(kernel, (trace.polarities(0), trace.polarities(1)))
 
     print(f"stream: {len(trace)} steps, 2 classes, lam={args.lam} (q_max={kernel.q_max:.3f})")
-    for k in (0, 1):
+    for k, q in ((0, verdict.q_a), (1, verdict.q_b)):
         s = trace.cumulative_positives(k)
-        q = convolve_q(f, trace.polarities(k))
         marks = [int(s[n]) for n in range(24, len(trace), 25)]
         print(f"  class {k}: S at steps 25,50,... = {marks}   Q[N] = {q:+.4f}")
 
-    verdict = verify_theorem1(kernel, (trace.polarities(0), trace.polarities(1)))
     print(
         f"dominance S_0 >= S_1 at every step: {verdict.dominance_held} "
         f"(strict somewhere: {verdict.strict_dominance})"

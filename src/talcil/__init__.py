@@ -41,7 +41,6 @@ from .sim import (
 from .streams import (
     SupervisionTrace,
     TaskSchedule,
-    TaskSpec,
     TheoremVerdict,
     generate_stream,
     sample_dominance_pair,
@@ -66,7 +65,6 @@ __all__ = [
     "tal_forward",
     "ce_forward",
     "training_step",
-    "TaskSpec",
     "TaskSchedule",
     "SupervisionTrace",
     "TheoremVerdict",

@@ -101,12 +101,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_simulate_stream(args) -> int:
-    schedule = TaskSchedule.uniform(
-        class_count=args.classes,
-        tasks=args.tasks,
-        samples_per_class=args.per_class,
-        replay_per_old_class=args.replay,
-    )
+    schedule = TaskSchedule(args.classes, args.tasks, args.per_class, args.replay)
     trace = generate_stream(schedule, args.seed)
     steps, c = len(trace), trace.class_count
     kernel = MemoryKernel(lam=args.lam)
@@ -291,8 +286,12 @@ def _check_cell(column: str, cell: str) -> None:
 def _read_table(path: Path, table: str) -> list[list[str]]:
     """The rows of one run table, checked against what ``train`` writes: the
     table's header, at least one row, and a parseable cell per column.
-    Anything else is a malformed run directory (``SpecError``)."""
-    header, *lines = path.read_text().strip().split("\n")
+    Anything else, an unreadable or undecodable file included, is a
+    malformed run directory (``SpecError``)."""
+    try:
+        header, *lines = path.read_text(encoding="utf-8").strip().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"{path}: {exc}") from exc
     columns = TABLE_HEADERS[table]
     if header.split(",") != list(columns):
         raise SpecError(f"{path}: header is not {','.join(columns)}")

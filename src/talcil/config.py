@@ -235,7 +235,7 @@ def load_spec(path) -> ExperimentSpec:
     if not path.is_file():
         raise SpecError(f"spec file not found: {path}")
     try:
-        data = yaml.load(path.read_text(), Loader=_SpecLoader)
+        data = yaml.load(path.read_bytes(), Loader=_SpecLoader)  # undecodable: a YAMLError
     except yaml.YAMLError as exc:
         raise SpecError(f"could not parse {path}: {exc}") from exc
     if data is None:

@@ -11,7 +11,7 @@ geometrically.  Under all-positive supervision Q approaches but never
 reaches q_max = lam / (1 - lam).
 
 One update rule, in two input forms (the raw recursion and the direct
-convolution, which tests compare against, live in ``talcil.oracle``):
+convolution, which the tests compare against, live in ``tests/oracle.py``):
 q' = lam * (q + p - (1 - p) * w(q)) with w(q) = (q / q_max) ** r, where
 p is the share of the step's supervision that is positive for the class.
 Scaling negative supervision by w(q) keeps q inside [0, q_max) for

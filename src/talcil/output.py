@@ -104,13 +104,30 @@ def write_csv(path, header, columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-#: ``json.dumps(..., sort_keys=True)`` builds a new encoder per call
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+_NON_FINITE = frozenset(map(repr, (np.nan, np.inf, -np.inf)))
 
 
 def write_jsonl(path, records) -> None:
-    lines = [_JSONL_ENCODER.encode(rec) for rec in records]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """One record per line, spelled as ``json.dumps(record, sort_keys=True)``.
+
+    The records are a run's events: they share one set of string keys
+    and hold ints and finite floats, whose ``repr`` is their JSON, so one
+    template formats every line.  Any other record list is a
+    ``DomainError``, raised before anything is written.
+    """
+    records = list(records)
+    keys = sorted(records[0]) if records else []
+    if any(type(k) is not str for k in keys) or any(r.keys() != records[0].keys() for r in records):
+        raise DomainError("JSONL records must share one set of string keys")
+    cells = []
+    for key in keys:
+        column = [r[key] for r in records]
+        spelled = list(map(repr, column))
+        if not set(map(type, column)) <= {int, float} or not _NON_FINITE.isdisjoint(spelled):
+            raise DomainError(f"JSONL field {key!r} must hold ints and finite floats")
+        cells.append(spelled)
+    template = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "}\n"
+    atomic_write_text(path, "".join(map(template.__mod__, zip(*cells))))
 
 
 def _canonical_json(obj) -> str:

@@ -1,10 +1,12 @@
 """Desk-scale class-incremental trainer on synthetic Gaussian classes.
 
 Classes are isotropic Gaussians with means placed on a sphere under a
-minimum-separation constraint, split into equal-width tasks that arrive
-in order.  The classifier is a softmax head (linear, or with one ReLU
-hidden layer) trained by plain SGD; when a task introduces classes the
-head grows zero-initialized columns and the tracker grows zero entries.
+minimum-separation constraint, split into the equal-width tasks of a
+``TaskSchedule`` that arrive in order.  The classifier is a softmax head
+(linear, or with one ReLU hidden layer) trained by plain SGD: each step
+computes the hidden layer once (``features``) and hands it to both the
+logits and the SGD step.  When a task introduces classes the head grows
+zero-initialized columns and the tracker grows zero entries.
 
 Replay follows the usual fixed-budget recipe: when a class's task ends,
 the exemplars closest to its empirical mean are kept (mean-matching in
@@ -93,12 +95,7 @@ def make_gaussian_tasks(spec: ExperimentSpec, seed: int) -> tuple[SyntheticDatas
     test = means[:, None, :] + data.cov_scale * rng.standard_normal(
         (data.classes, data.test_per_class, data.dim)
     )
-    schedule = TaskSchedule.uniform(
-        class_count=data.classes,
-        tasks=data.tasks,
-        samples_per_class=data.per_class,
-        replay_per_old_class=spec.schedule.replay_per_class,
-    )
+    schedule = TaskSchedule(data.classes, data.tasks, data.per_class, spec.schedule.replay_per_class)
     return SyntheticDataset(class_means=means, train=train, test=test), schedule
 
 
@@ -151,20 +148,22 @@ class Classifier:
         self.w = np.concatenate([self.w, np.zeros((*self.w.shape[:-1], n_new))], axis=-1)
         self.b = np.concatenate([self.b, np.zeros((*self.b.shape[:-1], n_new))], axis=-1)
 
-    def _features(self, x: np.ndarray) -> np.ndarray:
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """The softmax layer's inputs: the ReLU layer's output, or x itself."""
+        x = np.asarray(x, dtype=np.float64)
         if self.w1 is None:
             return x
         return np.maximum(x @ self.w1 + self.b1[..., None, :], 0.0)
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        z = self._features(np.asarray(x, dtype=np.float64)) @ self.w
+    def logits(self, h: np.ndarray) -> np.ndarray:
+        """The softmax layer's logits from its inputs ``h = features(x)``."""
+        z = h @ self.w
         z += self.b[..., None, :]
         return z
 
-    def train_batch(self, x: np.ndarray, grad_logits: np.ndarray, lr: float) -> None:
-        """SGD step from the loss's logit gradient (mean-reduced already)."""
-        x = np.asarray(x, dtype=np.float64)
-        h = self._features(x)
+    def train_batch(self, x: np.ndarray, h: np.ndarray, grad_logits: np.ndarray, lr: float) -> None:
+        """SGD step from the loss's logit gradient (mean-reduced already),
+        given the inputs ``x`` and the ``features(x)`` the logits came from."""
         if self.w1 is not None:  # the hidden layer's gradient reads w before its step
             grad_h = grad_logits @ self.w.swapaxes(-1, -2)
             grad_h[h <= 0.0] = 0.0
@@ -174,7 +173,7 @@ class Classifier:
         self.b -= lr * np.add.reduce(grad_logits, axis=-2)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(x), axis=-1)
+        return np.argmax(self.logits(self.features(x)), axis=-1)
 
 
 _WEIGHTS = ("w1", "b1", "w", "b")
@@ -190,12 +189,8 @@ def _select_exemplars(pool: np.ndarray, count: int) -> np.ndarray:
 
 def class_ages(schedule: TaskSchedule) -> np.ndarray:
     """Age per class id: tasks elapsed since the class was introduced."""
-    last = len(schedule.tasks) - 1
-    ages = np.zeros(schedule.class_count)
-    for task in schedule.tasks:
-        for k in task.new_class_ids:
-            ages[k] = last - task.task_id
-    return ages
+    width = schedule.class_count // schedule.tasks
+    return (schedule.tasks - 1 - np.arange(schedule.class_count) // width).astype(np.float64)
 
 
 def _batches(rng, train_x, train_y, class_count: int, epochs: int, batch_size: int):
@@ -260,7 +255,7 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
     if not losses or len(sinks) != cells:
         raise DomainError("need at least one cell and one event sink (or None) per cell")
     dataset, schedule = make_gaussian_tasks(spec, seed)
-    n_tasks = len(schedule.tasks)
+    n_tasks = schedule.tasks
     rng = np.random.default_rng(seed)
     head = Classifier.stack([Classifier(spec.dataset.dim, spec.schedule.hidden, seed)] * cells)
     q_states = [QState(q=np.zeros(0))] * cells
@@ -271,25 +266,26 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
     per_task: list[list[PerClassMetrics]] = [[] for _ in losses]
     snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in losses]
     replay: dict[int, np.ndarray] = {}
-    seen_classes: list[int] = []
     global_step = 0
     epochs, batch_size, lr = spec.schedule.epochs, spec.schedule.batch_size, spec.schedule.lr
 
-    for t, task in enumerate(schedule.tasks):
-        head.add_classes(len(task.new_class_ids))
+    for t in range(n_tasks):
+        new = schedule.new_classes(t)
+        head.add_classes(len(new))
         c_now = head.class_count
         for k, loss in enumerate(losses):
             if k not in errors:
-                q_states[k] = q_states[k].append_classes(len(task.new_class_ids))
+                q_states[k] = q_states[k].append_classes(len(new))
                 steps[k] = _cell_step(loss, c_now)
 
-        pool = [(k, dataset.train[k]) for k in task.new_class_ids]
-        pool += [(k, replay[k]) for k in seen_classes]
+        pool = [(k, dataset.train[k]) for k in new]
+        pool += [(k, replay[k]) for k in range(new.start)]
         train_x = np.concatenate([x for _, x in pool])
         train_y = np.concatenate([np.full(x.shape[0], k, dtype=np.int64) for k, x in pool])
 
         for epoch, xb, batch in _batches(rng, train_x, train_y, c_now, epochs, batch_size):
-            z = head.logits(xb)
+            h = head.features(xb)
+            z = head.logits(h)
             grads = np.zeros(z.shape)
             for k, step in enumerate(steps):
                 if step is None:
@@ -318,24 +314,21 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
                 head.clear(k)
             if not any(steps):
                 break
-            head.train_batch(xb, grads, lr)
+            head.train_batch(xb, h, grads, lr)
             global_step += 1
         if not any(steps):
             break
 
-        seen_classes.extend(task.new_class_ids)
-        for k in task.new_class_ids:
-            replay[k] = _select_exemplars(dataset.train[k], task.replay_per_old_class)
+        for k in new:
+            replay[k] = _select_exemplars(dataset.train[k], schedule.replay_per_old_class)
 
-        test_x = np.concatenate([dataset.test[k] for k in seen_classes])
-        test_y = np.concatenate(
-            [np.full(dataset.test.shape[1], k, dtype=np.int64) for k in seen_classes]
-        )
+        test_x = np.concatenate(dataset.test[:c_now])
+        test_y = np.repeat(np.arange(c_now), dataset.test.shape[1])
         preds = head.predict(test_x)  # (cells, N)
         correct = preds == test_y  # a failed cell's rows are never reported
         overall[:, t] = correct.mean(axis=1)
         for u in range(t + 1):
-            mask = np.isin(test_y, schedule.tasks[u].new_class_ids)
+            mask = np.isin(test_y, schedule.new_classes(u))
             acc_matrix[:, t, u] = correct[:, mask].mean(axis=1)
         for k, step in enumerate(steps):
             if step is None:
@@ -417,8 +410,9 @@ def desk_scale_pair(seed: int, *, lam: float = 0.995, r: float = 1.0) -> dict[st
     spec = ExperimentSpec(loss=LossBlock(lam=lam, r=r))
     kinds = ("ce", "tal")
     losses = [replace(spec.loss, kind=kind.upper()) for kind in kinds]
+    data = spec.dataset
     ages = class_ages(
-        TaskSchedule.uniform(spec.dataset.classes, spec.dataset.tasks, spec.dataset.per_class)
+        TaskSchedule(data.classes, data.tasks, data.per_class, spec.schedule.replay_per_class)
     )
     results = {}
     for kind, report in zip(kinds, train_cells(spec, seed, losses)):

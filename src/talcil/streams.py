@@ -2,10 +2,11 @@
 
 A stream is a step-per-sample label sequence (single-label: exactly one
 class is positive at each step, every other class sees -1).  Streams are
-generated from a task schedule -- each task contributes its new classes'
-samples plus a fixed number of replay exemplars per old class, shuffled
-within the task -- so earlier classes' positives are front-loaded by
-construction.
+generated from a task schedule, the four numbers of ``TaskSchedule``:
+classes 0..C-1 arrive in equal-width tasks in id order, and each task
+contributes its new classes' samples plus a fixed number of replay
+exemplars per old class, shuffled within the task -- so earlier classes'
+positives are front-loaded by construction.
 
 ``verify_theorem1`` checks the core monotonicity fact on a pair of
 polarity sequences (from a trace, ``trace.polarities(k)``): for two
@@ -34,7 +35,6 @@ from .errors import DomainError
 from .kernel import MemoryKernel, _convolve
 
 __all__ = [
-    "TaskSpec",
     "TaskSchedule",
     "SupervisionTrace",
     "TheoremVerdict",
@@ -45,69 +45,36 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TaskSpec:
-    task_id: int
-    new_class_ids: tuple[int, ...]
+class TaskSchedule:
+    """Equal-width tasks over classes 0..class_count-1, in id order.
+
+    Task t introduces ``samples_per_class`` samples of each of its
+    ``class_count // tasks`` new classes and replays
+    ``replay_per_old_class`` exemplars of every class an earlier task
+    introduced.
+    """
+
+    class_count: int
+    tasks: int
     samples_per_class: int
-    replay_per_old_class: int = 0
+    replay_per_old_class: int
 
     def __post_init__(self):
-        object.__setattr__(self, "new_class_ids", tuple(self.new_class_ids))
-        if not self.new_class_ids:
-            raise DomainError(f"task {self.task_id} introduces no classes")
+        if self.tasks < 1 or self.class_count < 1:
+            raise DomainError("need at least one task and one class")
+        if self.class_count % self.tasks != 0:
+            raise DomainError(
+                f"class count {self.class_count} not divisible by task count {self.tasks}"
+            )
         if self.samples_per_class < 1:
-            raise DomainError(f"task {self.task_id} has no samples per class")
+            raise DomainError("need at least one sample per class")
         if self.replay_per_old_class < 0:
             raise DomainError("replay count cannot be negative")
 
-
-@dataclass(frozen=True)
-class TaskSchedule:
-    """Ordered tasks with disjoint class ids."""
-
-    tasks: tuple[TaskSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        if not self.tasks:
-            raise DomainError("schedule contains no tasks")
-        seen: set[int] = set()
-        for task in self.tasks:
-            overlap = seen.intersection(task.new_class_ids)
-            if overlap:
-                raise DomainError(f"class ids {sorted(overlap)} appear in multiple tasks")
-            seen.update(task.new_class_ids)
-
-    @property
-    def class_count(self) -> int:
-        return max(k for t in self.tasks for k in t.new_class_ids) + 1
-
-    @classmethod
-    def uniform(
-        cls,
-        class_count: int,
-        tasks: int,
-        samples_per_class: int,
-        replay_per_old_class: int = 0,
-    ) -> "TaskSchedule":
-        """Equal-width tasks over classes 0..class_count-1, in id order."""
-        if tasks < 1 or class_count < 1:
-            raise DomainError("need at least one task and one class")
-        if class_count % tasks != 0:
-            raise DomainError(
-                f"class count {class_count} not divisible by task count {tasks}"
-            )
-        width = class_count // tasks
-        specs = tuple(
-            TaskSpec(
-                task_id=t,
-                new_class_ids=tuple(range(t * width, (t + 1) * width)),
-                samples_per_class=samples_per_class,
-                replay_per_old_class=replay_per_old_class,
-            )
-            for t in range(tasks)
-        )
-        return cls(tasks=specs)
+    def new_classes(self, t: int) -> range:
+        """The class ids task ``t`` introduces."""
+        width = self.class_count // self.tasks
+        return range(t * width, (t + 1) * width)
 
 
 @dataclass(frozen=True)
@@ -162,20 +129,14 @@ def generate_stream(schedule: TaskSchedule, seed: int) -> SupervisionTrace:
     """
     rng = np.random.default_rng(seed)
     chunks: list[np.ndarray] = []
-    seen: list[int] = []
-    for task in schedule.tasks:
-        block = [
-            np.full(task.samples_per_class, k, dtype=np.int64)
-            for k in task.new_class_ids
-        ]
-        if task.replay_per_old_class > 0:
-            block.extend(
-                np.full(task.replay_per_old_class, k, dtype=np.int64) for k in seen
-            )
-        labels = np.concatenate(block)
+    for t in range(schedule.tasks):
+        new = schedule.new_classes(t)
+        labels = np.concatenate([
+            np.repeat(new, schedule.samples_per_class),
+            np.repeat(range(new.start), schedule.replay_per_old_class),
+        ])
         rng.shuffle(labels)
         chunks.append(labels)
-        seen.extend(task.new_class_ids)
     return SupervisionTrace(labels=np.concatenate(chunks), class_count=schedule.class_count)
 
 

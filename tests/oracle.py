@@ -1,6 +1,6 @@
-"""Reference paths that tests and scripts compare the library against.
+"""Reference paths that the tests compare the library against.
 
-None of this runs in training, so none of it is in ``talcil.__all__``:
+None of this runs in training, so none of it is in the ``talcil`` package:
 
 * ``convolve_q`` -- the tracker value by direct convolution of a
   polarity sequence with decay kernel values, such as
@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import solve_calibration
-from .errors import DomainError
-from .kernel import MemoryKernel, QState, _check_polarities, _convolve, negative_weight
-from .streams import _deltas, _phi
+from talcil.calibration import solve_calibration
+from talcil.errors import DomainError
+from talcil.kernel import MemoryKernel, QState, _check_polarities, _convolve, negative_weight
+from talcil.streams import _deltas, _phi
 
 __all__ = [
     "convolve_q",

@@ -38,7 +38,7 @@ from talcil.bench import overhead_slopes, run_loss_benchmark
 from talcil.calibration import _closed_form_r2, _solve_x_star
 from talcil.cli import main
 from talcil.kernel import negative_weight
-from talcil.oracle import convolve_q, phi_from_counts, update_plain
+from oracle import convolve_q, phi_from_counts, update_plain
 from talcil.sim import desk_scale_pair
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from talcil import DomainError, SolverError, solve_calibration
 from talcil.calibration import _closed_form_r1, _closed_form_r2, _g, _solve_x_star
-from talcil.oracle import degeneracy_check
+from oracle import degeneracy_check
 
 
 def bisect_root(c, r, iters=200):

@@ -157,6 +157,16 @@ def test_malformed_specs_map_to_spec_error(tmp_path, mutation, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "SpecError"
 
 
+def test_an_undecodable_spec_exits_3_with_nothing_written(tmp_path, capsys):
+    spec = tmp_path / "spec.yaml"
+    spec.write_bytes(b"# caf\xe9, in Latin-1\n" + TINY_SPEC.encode())
+    out_dir = tmp_path / "out"
+    assert main(["train", "--spec", str(spec), "--output-dir", str(out_dir)]) == 3
+    assert not out_dir.exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "SpecError" and str(spec) in record["message"]
+
+
 def test_an_exponent_without_a_dot_reads_as_its_dotted_form(tmp_path):
     # YAML 1.1 (PyYAML) reads 1e-3 as a string, YAML 1.2 as a float
     def loaded(lr, epsilon, sep):
@@ -607,6 +617,27 @@ def test_plotdata_malformed_run_file_exits_3_with_nothing_written(
     assert main(["plotdata", "--run", str(run), "--what", what, "--output", str(out_file)]) == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "SpecError" and name in record["message"]
+    assert not out_file.exists()
+
+
+def _latin1_byte(path):
+    path.write_bytes(path.read_bytes() + b"\xe9\n")
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("damage", [_latin1_byte, _directory], ids=["undecodable", "directory"])
+def test_plotdata_unreadable_run_file_exits_3_with_nothing_written(tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    shutil.copytree(ROOT / "runs" / "demo", run)
+    damage(run / "q_snapshots_seed1.csv")
+    out_file = tmp_path / "long.csv"
+    assert main(["plotdata", "--run", str(run), "--what", "q", "--output", str(out_file)]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SpecError" and "q_snapshots_seed1.csv" in record["message"]
     assert not out_file.exists()
 
 

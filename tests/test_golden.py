@@ -44,6 +44,18 @@ def test_train_demo_reproduces_committed_run(tmp_path):
             },
         ),
         (
+            # three tasks, so replay runs in two of them: 34, 42 and 50 steps
+            [
+                "simulate-stream",
+                "--classes", "6", "--tasks", "3", "--per-class", "17", "--replay", "4",
+            ],
+            {
+                "trace.csv": "c3bda90d414f0205f2449ff6002b85d9d85994ecb00e553d49e8e6002260bbf6",
+                "s_curves.csv": "7263624a4054ab1b0fb709061e7575cb708be04883a1d9626988d9e2da7ea33a",
+                "q_trajectory.csv": "b401f4f675b77cb9183996cd819b17bdc1a6237ce46ee9dfbe51b9d7fb44bfc9",
+            },
+        ),
+        (
             ["verify-theorem1", "--pairs", "20"],
             {
                 "theorem1_pairs.csv": "d7ddc0de250058b409fb4b8125d56d33e3db73249bc4bf1b04be6a4860e30210",
@@ -57,7 +69,7 @@ def test_train_demo_reproduces_committed_run(tmp_path):
             },
         ),
     ],
-    ids=["simulate-stream", "verify-theorem1", "verify-theorem1-dense"],
+    ids=["simulate-stream", "simulate-stream-replay", "verify-theorem1", "verify-theorem1-dense"],
 )
 def test_stream_outputs_match_pinned_digests(tmp_path, argv, digests):
     assert main([*argv, "--output-dir", str(tmp_path)]) == 0

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 import talcil
-import talcil.oracle
 from talcil import (
     DomainError,
     MemoryKernel,
@@ -26,7 +27,7 @@ from talcil import (
 )
 from talcil.config import spec_from_mapping
 from talcil.kernel import negative_weight
-from talcil.oracle import convolve_q, update_plain
+from oracle import convolve_q, update_plain
 
 LAMBDAS = [0.5, 0.9, 0.99, 0.995, 0.999]
 
@@ -536,5 +537,7 @@ def test_every_entry_point_applies_the_one_domain_rule(lam, r, exploratory):
 def test_public_names_resolve_and_leave_the_oracles_out():
     for name in talcil.__all__:
         assert getattr(talcil, name) is not None
-    assert not set(talcil.oracle.__all__) & set(talcil.__all__)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("talcil.oracle")
+    assert not set(oracle.__all__) & set(talcil.__all__)
     assert talcil.Minibatch is talcil.kernel.Minibatch is talcil.loss.Minibatch

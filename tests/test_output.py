@@ -1,5 +1,7 @@
-"""The columnar CSV writer, byte for byte against the row formatter it replaced."""
+"""The columnar CSV writer, byte for byte against the row formatter it
+replaced, and the JSONL writer against ``json.dumps``."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from talcil import output
 from talcil.errors import DomainError
-from talcil.output import fmt_cell, write_csv
+from talcil.output import fmt_cell, write_csv, write_jsonl
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-5, 1e16, np.inf, -np.inf, np.nan]
 
@@ -92,3 +94,47 @@ def test_failure_while_formatting_leaves_target_and_no_temp_file(tmp_path):
         write_csv(target, ("a",), (column,))
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+# the values a training run logs: ints, and finite floats of every magnitude
+_EVENT_VALUES = (
+    st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([3e-12, 1e16, -0.0, 5e-324, 1.7976931348623157e308])
+)
+
+
+@st.composite
+def event_logs(draw):
+    keys = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 20))
+    return [{k: draw(_EVENT_VALUES) for k in draw(st.permutations(keys))} for _ in range(n)]
+
+
+@given(records=event_logs())
+def test_jsonl_lines_are_json_dumps_with_sorted_keys(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("jsonl") / "events.jsonl"
+    write_jsonl(path, records)
+    assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"a": 1}, {"b": 1}],
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [{1: 1}],
+        [{"a": True}],  # repr spells it True, JSON true
+        [{"a": None}],
+        [{"a": "text"}],
+        [{"a": np.float64(0.5)}],  # repr spells it np.float64(0.5)
+        [{"a": 0.5}, {"a": float("nan")}],
+        [{"a": float("inf")}],
+        [{"a": -float("inf")}],
+    ],
+    ids=repr,
+)
+def test_jsonl_refuses_what_one_template_cannot_spell(tmp_path, records):
+    with pytest.raises(DomainError):
+        write_jsonl(tmp_path / "sub" / "events.jsonl", records)
+    assert not (tmp_path / "sub").exists()

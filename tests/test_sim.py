@@ -59,8 +59,8 @@ def test_dataset_shapes_and_separation():
     )
     np.fill_diagonal(dists, np.inf)
     assert dists.min() >= 2.5
-    assert len(schedule.tasks) == 5
-    assert schedule.tasks[0].new_class_ids == (0, 1)
+    assert schedule.tasks == 5
+    assert schedule.new_classes(0) == range(0, 2)
 
 
 def test_dataset_parameter_validation():
@@ -113,12 +113,13 @@ def test_cleared_cell_computes_zeros_and_the_others_keep_their_bits(hidden):
     grads = rng.standard_normal((3, 7, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = cleared.logits(x)
+        h_cleared, h = cleared.features(x), head.features(x)
+        z = cleared.logits(h_cleared)
         assert np.all(z[1] == 0.0)
-        assert np.array_equal(z[[0, 2]], head.logits(x)[[0, 2]])
-        head.train_batch(x, grads, 0.1)
+        assert np.array_equal(z[[0, 2]], head.logits(h)[[0, 2]])
+        head.train_batch(x, h, grads, 0.1)
         grads[1] = 0.0  # a failed cell gets a zero gradient row
-        cleared.train_batch(x, grads, 0.1)
+        cleared.train_batch(x, h_cleared, grads, 0.1)
     for name in ("w1", "b1", "w", "b"):
         if getattr(head, name) is None:
             continue
@@ -272,6 +273,7 @@ def test_forgetting_curve_directions():
 def test_class_ages_order():
     _, schedule = small_setup()
     ages = class_ages(schedule)
+    assert ages.dtype == np.float64
     assert ages[0] == 4 and ages[1] == 4
     assert ages[8] == 0 and ages[9] == 0
     assert np.all(np.diff(ages[::2]) < 0)

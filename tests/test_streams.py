@@ -7,12 +7,11 @@ from talcil import (
     DomainError,
     MemoryKernel,
     TaskSchedule,
-    TaskSpec,
     generate_stream,
     sample_dominance_pair,
     verify_theorem1,
 )
-from talcil.oracle import convolve_q, phi_from_counts
+from oracle import convolve_q, phi_from_counts
 from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms
 
 
@@ -21,24 +20,25 @@ from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_rejects_overlapping_and_empty():
+@pytest.mark.parametrize(
+    "class_count, tasks, samples_per_class, replay_per_old_class",
+    [(4, 0, 5, 0), (0, 1, 5, 0), (10, 3, 5, 0), (4, 2, 0, 0), (4, 2, 5, -1)],
+    ids=["no task", "no class", "uneven tasks", "no samples", "negative replay"],
+)
+def test_schedule_refuses_what_it_cannot_lay_out(
+    class_count, tasks, samples_per_class, replay_per_old_class
+):
     with pytest.raises(DomainError):
-        TaskSchedule(
-            tasks=(
-                TaskSpec(0, (0, 1), 5),
-                TaskSpec(1, (1, 2), 5),
-            )
-        )
-    with pytest.raises(DomainError):
-        TaskSchedule(tasks=())
-    with pytest.raises(DomainError):
-        TaskSpec(0, (), 5)
-    with pytest.raises(DomainError):
-        TaskSchedule.uniform(class_count=10, tasks=3, samples_per_class=5)
+        TaskSchedule(class_count, tasks, samples_per_class, replay_per_old_class)
+
+
+def test_schedule_tasks_introduce_equal_width_blocks_in_id_order():
+    schedule = TaskSchedule(6, 3, 7, 2)
+    assert [schedule.new_classes(t) for t in range(3)] == [range(0, 2), range(2, 4), range(4, 6)]
 
 
 def test_two_single_class_tasks_saturate_in_order():
-    schedule = TaskSchedule.uniform(class_count=2, tasks=2, samples_per_class=10)
+    schedule = TaskSchedule(2, 2, 10, 0)
     trace = generate_stream(schedule, seed=0)
     s0 = trace.cumulative_positives(0)
     s1 = trace.cumulative_positives(1)
@@ -48,7 +48,7 @@ def test_two_single_class_tasks_saturate_in_order():
 
 
 def test_s_curve_table_lays_out_every_class_curve_class_major():
-    schedule = TaskSchedule.uniform(class_count=6, tasks=3, samples_per_class=7, replay_per_old_class=2)
+    schedule = TaskSchedule(6, 3, 7, 2)
     trace = generate_stream(schedule, seed=4)
     header, (steps, classes, s_curves) = trace.s_curve_table()
     n = len(trace)
@@ -62,9 +62,7 @@ def test_s_curve_table_lays_out_every_class_curve_class_major():
 
 
 def test_earlier_class_dominates_later_class_cumulative_curve():
-    schedule = TaskSchedule.uniform(
-        class_count=4, tasks=2, samples_per_class=25, replay_per_old_class=0
-    )
+    schedule = TaskSchedule(4, 2, 25, 0)
     trace = generate_stream(schedule, seed=42)
     for early in (0, 1):
         for late in (2, 3):
@@ -74,12 +72,10 @@ def test_earlier_class_dominates_later_class_cumulative_curve():
 
 
 def test_replay_keeps_old_class_curves_rising():
-    schedule = TaskSchedule.uniform(
-        class_count=4, tasks=2, samples_per_class=10, replay_per_old_class=2
-    )
+    schedule = TaskSchedule(4, 2, 10, 2)
     trace = generate_stream(schedule, seed=3)
-    first = schedule.tasks[0]  # no class is old yet, so it replays nothing
-    boundary = first.samples_per_class * len(first.new_class_ids)
+    # no class is old yet in the first task, so it replays nothing
+    boundary = schedule.samples_per_class * len(schedule.new_classes(0))
     s0 = trace.cumulative_positives(0)
     assert s0[boundary - 1] == 10
     assert s0[-1] == 12  # replay added positives in the second task
@@ -87,14 +83,12 @@ def test_replay_keeps_old_class_curves_rising():
 
 
 def test_stream_respects_schedule_counts_exactly():
-    schedule = TaskSchedule.uniform(
-        class_count=6, tasks=3, samples_per_class=17, replay_per_old_class=4
-    )
+    schedule = TaskSchedule(6, 3, 17, 4)
     trace = generate_stream(schedule, seed=9)
     # class introduced in task t gets 17 + 4 * (tasks after t) positives
-    for task in schedule.tasks:
-        for k in task.new_class_ids:
-            expected = 17 + 4 * (len(schedule.tasks) - 1 - task.task_id)
+    for t in range(schedule.tasks):
+        for k in schedule.new_classes(t):
+            expected = 17 + 4 * (schedule.tasks - 1 - t)
             assert trace.cumulative_positives(k)[-1] == expected
     # single-label stream: exactly one positive per step
     polarity_sum = sum(
@@ -104,9 +98,7 @@ def test_stream_respects_schedule_counts_exactly():
 
 
 def test_stream_generation_is_deterministic():
-    schedule = TaskSchedule.uniform(
-        class_count=4, tasks=2, samples_per_class=20, replay_per_old_class=3
-    )
+    schedule = TaskSchedule(4, 2, 20, 3)
     a = generate_stream(schedule, seed=7)
     b = generate_stream(schedule, seed=7)
     assert np.array_equal(a.labels, b.labels)
@@ -115,7 +107,7 @@ def test_stream_generation_is_deterministic():
 
 
 def test_trace_class_id_validation():
-    schedule = TaskSchedule.uniform(class_count=2, tasks=1, samples_per_class=5)
+    schedule = TaskSchedule(2, 1, 5, 0)
     trace = generate_stream(schedule, seed=0)
     for per_class in (trace.polarities, trace.cumulative_positives):
         for class_id in (2, -1, 99):
@@ -168,7 +160,7 @@ def test_unequal_positive_totals_rejected():
 
 
 def test_trace_based_verification():
-    schedule = TaskSchedule.uniform(class_count=2, tasks=2, samples_per_class=30)
+    schedule = TaskSchedule(2, 2, 30, 0)
     trace = generate_stream(schedule, seed=0)
     verdict = verify_theorem1(MemoryKernel(lam=0.9), (trace.polarities(0), trace.polarities(1)))
     assert verdict.dominance_held and verdict.conclusion_held
