@@ -182,20 +182,15 @@ def _cmd_verify_theorem1(args) -> int:
 def _cmd_train(args) -> int:
     spec = load_spec(args.spec)
     out_dir = _resolve_output_dir(args.output_dir, spec.output_dir)
-    csv_files: dict[str, tuple] = {}
-    jsonl_files: dict[str, list] = {}
-    rows = []
-    for seed in spec.seeds:
-        events: list[dict] = []
-        report = train_incremental(spec, seed, event_sink=events.append)
-        csv_files.update(report.tables())
-        jsonl_files[f"events_seed{seed}.jsonl"] = events
-        rows.append({"seed": seed, "a_mean": report.a_mean, "a_last": report.a_last})
+    events: list[list[dict]] = [[] for _ in spec.seeds]
+    reports = train_incremental(spec, [seed_events.append for seed_events in events])
+    rows = [{"seed": r.seed, "a_mean": r.a_mean, "a_last": r.a_last} for r in reports]
     [summary] = seed_summary(rows)
-    for name, (header, columns) in csv_files.items():
-        write_csv(out_dir / name, header, columns)
-    for name, events in jsonl_files.items():
-        write_jsonl(out_dir / name, events)
+    for report in reports:
+        for name, (header, columns) in report.tables().items():
+            write_csv(out_dir / name, header, columns)
+    for seed, seed_events in zip(spec.seeds, events):
+        write_jsonl(out_dir / f"events_seed{seed}.jsonl", seed_events)
     write_csv(
         out_dir / "summary.csv",
         ("seed", "a_mean", "a_last"),

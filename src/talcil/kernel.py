@@ -37,7 +37,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -161,7 +161,8 @@ class Minibatch:
     an integer or bool dtype (a float or string label is refused, never
     truncated), each in ``[0, class_count)``.  A label out of range
     raises ``IndexError``, everything else ``DomainError``.  ``split``
-    cuts a label vector into minibatches under one such check.
+    cuts a label vector, or several joined end to end, into minibatches
+    under one such check.
 
     Because the labels cannot change, the arrays derived from them are
     computed once and kept, read-only: ``flat_true`` when the batch is
@@ -193,26 +194,28 @@ class Minibatch:
         vars(self).update(labels=y, class_count=c, size=n, flat_true=flat_true)
 
     @classmethod
-    def split(cls, labels, class_count: int, batch_size: int) -> list["Minibatch"]:
+    def split(cls, labels, class_count: int, batch_size: int, runs: int = 1) -> list["Minibatch"]:
         """The consecutive minibatches of ``batch_size`` labels (the last
         may be shorter), each bit for bit ``Minibatch(piece, class_count)``.
-        The labels are checked once, a piece's arrays are read-only views of
-        the split's own, and one histogram gives every piece its fractions."""
+        ``labels`` may join ``runs`` label vectors of one length end to end
+        (one per seed of a lockstep run); each is cut on its own and the
+        pieces come run by run.  The labels are checked once, a piece's
+        arrays are read-only views of the split's own, and one histogram
+        gives every piece its fractions."""
         whole = cls(labels, class_count)
-        y, c, n, b = whole.labels, whole.class_count, whole.size, operator.index(batch_size)
-        if b < 1:
-            raise DomainError(f"batch size must be at least 1, got {b}")
-        piece = np.arange(n) // b
-        flat_true = whole.flat_true - piece * (b * c)  # row offsets restart in each piece
-        sizes = np.bincount(piece)[:, None]
-        p = np.bincount(piece * c + y, minlength=sizes.size * c).reshape(-1, c) / sizes
+        y, c = whole.labels, whole.class_count
+        pieces, piece_of, at, sizes = _split_layout(whole.size, batch_size, runs)
+        flat_true = at * c + y  # row offsets restart in each piece
+        p = np.bincount(piece_of * c + y, minlength=sizes.size * c).reshape(-1, c) / sizes
         q = 1.0 - p
         flat_true.flags.writeable = p.flags.writeable = q.flags.writeable = False
-        pieces = [object.__new__(cls) for _ in range(sizes.size)]
-        for batch, lo, frac_pos, frac_neg in zip(pieces, range(0, n, b), p, q):
-            vars(batch).update(labels=y[lo : lo + b], class_count=c, size=min(b, n - lo),
-                               flat_true=flat_true[lo : lo + b], fractions=(frac_pos, frac_neg))
-        return pieces
+        batches = []
+        for (lo, hi), frac_pos, frac_neg in zip(pieces, p, q):
+            batch = object.__new__(cls)
+            vars(batch).update(labels=y[lo:hi], class_count=c, size=hi - lo,
+                               flat_true=flat_true[lo:hi], fractions=(frac_pos, frac_neg))
+            batches.append(batch)
+        return batches
 
     @cached_property
     def fractions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +226,33 @@ class Minibatch:
         q = 1.0 - p
         p.flags.writeable = q.flags.writeable = False
         return p, q
+
+
+@lru_cache(maxsize=64)
+def _split_layout(n: int, batch_size: int, runs: int):
+    """How ``Minibatch.split`` cuts ``n`` labels, which depends on the
+    counts alone: each piece's ``(start, stop)``, each label's piece and
+    its row within the piece, and each piece's size as a column.  Every
+    epoch of a training task cuts the same counts, so the layout is built
+    once and shared; what it returns is immutable."""
+    b, runs = operator.index(batch_size), operator.index(runs)
+    if b < 1:
+        raise DomainError(f"batch size must be at least 1, got {b}")
+    if runs < 1 or n % runs:
+        raise DomainError(f"{n} labels do not make {runs} runs of one length")
+    width = n // runs
+    pieces = tuple(
+        (run + lo, run + min(lo + b, width))
+        for run in range(0, n, width)
+        for lo in range(0, width, b)
+    )
+    at = np.arange(n) % width  # position within the run
+    piece_of = np.arange(n) // width * -(-width // b) + at // b
+    at %= b
+    sizes = np.array([hi - lo for lo, hi in pieces], dtype=np.int64)[:, None]
+    for array in (piece_of, at, sizes):
+        array.flags.writeable = False
+    return pieces, piece_of, at, sizes
 
 
 def _check_lam(lam) -> None:

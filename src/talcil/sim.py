@@ -17,10 +17,15 @@ under plain cross-entropy the tracker is a pure diagnostic (it never
 touches the loss), which is what lets the Q-vs-recall association be
 measured on the baseline.
 
-A run is one seed of an ``ExperimentSpec``: the seed draws the dataset,
-the head's initial weights and the batch order, and the spec's
-``ScheduleBlock`` fixes the rest.  Cells that train together in
-lockstep (``train_cells``) differ only in their ``LossBlock``.
+A run is the seeds of an ``ExperimentSpec`` times one or more loss
+blocks, all trained together in lockstep (``train_cells``).  Each seed
+draws its own dataset, head initial weights and batch order, and the
+spec's ``ScheduleBlock`` fixes the rest; a seed's cells differ only in
+their ``LossBlock``.  Cell (seed, loss) is one slice of a head stacked
+over both, so each step runs one forward and one SGD step for every
+cell, and each cell's own loss and tracker step on its slice.  Every
+seed's data are held at once, so a run's memory grows with its seed
+count.
 """
 
 from __future__ import annotations
@@ -104,9 +109,11 @@ class Classifier:
 
     The head starts with zero classes and grows zero-initialized columns
     as tasks introduce classes.  ``Classifier.stack`` joins heads of one
-    shape into a head whose arrays carry a leading cells axis; every
-    method then computes all cells with one ``np.matmul`` per product,
-    and each cell's slice is bit for bit what its lone head computes.
+    shape into a head whose arrays carry a leading cells axis (stacking
+    stacked heads adds another); every method then computes all cells
+    with one ``np.matmul`` per product, broadcasting inputs with matching
+    leading axes, and each cell's slice is bit for bit what its lone head
+    computes.
     """
 
     def __init__(self, dim: int, hidden: int = 0, seed: int = 0):
@@ -132,8 +139,9 @@ class Classifier:
         return stacked
 
     def clear(self, k: int) -> None:
-        """Zero cell ``k`` of a stacked head: from here on it computes zero
-        logits and, given a zero logit gradient, a zero SGD step."""
+        """Zero cell ``k`` (an index into the cells axes) of a stacked head:
+        from here on it computes zero logits and, given a zero logit
+        gradient, a zero SGD step."""
         for name in _WEIGHTS:
             if getattr(self, name) is not None:
                 getattr(self, name)[k] = 0.0
@@ -167,7 +175,7 @@ class Classifier:
         if self.w1 is not None:  # the hidden layer's gradient reads w before its step
             grad_h = grad_logits @ self.w.swapaxes(-1, -2)
             grad_h[h <= 0.0] = 0.0
-            self.w1 -= lr * (x.T @ grad_h)
+            self.w1 -= lr * (x.swapaxes(-1, -2) @ grad_h)
             self.b1 -= lr * np.add.reduce(grad_h, axis=-2)  # ndarray.sum without its wrapper
         self.w -= lr * (h.swapaxes(-1, -2) @ grad_logits)
         self.b -= lr * np.add.reduce(grad_logits, axis=-2)
@@ -193,14 +201,21 @@ def class_ages(schedule: TaskSchedule) -> np.ndarray:
     return (schedule.tasks - 1 - np.arange(schedule.class_count) // width).astype(np.float64)
 
 
-def _batches(rng, train_x, train_y, class_count: int, epochs: int, batch_size: int):
-    """(epoch, inputs, minibatch) of every minibatch of a task, in training
-    order: one gather and one ``Minibatch.split`` per epoch."""
+def _batches(rngs, pool_x, pool_y, class_count: int, epochs: int, batch_size: int):
+    """(epoch, inputs, minibatches) of every step of a task, in training
+    order: the inputs of every seed as one ``(S, 1, N, d)`` view and one
+    minibatch per seed.  Each seed draws its own permutation per epoch;
+    one gather and one ``Minibatch.split`` per epoch serve every seed."""
+    n_seeds, n, dim = pool_x.shape
+    flat_x, run_start = pool_x.reshape(-1, dim), np.arange(0, n_seeds * n, n)[:, None]
+    xs = np.empty((n_seeds, 1, n, dim))  # every epoch gathers into it; the indices are in range
     for epoch in range(epochs):
-        perm = rng.permutation(train_x.shape[0])
-        xs = train_x[perm]
-        for i, batch in enumerate(Minibatch.split(train_y[perm], class_count, batch_size)):
-            yield epoch, xs[i * batch_size : (i + 1) * batch_size], batch
+        perms = np.array([rng.permutation(n) for rng in rngs])
+        flat_x.take((perms + run_start).ravel(), axis=0, out=xs.reshape(-1, dim), mode="clip")
+        pieces = Minibatch.split(pool_y[perms].ravel(), class_count, batch_size, n_seeds)
+        per_seed = len(pieces) // n_seeds
+        for i in range(per_seed):
+            yield epoch, xs[:, :, i * batch_size : (i + 1) * batch_size], pieces[i::per_seed]
 
 
 def _cell_step(loss: LossBlock, class_count: int):
@@ -225,47 +240,68 @@ def _cell_step(loss: LossBlock, class_count: int):
     return ce_step
 
 
-def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> list[MetricsReport]:
-    """Task-sequential training with replay of several loss cells in lockstep.
+def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[MetricsReport]]:
+    """Task-sequential training with replay of every spec seed times
+    several loss blocks in lockstep; ``reports[i][l]`` is seed
+    ``spec.seeds[i]`` under ``losses[l]``, and ``event_sinks``, when
+    given, holds one sink (or None) per seed and loss in the same layout.
 
-    Every cell trains on the problem of one spec seed
-    (``make_gaussian_tasks``) under the spec's ``ScheduleBlock``, from the
-    head ``Classifier(spec.dataset.dim, spec.schedule.hidden, seed)`` and
-    an empty tracker; the cells differ only in their ``LossBlock``.  So
-    they see one batch stream: the permutations are drawn once and each
+    Each seed keeps its own problem (``make_gaussian_tasks``), head
+    ``Classifier(spec.dataset.dim, spec.schedule.hidden, seed)``, batch
+    order, pools and replay exemplars; every cell starts from an empty
+    tracker and trains under the spec's ``ScheduleBlock``, so a seed's
+    cells differ only in their ``LossBlock``.  The seeds' data are held
+    once, as ``(S, C, n, d)`` arrays, so a run's memory grows with its
+    seed count.  All seeds have one schedule and so one step count: each
     epoch is gathered once and its labels are checked once, by one
     ``Minibatch.split`` whose pieces every cell's loss and tracker step
-    read.  Cell ``k`` is slice ``k`` of one stacked head from the first
+    read.  Cell (s, l) is slice (s, l) of one stacked head from the first
     step to the last: one ``np.matmul`` per product gives every cell's
     logits, SGD step and test predictions, and each cell runs its own
-    loss and tracker step on its slice, so its report is bit for bit
-    that of training it alone.
+    loss and tracker step on its slice, so its report is bit for bit that
+    of training its seed and loss alone.
 
     The tracker is advanced once per training minibatch (never during
     evaluation).  Each cell's step is built at every task boundary, where
     the adjusted loss re-solves its calibration because the class count
     grows.  A cell whose loss diverges stops: its slice is zeroed, so
     the stacked products stay finite, and the others train on.  The
-    ``TrainingError`` of the first failed cell in ``losses`` order is
+    ``TrainingError`` of the first failed cell in (seed, loss) order is
     raised at the end, carrying that cell's own step.
     """
-    losses = list(losses)
-    cells = len(losses)
-    sinks = [None] * cells if event_sinks is None else list(event_sinks)
-    if not losses or len(sinks) != cells:
-        raise DomainError("need at least one cell and one event sink (or None) per cell")
-    dataset, schedule = make_gaussian_tasks(spec, seed)
+    seeds, losses = spec.seeds, list(losses)
+    if not losses:
+        raise DomainError("need at least one loss cell")
+    n_seeds, n_losses = len(seeds), len(losses)
+    cells = n_seeds * n_losses  # cell k is (seed k // n_losses, loss k % n_losses)
+    if event_sinks is None:
+        sinks = [None] * cells
+    else:
+        rows = [list(row) for row in event_sinks]
+        if len(rows) != n_seeds or any(len(row) != n_losses for row in rows):
+            raise DomainError("need one event sink (or None) per seed and loss cell")
+        sinks = [sink for row in rows for sink in row]
+    data = spec.dataset
+    train = np.empty((n_seeds, data.classes, data.per_class, data.dim))
+    test = np.empty((n_seeds, data.classes, data.test_per_class, data.dim))
+    for i, seed in enumerate(seeds):
+        dataset, schedule = make_gaussian_tasks(spec, seed)
+        train[i], test[i] = dataset.train, dataset.test
     n_tasks = schedule.tasks
-    rng = np.random.default_rng(seed)
-    head = Classifier.stack([Classifier(spec.dataset.dim, spec.schedule.hidden, seed)] * cells)
+    kept = min(schedule.replay_per_old_class, data.per_class)
+    replay = np.empty((n_seeds, data.classes, kept, data.dim))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    head = Classifier.stack(
+        [Classifier.stack([Classifier(data.dim, spec.schedule.hidden, seed)] * n_losses)
+         for seed in seeds]
+    )
     q_states = [QState(q=np.zeros(0))] * cells
     steps = [None] * cells  # a cell's step for the current task; None once it failed
-    errors: dict[int, TrainingError] = {}
+    errors: list[TrainingError | None] = [None] * cells
     acc_matrix = np.full((cells, n_tasks, n_tasks), np.nan)
     overall = np.zeros((cells, n_tasks))
-    per_task: list[list[PerClassMetrics]] = [[] for _ in losses]
-    snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in losses]
-    replay: dict[int, np.ndarray] = {}
+    per_task: list[list[PerClassMetrics]] = [[] for _ in range(cells)]
+    snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(cells)]
     global_step = 0
     epochs, batch_size, lr = spec.schedule.epochs, spec.schedule.batch_size, spec.schedule.lr
 
@@ -273,58 +309,66 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
         new = schedule.new_classes(t)
         head.add_classes(len(new))
         c_now = head.class_count
-        for k, loss in enumerate(losses):
-            if k not in errors:
+        for k in range(cells):
+            if errors[k] is None:
                 q_states[k] = q_states[k].append_classes(len(new))
-                steps[k] = _cell_step(loss, c_now)
+                steps[k] = _cell_step(losses[k % n_losses], c_now)
 
-        pool = [(k, dataset.train[k]) for k in new]
-        pool += [(k, replay[k]) for k in range(new.start)]
-        train_x = np.concatenate([x for _, x in pool])
-        train_y = np.concatenate([np.full(x.shape[0], k, dtype=np.int64) for k, x in pool])
+        pool_x = np.concatenate(
+            [train[:, new.start : new.stop].reshape(n_seeds, -1, data.dim),
+             replay[:, : new.start].reshape(n_seeds, -1, data.dim)],
+            axis=1,
+        )
+        pool_y = np.concatenate(
+            [np.repeat(np.arange(new.start, new.stop), data.per_class),
+             np.repeat(np.arange(new.start), kept)]
+        )
 
-        for epoch, xb, batch in _batches(rng, train_x, train_y, c_now, epochs, batch_size):
+        for epoch, xb, batches in _batches(rngs, pool_x, pool_y, c_now, epochs, batch_size):
             h = head.features(xb)
             z = head.logits(h)
-            grads = np.zeros(z.shape)
-            for k, step in enumerate(steps):
-                if step is None:
-                    continue
-                # The loss functions reject non-finite logits with a
-                # DomainError; in a training run that means divergence.
-                try:
-                    out, q_states[k] = step(q_states[k], z[k], batch)
-                except DomainError as exc:
-                    if np.isfinite(z[k]).all():
-                        raise
-                    error = TrainingError(
-                        f"training diverged at step {global_step}", step=global_step
-                    )
-                    error.__cause__ = exc
-                else:
-                    if math.isfinite(out.loss):
-                        grads[k] = out.grad_logits
-                        if sinks[k] is not None:
-                            sinks[k](dict(task=t, epoch=epoch, step=global_step, loss=out.loss))
-                        continue
-                    error = TrainingError(
-                        f"loss diverged at step {global_step}", step=global_step
-                    )
-                errors[k], steps[k] = error, None
-                head.clear(k)
+            grads = []
+            for k, (step, z_cell) in enumerate(zip(steps, z.reshape(cells, -1, c_now))):
+                if step is not None:
+                    # The loss functions reject non-finite logits with a
+                    # DomainError; in a training run that means divergence.
+                    try:
+                        out, q_states[k] = step(q_states[k], z_cell, batches[k // n_losses])
+                    except DomainError as exc:
+                        if np.isfinite(z_cell).all():
+                            raise
+                        error = TrainingError(
+                            f"training diverged at step {global_step}", step=global_step
+                        )
+                        error.__cause__ = exc
+                    else:
+                        if math.isfinite(out.loss):
+                            grads.append(out.grad_logits)
+                            if sinks[k] is not None:
+                                sinks[k]({"task": t, "epoch": epoch, "step": global_step,
+                                          "loss": out.loss})
+                            continue
+                        error = TrainingError(
+                            f"loss diverged at step {global_step}", step=global_step
+                        )
+                    errors[k], steps[k] = error, None
+                    head.clear(divmod(k, n_losses))
+                grads.append(np.zeros_like(z_cell))  # a stopped cell steps by zero
             if not any(steps):
                 break
-            head.train_batch(xb, h, grads, lr)
+            head.train_batch(xb, h, np.array(grads).reshape(z.shape), lr)
             global_step += 1
         if not any(steps):
             break
+        del pool_x, xb, h, z  # free the task's inputs before evaluation allocates its logits
 
-        for k in new:
-            replay[k] = _select_exemplars(dataset.train[k], schedule.replay_per_old_class)
+        for i in range(n_seeds):
+            for c in new:
+                replay[i, c] = _select_exemplars(train[i, c], kept)
 
-        test_x = np.concatenate(dataset.test[:c_now])
-        test_y = np.repeat(np.arange(c_now), dataset.test.shape[1])
-        preds = head.predict(test_x)  # (cells, N)
+        test_y = np.repeat(np.arange(c_now), data.test_per_class)
+        preds = head.predict(test[:, None, :c_now].reshape(n_seeds, 1, -1, data.dim))
+        preds = preds.reshape(cells, -1)
         correct = preds == test_y  # a failed cell's rows are never reported
         overall[:, t] = correct.mean(axis=1)
         for u in range(t + 1):
@@ -336,32 +380,36 @@ def train_cells(spec: ExperimentSpec, seed: int, losses, event_sinks=None) -> li
             per_task[k].append(confusion_and_prf(preds[k], test_y, c_now))
             snapshots[k].append((global_step, q_states[k].q))
 
-    if errors:
-        raise errors[min(errors)]
-    return [
+    first_error = next((error for error in errors if error is not None), None)
+    if first_error is not None:
+        raise first_error
+    reports = [
         MetricsReport(
             accuracy_matrix=acc_matrix[k],
             overall_accuracy=overall[k],
             per_task=tuple(per_task[k]),
             q_snapshots=tuple(snapshots[k]),
-            seed=seed,
+            seed=seeds[k // n_losses],
         )
         for k in range(cells)
     ]
+    return [reports[i : i + n_losses] for i in range(0, cells, n_losses)]
 
 
-def train_incremental(spec: ExperimentSpec, seed: int, event_sink=None) -> MetricsReport:
-    """One spec seed trained under the spec's own loss: the one-cell case
-    of ``train_cells``."""
-    return train_cells(spec, seed, [spec.loss], [event_sink])[0]
+def train_incremental(spec: ExperimentSpec, event_sinks=None) -> list[MetricsReport]:
+    """Every spec seed trained under the spec's own loss, one report (and
+    one event sink, or None, in ``event_sinks``) per seed in
+    ``spec.seeds`` order: the one-loss case of ``train_cells``."""
+    sinks = None if event_sinks is None else [[sink] for sink in event_sinks]
+    return [report for [report] in train_cells(spec, [spec.loss], sinks)]
 
 
 def ablate(spec: ExperimentSpec, *, lambdas=ABLATION_LAMBDAS, rs=ABLATION_RS) -> list[dict]:
     """Full (lam, r) grid plus one cross-entropy baseline row, per spec seed.
 
-    Each seed's cells train in lockstep on that seed's problem
-    (``train_cells``), as ``train`` trains its one cell; the spec's loss
-    block is replaced by the grid.  Cells with
+    Every seed and cell trains in lockstep (``train_cells``), as
+    ``train`` trains its seeds' one cell each; the spec's loss block is
+    replaced by the grid.  Cells with
     r < 1 sit outside the calibrated domain and run in exploratory mode
     (range checks demoted to warnings); they are reported like any other
     cell.  Every cell is enumerated -- nothing is skipped.  Rows come
@@ -379,7 +427,7 @@ def ablate(spec: ExperimentSpec, *, lambdas=ABLATION_LAMBDAS, rs=ABLATION_RS) ->
     ]
     for loss in losses:
         check_calibration(spec.dataset, loss)
-    reports = [train_cells(spec, seed, losses) for seed in spec.seeds]
+    reports = train_cells(spec, losses)
     return [
         {
             "loss": loss.kind.lower(),
@@ -407,7 +455,7 @@ def desk_scale_pair(seed: int, *, lam: float = 0.995, r: float = 1.0) -> dict[st
     last task), and the mean recall and precision of the first task's two
     classes (``early_recall``, ``early_precision``).
     """
-    spec = ExperimentSpec(loss=LossBlock(lam=lam, r=r))
+    spec = ExperimentSpec(loss=LossBlock(lam=lam, r=r), seeds=(seed,))
     kinds = ("ce", "tal")
     losses = [replace(spec.loss, kind=kind.upper()) for kind in kinds]
     data = spec.dataset
@@ -415,7 +463,8 @@ def desk_scale_pair(seed: int, *, lam: float = 0.995, r: float = 1.0) -> dict[st
         TaskSchedule(data.classes, data.tasks, data.per_class, spec.schedule.replay_per_class)
     )
     results = {}
-    for kind, report in zip(kinds, train_cells(spec, seed, losses)):
+    [reports] = train_cells(spec, losses)
+    for kind, report in zip(kinds, reports):
         final = report.per_task[-1]
         results[kind] = {
             "a_mean": report.a_mean,

@@ -225,6 +225,25 @@ def test_train_runs_are_byte_identical(tmp_path):
     assert read_all_bytes(dir_a) == read_all_bytes(dir_b)
 
 
+def test_train_keeps_the_spec_seed_order_and_each_seed_its_own_run(tmp_path):
+    # the seeds train in lockstep, but each seed's files are those of a
+    # run of that seed alone, and the summary rows follow the spec
+    both = write_spec(tmp_path, TINY_SPEC.replace("seeds: [0, 1]", "seeds: [1, 0]"), "both.yaml")
+    assert main(["train", "--spec", str(both), "--output-dir", str(tmp_path / "both")]) == 0
+    summary = (tmp_path / "both" / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in summary[1:]] == ["1", "0", "mean", "std"]
+    for row, seed in enumerate((1, 0), start=1):
+        one = write_spec(tmp_path, TINY_SPEC.replace("seeds: [0, 1]", f"seeds: [{seed}]"))
+        out = tmp_path / f"seed{seed}"
+        assert main(["train", "--spec", str(one), "--output-dir", str(out)]) == 0
+        for table in ("accuracy_matrix", "per_class", "q_snapshots"):
+            name = f"{table}_seed{seed}.csv"
+            assert (out / name).read_bytes() == (tmp_path / "both" / name).read_bytes(), name
+        name = f"events_seed{seed}.jsonl"
+        assert (out / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+        assert summary[row] == (out / "summary.csv").read_text().splitlines()[1]
+
+
 def test_output_dir_resolution_order(tmp_path, monkeypatch, capsys):
     spec = write_spec(tmp_path, TINY_SPEC + f"output_dir: {tmp_path / 'from_spec'}\n")
     env_dir = tmp_path / "from_env"

@@ -1,4 +1,5 @@
 import copy
+import json
 import warnings
 from dataclasses import fields, replace
 
@@ -15,6 +16,7 @@ from talcil import (
     spearman,
     train_incremental,
 )
+from talcil.cli import main
 from talcil.config import DatasetBlock, ExperimentSpec, LossBlock, ScheduleBlock
 from talcil.sim import Classifier, class_ages, train_cells
 
@@ -28,6 +30,23 @@ def spec_of(loss=CE, schedule=QUICK, **dataset):
     """A run on the default spec's problem, or on one with ``dataset``
     changed; the schedule block carries the replay count."""
     return ExperimentSpec(dataset=DatasetBlock(**dataset), schedule=schedule, loss=loss)
+
+
+def one_seed(spec, seed):
+    """``spec`` run on the one seed ``seed``."""
+    return replace(spec, seeds=(seed,))
+
+
+def train_one(spec, seed, event_sink=None):
+    """The report of ``spec``'s own loss on the one seed ``seed``."""
+    [report] = train_incremental(one_seed(spec, seed), [event_sink])
+    return report
+
+
+def write_spec(tmp_path, text):
+    path = tmp_path / "spec.yaml"
+    path.write_text(text)
+    return path
 
 
 def small_setup(seed=0, **dataset):
@@ -77,7 +96,7 @@ def test_dataset_parameter_validation():
 
 def test_widely_separated_classes_are_jointly_learnable():
     spec = spec_of(schedule=replace(QUICK, replay_per_class=0), tasks=1, sep=6.0)
-    report = train_incremental(spec, 0)
+    report = train_one(spec, 0)
     assert report.a_last > 0.95
 
 
@@ -133,7 +152,7 @@ def test_hidden_layer_classifier_trains():
         schedule=replace(QUICK, hidden=32, replay_per_class=0),
         classes=4, dim=8, tasks=1, per_class=60, test_per_class=50, sep=4.0,
     )
-    report = train_incremental(spec, 0)
+    report = train_one(spec, 0)
     assert report.a_last > 0.9
 
 
@@ -143,7 +162,7 @@ def test_hidden_layer_incremental_run_grows_head_only():
         ScheduleBlock(replay_per_class=5, hidden=16, lr=0.1, epochs=15, batch_size=16),
         classes=4, dim=8, tasks=2, per_class=40, test_per_class=30, sep=3.0,
     )
-    report = train_incremental(spec, 0)
+    report = train_one(spec, 0)
     assert report.overall_accuracy[-1] > 0.5  # well above the 0.25 chance level
 
 
@@ -156,12 +175,12 @@ def test_single_task_adjusted_and_plain_losses_agree_closely():
     acc = {}
     for kind in ("ce", "tal"):
         spec = spec_of(LOSSES[kind], replace(QUICK, replay_per_class=0), tasks=1)
-        acc[kind] = train_incremental(spec, 0).a_last
+        acc[kind] = train_one(spec, 0).a_last
     assert abs(acc["tal"] - acc["ce"]) < 0.02
 
 
 def test_accuracy_matrix_is_lower_triangular():
-    report = train_incremental(spec_of(per_class=40), 0)
+    report = train_one(spec_of(per_class=40), 0)
     acc = report.accuracy_matrix
     for t in range(5):
         for u in range(5):
@@ -181,8 +200,7 @@ def test_accuracy_matrix_is_lower_triangular():
 def test_ce_run_shows_age_skew_and_positive_q_recall_association():
     corr_q_recall = []
     early_skew = 0
-    for seed in range(3):
-        report = train_incremental(spec_of(), seed)
+    for report in train_incremental(replace(spec_of(), seeds=(0, 1, 2))):
         final = report.per_task[4]
         recall = final.recall
         precision = final.precision
@@ -195,18 +213,14 @@ def test_ce_run_shows_age_skew_and_positive_q_recall_association():
 
 
 def test_adjusted_loss_beats_plain_on_paired_seeds():
-    wins = 0
-    for seed in range(2):
-        a_last = {}
-        for kind in ("ce", "tal"):
-            a_last[kind] = train_incremental(spec_of(LOSSES[kind]), seed).a_last
-        wins += a_last["tal"] > a_last["ce"]
+    reports = train_cells(replace(spec_of(), seeds=(0, 1)), [CE, TAL])
+    wins = sum(tal.a_last > ce.a_last for ce, tal in reports)
     assert wins == 2
 
 
 def test_reports_are_reproducible():
-    a = train_incremental(spec_of(TAL, per_class=40), 3)
-    b = train_incremental(spec_of(TAL, per_class=40), 3)
+    a = train_one(spec_of(TAL, per_class=40), 3)
+    b = train_one(spec_of(TAL, per_class=40), 3)
     assert np.array_equal(a.accuracy_matrix, b.accuracy_matrix, equal_nan=True)
     assert all(
         np.array_equal(getattr(m1, f.name), getattr(m2, f.name), equal_nan=True)
@@ -221,7 +235,7 @@ def test_reports_are_reproducible():
 
 
 def test_tracker_tracks_classifier_growth():
-    report = train_incremental(spec_of(TAL, per_class=30), 0)
+    report = train_one(spec_of(TAL, per_class=30), 0)
     # after task t there are 2*(t+1) classes, all with a tracker entry
     for t, (_, q) in enumerate(report.q_snapshots):
         assert q.shape == (2 * (t + 1),)
@@ -235,7 +249,7 @@ def test_divergent_run_raises_training_error_with_step():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingError) as err:
-            train_incremental(spec, 0)
+            train_one(spec, 0)
     assert err.value.step is not None
 
 
@@ -245,7 +259,7 @@ def test_event_sink_sees_every_step():
         classes=4, dim=8, tasks=2, per_class=24, test_per_class=10,
     )
     events = []
-    train_incremental(spec, 0, event_sink=events.append)
+    train_one(spec, 0, events.append)
     # task 0: 48 samples -> 3 batches/epoch; task 1: 48+8 -> 4 batches/epoch
     assert len(events) == 2 * 3 + 2 * 4
     assert [e["step"] for e in events] == list(range(len(events)))
@@ -259,9 +273,8 @@ def test_forgetting_curve_directions():
 
     finals = {"ce": [], "tal": []}
     initial_drop = 0
-    for seed in range(5):
-        for kind in ("ce", "tal"):
-            report = train_incremental(spec_of(LOSSES[kind]), seed)
+    for reports in train_cells(replace(spec_of(), seeds=tuple(range(5))), [CE, TAL]):
+        for kind, report in zip(("ce", "tal"), reports):
             task0 = forgetting_curve(report.accuracy_matrix)[0]
             finals[kind].append(task0[-1])
             if kind == "ce" and task0[-1] < task0[0]:
@@ -316,41 +329,93 @@ def test_lockstep_cells_equal_one_cell_runs_bit_for_bit(hidden):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         alone = [
-            train_incremental(replace(spec, loss=loss), 2, event_sink=events.append)
+            train_one(replace(spec, loss=loss), 2, events.append)
             for loss, events in zip(LOCKSTEP_CELLS, alone_events)
         ]
-        lock = train_cells(spec, 2, LOCKSTEP_CELLS, [events.append for events in lock_events])
+        [lock] = train_cells(
+            one_seed(spec, 2), LOCKSTEP_CELLS, [[events.append for events in lock_events]]
+        )
     assert [report_bits(r) for r in lock] == [report_bits(r) for r in alone]
     assert [bits(tuple(tuple(e.items()) for e in ev)) for ev in lock_events] == [
         bits(tuple(tuple(e.items()) for e in ev)) for ev in alone_events
     ]
 
 
-def test_lockstep_raises_the_first_failed_cell_in_grid_order():
-    # With a huge learning rate the logits overflow within a few steps,
-    # and the cross-entropy cell overflows one step before the TAL cell.
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_seed_lockstep_equals_one_seed_runs_bit_for_bit(hidden):
+    spec = spec_of(
+        schedule=ScheduleBlock(replay_per_class=5, hidden=hidden, lr=0.1, epochs=4, batch_size=16),
+        classes=6, dim=8, tasks=3, per_class=40, test_per_class=20,
+    )
+    seeds = (3, 0)  # out of order on purpose: reports follow the spec, not the seed value
+    lock_events = [[[] for _ in LOCKSTEP_CELLS] for _ in seeds]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        lock = train_cells(
+            replace(spec, seeds=seeds), LOCKSTEP_CELLS,
+            [[events.append for events in row] for row in lock_events],
+        )
+        for seed, reports, events in zip(seeds, lock, lock_events, strict=True):
+            alone_events = [[] for _ in LOCKSTEP_CELLS]
+            [alone] = train_cells(
+                one_seed(spec, seed), LOCKSTEP_CELLS, [[e.append for e in alone_events]]
+            )
+            assert [r.seed for r in reports] == [seed] * len(LOCKSTEP_CELLS)
+            assert [report_bits(r) for r in reports] == [report_bits(r) for r in alone]
+            assert [bits(tuple(tuple(e.items()) for e in ev)) for ev in events] == [
+                bits(tuple(tuple(e.items()) for e in ev)) for ev in alone_events
+            ]
+
+
+DIVERGENT_SPEC = """\
+dataset: {classes: 4, dim: 8, tasks: 2, per_class: 20, test_per_class: 10}
+schedule: {replay_per_class: 2, hidden: 4, epochs: 6, lr: 1.0e+24}
+loss: {kind: TAL, lambda: 0.99, r: 1.0}
+seeds: [1, 0]
+"""
+
+
+def test_lockstep_raises_the_first_failed_cell_in_grid_order(tmp_path, capsys):
+    # With a huge learning rate the logits overflow within a few steps.
+    # Seed 0's cross-entropy cell overflows first, one step before its TAL
+    # cell; seed 1's cells fail later, its TAL cell first.
     spec = spec_of(
         schedule=ScheduleBlock(replay_per_class=2, hidden=4, epochs=6, lr=1e24),
         classes=4, dim=8, tasks=2, per_class=20, test_per_class=10,
     )
+    seeds = (1, 0)
     cells = [LossBlock(lam=0.99, r=1.0), CE]
-    alone_events = [[] for _ in cells]
-    lock_events = [[] for _ in cells]
+    alone_events = [[[] for _ in cells] for _ in seeds]
+    lock_events = [[[] for _ in cells] for _ in seeds]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        steps = []
-        for loss, events in zip(cells, alone_events):
-            with pytest.raises(TrainingError) as err:
-                train_incremental(replace(spec, loss=loss), 0, event_sink=events.append)
-            steps.append(err.value.step)
+        steps = []  # (seed, cell) in spec order: (1, TAL), (1, CE), (0, TAL), (0, CE)
+        for seed, row in zip(seeds, alone_events):
+            for loss, events in zip(cells, row):
+                with pytest.raises(TrainingError) as err:
+                    train_one(replace(spec, loss=loss), seed, events.append)
+                steps.append(err.value.step)
+        with pytest.raises(TrainingError) as one_seed_err:
+            train_cells(one_seed(spec, 0), cells)
         with pytest.raises(TrainingError) as err:
-            train_cells(spec, 0, cells, [events.append for events in lock_events])
-    assert steps[1] < steps[0]  # the second cell fails first in time ...
-    assert err.value.step == steps[0]  # ... but the first cell's error is raised
+            train_cells(
+                replace(spec, seeds=seeds), cells,
+                [[events.append for events in row] for row in lock_events],
+            )
+        code = main(["train", "--spec", str(write_spec(tmp_path, DIVERGENT_SPEC)),
+                     "--output-dir", str(tmp_path / "out")])
+    assert steps[3] < steps[2]  # seed 0's second cell fails first in time ...
+    assert one_seed_err.value.step == steps[2]  # ... but its first cell's error is raised
+    assert steps[3] < steps[0]  # and seed 0 fails before seed 1 ...
+    assert err.value.step == steps[0]  # ... but seed 1 comes first in the spec
     assert str(err.value) == f"training diverged at step {steps[0]}"
-    # the first cell trains on after the second has left the lockstep
+    # every cell trains on until its own failure
     assert lock_events == alone_events
-    assert len(lock_events[0]) == steps[0] > len(lock_events[1]) == steps[1]
+    assert [len(events) for row in lock_events for events in row] == steps
+    # a failed run exits 5 with the same error and writes nothing
+    assert code == 5 and not (tmp_path / "out").exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "TrainingError" and record["step"] == steps[0]
 
 
 @pytest.mark.parametrize(
@@ -377,8 +442,10 @@ def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
             classes=4, dim=dim, tasks=2, per_class=20, test_per_class=10,
         )
         lock_events = [[] for _ in cells]
-        lock = train_cells(spec, seed, cells, [events.append for events in lock_events])
-        alone = [train_incremental(replace(spec, loss=loss), seed) for loss in cells]
+        [lock] = train_cells(
+            one_seed(spec, seed), cells, [[events.append for events in lock_events]]
+        )
+        alone = [train_one(replace(spec, loss=loss), seed) for loss in cells]
         assert [report_bits(r) for r in lock] == [report_bits(r) for r in alone]
         return lock, [[(e["task"], e["epoch"], e["step"]) for e in ev] for ev in lock_events]
 
@@ -396,12 +463,15 @@ def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
 
 def test_lockstep_needs_a_cell_and_one_sink_per_cell():
     spec = spec_of(classes=4, dim=8, tasks=2, per_class=20, test_per_class=10)
+    spec = replace(spec, seeds=(0, 1))
     with pytest.raises(DomainError):
-        train_cells(spec, 0, [])
+        train_cells(spec, [])
     with pytest.raises(DomainError):
-        train_cells(spec, 0, [CE, TAL], [None])
+        train_cells(spec, [CE, TAL], [[None], [None]])
     with pytest.raises(DomainError):
-        train_cells(spec, 0, [CE], [None, None])
+        train_cells(spec, [CE], [[None, None], [None, None]])
+    with pytest.raises(DomainError):
+        train_cells(spec, [CE], [[None]])
 
 
 # ---------------------------------------------------------------------------

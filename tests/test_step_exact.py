@@ -396,6 +396,35 @@ def test_split_pieces_are_the_minibatches_of_their_labels_bit_for_bit(case):
     assert pieces[0].labels[0] == y[0] - 1
 
 
+@st.composite
+def run_split_cases(draw):
+    runs, width = draw(st.integers(1, 4)), draw(st.integers(1, 60))
+    c = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, c - 1), min_size=runs * width, max_size=runs * width))
+    return np.array(labels), c, draw(st.integers(1, width + 5)), runs
+
+
+@given(run_split_cases())
+def test_split_of_joined_runs_is_the_split_of_each_run_bit_for_bit(case):
+    # one seed per run in a lockstep trainer: each run is cut on its own
+    y, c, b, runs = case
+    pieces = Minibatch.split(y, c, b, runs)
+    want = [piece for run in np.split(y, runs) for piece in Minibatch.split(run, c, b)]
+    assert len(pieces) == len(want)
+    for got, ref in zip(pieces, want):
+        assert (got.size, got.class_count) == (ref.size, ref.class_count)
+        for a, b_ in ((got.labels, ref.labels), (got.flat_true, ref.flat_true),
+                      *zip(got.fractions, ref.fractions)):
+            assert a.dtype == b_.dtype and a.shape == b_.shape
+            assert a.tobytes() == b_.tobytes()
+
+
+def test_split_needs_runs_of_one_length():
+    for runs in (0, -1, 3):
+        with pytest.raises(DomainError):
+            Minibatch.split([0, 1, 2, 0], 3, 2, runs)
+
+
 def test_split_refuses_what_a_minibatch_refuses():
     for labels, error in (
         ([], DomainError),

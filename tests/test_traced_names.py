@@ -5,8 +5,10 @@ training loop still makes the calls the benchmark counts exactly.
 renamed or deleted function would otherwise fail only a benchmark run.
 Its exact-call gate demands one loss call (``training_step`` or
 ``ce_forward``) and one ``update_batched`` call per cell per step, and
-one ``confusion_and_prf`` call per cell per task; the tests below trace
-tiny runs with the benchmark's own tracer and check the same counts.
+one ``confusion_and_prf`` call per cell per task, and its minimum-call
+gate at least one ``solve_calibration`` call per TAL cell per task; the
+tests below trace tiny runs with the benchmark's own tracer and check
+the same counts.
 """
 
 import importlib
@@ -72,10 +74,10 @@ def load_tracer():
 
 
 def traced_calls(argv):
-    """Call counts of the gated step functions over one CLI run."""
+    """Call counts of the gated functions over one CLI run."""
     tracer_module = load_tracer()
     names = ("loss.training_step", "loss.ce_forward", "kernel.update_batched",
-             "metrics.confusion_and_prf")
+             "metrics.confusion_and_prf", "calibration.solve_calibration")
     targets = [tracer_module.Target(*name.split(".")) for name in names]
     tracer = tracer_module.Tracer("talcil", targets)
     tracer.install()
@@ -93,6 +95,8 @@ def test_train_makes_one_gated_call_per_step(tmp_path, hidden):
     spec = tmp_path / "spec.yaml"
     spec.write_text(GATED_SPEC.replace("HIDDEN", str(hidden)))
     calls = traced_calls(["train", "--spec", str(spec), "--output-dir", str(tmp_path / "out")])
+    # every seed calibrates its own loss at every task boundary
+    assert calls.pop("calibration.solve_calibration") >= SEEDS * TASKS
     assert calls == {
         "loss.training_step": SEEDS * STEPS,
         "loss.ce_forward": 0,
@@ -108,6 +112,7 @@ def test_ablate_makes_one_gated_call_per_cell_and_step(tmp_path):
     out = tmp_path / "out"
     calls = traced_calls(["ablate", "--spec", str(spec), *grid, "--output-dir", str(out)])
     tal_cells, cells = 2 * 3, 2 * 3 + 1
+    assert calls.pop("calibration.solve_calibration") >= tal_cells * SEEDS * TASKS
     assert calls == {
         "loss.training_step": tal_cells * SEEDS * STEPS,
         "loss.ce_forward": SEEDS * STEPS,
