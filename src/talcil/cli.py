@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -112,6 +113,7 @@ def _cmd_simulate_stream(args) -> int:
     for n in range(steps):
         state = update_tal(state, kernel, args.exponent, polarity[n])
         q[n] = state.q
+    del polarity  # read only by the loop; its memory pays for the writer's tables
     out_dir = _resolve_output_dir(args.output_dir)
     step_ids = np.arange(steps)
     write_csv(out_dir / "trace.csv", ("step", "label"), (step_ids, trace.labels))
@@ -318,6 +320,26 @@ def _seed_files(run_dir: Path, prefix: str):
     return found
 
 
+def _accuracy_matrix(path: Path, rows: list[list[str]]) -> np.ndarray:
+    """The T x T matrix of an accuracy table whose rows are each pair
+    (after_task, on_task) with on_task <= after_task < T exactly once, as
+    ``train`` writes them.  Any other table is a malformed run
+    (``SpecError``), found before the matrix is allocated."""
+    pairs = [(int(after), int(on)) for after, on, _ in rows]
+    n_tasks = (math.isqrt(8 * len(pairs) + 1) - 1) // 2
+    if n_tasks * (n_tasks + 1) // 2 != len(pairs):
+        raise SpecError(f"{path}: {len(pairs)} rows fill no task count's lower triangle")
+    for after, on in pairs:
+        if not on <= after < n_tasks:
+            raise SpecError(f"{path}: task {on} evaluated after task {after} of {n_tasks}")
+    if len(set(pairs)) != len(pairs):
+        raise SpecError(f"{path}: a task evaluated twice after the same task")
+    matrix = np.full((n_tasks, n_tasks), np.nan)
+    for (after, on), (_, _, acc) in zip(pairs, rows):
+        matrix[after, on] = float(acc)
+    return matrix
+
+
 def _cmd_plotdata(args) -> int:
     run_dir = Path(args.run)
     if not run_dir.is_dir():
@@ -326,12 +348,7 @@ def _cmd_plotdata(args) -> int:
     if args.what in ("accuracy", "forgetting"):
         for seed, path in _seed_files(run_dir, "accuracy_matrix"):
             rows = _read_table(path, "accuracy_matrix")
-            n_tasks = max(int(r[0]) for r in rows) + 1
-            matrix = np.full((n_tasks, n_tasks), np.nan)
-            for after, on, acc in rows:
-                if int(on) > int(after):
-                    raise SpecError(f"{path}: task {on} evaluated after task {after}")
-                matrix[int(after), int(on)] = float(acc)
+            matrix = _accuracy_matrix(path, rows)
             if args.what == "accuracy":
                 out_rows.extend(
                     (seed, int(r[0]), int(r[1]), float(r[2])) for r in rows

@@ -64,19 +64,29 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _format_column(col):
-    """Cells of one column chunk as strings, by the ``fmt_cell`` rules.
+def _column_speller(col):
+    """A function from a slice of rows to that chunk of ``col``'s cells as
+    strings, by the ``fmt_cell`` rules.
 
-    float16/32/64 and integer arrays take one ``tolist`` pass (``repr``
-    of a double and ``str`` of an int are what ``fmt_cell`` gives their
-    elements); every other column goes cell by cell.
+    float16/32/64 and integer arrays take one ``tolist`` pass per chunk
+    (``repr`` of a double and ``str`` of an int are what ``fmt_cell`` gives
+    their elements); every other column goes cell by cell.  An integer
+    array whose span ``max - min + 1`` is at most its length is spelled
+    once per value, here, and each chunk looks its cells up by offset from
+    the minimum (a step column repeats across chunks, not within one); the
+    offsets, taken in int64 or uint64, are below the length, so none wraps.
     """
     if isinstance(col, np.ndarray):
         if col.dtype.kind == "f" and col.dtype.itemsize <= 8:
-            return map(repr, col.tolist())
+            return lambda rows: map(repr, col[rows].tolist())
         if col.dtype.kind in "iu":
-            return map(str, col.tolist())
-    return map(fmt_cell, col)
+            lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
+            if hi - lo < len(col):
+                table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+                base = (np.uint64 if col.dtype.kind == "u" else np.int64)(lo)
+                return lambda rows: table[col[rows].astype(base.dtype, copy=False) - base].tolist()
+            return lambda rows: map(str, col[rows].tolist())
+    return lambda rows: map(fmt_cell, col[rows])
 
 
 def write_csv(path, header, columns) -> None:
@@ -96,11 +106,12 @@ def write_csv(path, header, columns) -> None:
     if len(lengths) > 1:
         raise DomainError(f"CSV columns of unequal lengths {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
+    spellers = [_column_speller(col) for col in columns]
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            cells = [_format_column(col[start:stop]) for col in columns]
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            cells = [spell(rows) for spell in spellers]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -602,6 +602,14 @@ def _drop_a_cell(text):
     return "\n".join([header, first.rsplit(",", 1)[0], rest])
 
 
+def _append(row):
+    return lambda text: text + row + "\n"
+
+
+def _repeat_a_pair(text):
+    return text.replace("\n1,1,0.91\n", "\n1,0,0.123\n", 1)  # row count still 5 tasks'
+
+
 @pytest.mark.parametrize(
     "name, damage, what",
     [
@@ -610,6 +618,10 @@ def _drop_a_cell(text):
         ("accuracy_matrix_seed0.csv", _spoil_a_cell, "accuracy"),
         ("accuracy_matrix_seed0.csv", _drop_a_cell, "accuracy"),
         ("accuracy_matrix_seed3.csv", _lift_a_row, "forgetting"),
+        ("accuracy_matrix_seed0.csv", _append("300,0,0.5"), "forgetting"),
+        ("accuracy_matrix_seed0.csv", _append("1,0,0.123"), "forgetting"),
+        ("accuracy_matrix_seed0.csv", _repeat_a_pair, "forgetting"),
+        ("accuracy_matrix_seed0.csv", _append("10000000000,0,0.5"), "accuracy"),
         ("per_class_seed2.csv", _drop_a_cell, "per-class"),
         ("q_snapshots_seed1.csv", _keep_header, "q"),
     ],
@@ -619,6 +631,10 @@ def _drop_a_cell(text):
         "non-numeric",
         "missing-cell",
         "upper-triangle",
+        "task-beyond-the-matrix",
+        "duplicated-pair",
+        "repeated-pair",
+        "huge-task-id",
         "missing-cell-per-class",
         "seed-dropped",
     ],
@@ -626,8 +642,8 @@ def _drop_a_cell(text):
 def test_plotdata_malformed_run_file_exits_3_with_nothing_written(
     tmp_path, capsys, name, damage, what
 ):
-    # these used to exit 1 (an internal error), or 0 with a short row or
-    # without the seed's rows
+    # these used to exit 1 (an internal error), or 0 with a short row,
+    # without the seed's rows, or from a padded or overwritten accuracy matrix
     run = tmp_path / "run"
     shutil.copytree(ROOT / "runs" / "demo", run)
     path = run / name

@@ -2,11 +2,12 @@
 
 ``runs/demo`` is the committed output of ``talcil train --spec
 configs/demo.yaml``.  The stream commands and ``ablate`` have no committed
-run, so the SHA-256 of each CSV of a small run is pinned instead (the
-manifests record the library version and are left out).  The ``ablate``
-digests were recorded when every cell of the grid trained on its own, one
-after the other, and the ``verify-theorem1`` digests when A's positions
-took one scalar ``rng.integers`` call each.
+run, so the SHA-256 of each CSV of a run is pinned instead (the manifests
+record the library version and are left out).  The ``ablate`` digests
+were recorded when every cell of the grid trained on its own, one after
+the other, the ``verify-theorem1`` digests when A's positions took one
+scalar ``rng.integers`` call each, and the benchmark-scale
+``simulate-stream`` digests when every integer cell took its own ``str``.
 """
 
 import hashlib
@@ -56,6 +57,21 @@ def test_train_demo_reproduces_committed_run(tmp_path):
             },
         ),
         (
+            # the benchmark's stream: 5,400 steps, so s_curves.csv and
+            # q_trajectory.csv stream 54,000 rows in 14 chunks, with long
+            # (step) and short (class, count) integer spans
+            [
+                "simulate-stream",
+                "--classes", "10", "--tasks", "5", "--per-class", "500", "--replay", "20",
+                "--lam", "0.995",
+            ],
+            {
+                "trace.csv": "944de8b48c2eae939de40cadbdb9251635ec5eb01d8bcd19e9ec121e28ef81d8",
+                "s_curves.csv": "0c9834929c8c1fdc748cd70384421d0598c7acde175d982df12bc809007e53d2",
+                "q_trajectory.csv": "6ccc4ffab7e5d0c6ff7bf9562a230fbb149c1dfa0903f65223432270096d6916",
+            },
+        ),
+        (
             ["verify-theorem1", "--pairs", "20"],
             {
                 "theorem1_pairs.csv": "d7ddc0de250058b409fb4b8125d56d33e3db73249bc4bf1b04be6a4860e30210",
@@ -69,7 +85,13 @@ def test_train_demo_reproduces_committed_run(tmp_path):
             },
         ),
     ],
-    ids=["simulate-stream", "simulate-stream-replay", "verify-theorem1", "verify-theorem1-dense"],
+    ids=[
+        "simulate-stream",
+        "simulate-stream-replay",
+        "simulate-stream-lab",
+        "verify-theorem1",
+        "verify-theorem1-dense",
+    ],
 )
 def test_stream_outputs_match_pinned_digests(tmp_path, argv, digests):
     assert main([*argv, "--output-dir", str(tmp_path)]) == 0

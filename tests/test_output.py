@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,8 +24,19 @@ def row_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _narrow_ints(draw, n):
+    """Integers spanning at most n values, at either end of their dtype or
+    around zero: the columns the writer spells from one table."""
+    dtype = draw(st.sampled_from([np.int8, np.uint8, np.int64, np.uint64]))
+    info = np.iinfo(dtype)
+    width = draw(st.integers(1, max(n, 1)))
+    lo = draw(st.sampled_from([int(info.min), int(info.max) - width + 1, max(int(info.min), -2)]))
+    return np.array(draw(st.lists(st.integers(lo, lo + width - 1), min_size=n, max_size=n)), dtype)
+
+
 def _column(draw, n):
-    kind = draw(st.sampled_from(["f8", "f4", "g", "i8", "u1", "bool", "mixed", "ints"]))
+    kinds = ["f8", "f4", "g", "i8", "u1", "narrow", "bool", "mixed", "ints"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "f8":
         floats = st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
         return draw(hnp.arrays(np.float64, n, elements=floats))
@@ -37,6 +48,8 @@ def _column(draw, n):
         return draw(hnp.arrays(np.int64, n))
     if kind == "u1":
         return draw(hnp.arrays(np.uint8, n))
+    if kind == "narrow":
+        return _narrow_ints(draw, n)
     if kind == "bool":
         return draw(hnp.arrays(np.bool_, n))
     if kind == "ints":
@@ -53,13 +66,47 @@ def tables(draw):
     return header, [_column(draw, n) for _ in range(width)]
 
 
+# one narrow column of each kind, so every run spells some from a table
+NARROW_TABLE = (
+    ("int8", "uint8", "int64_low", "int64_high", "uint64", "repeats"),
+    [
+        np.array([-128, -127, -128, -123, -126, -128], np.int8),
+        np.array([255, 250, 255, 251, 252, 253], np.uint8),
+        np.array([-2**63 + 5, -2**63, -2**63, -2**63 + 1, -2**63 + 3, -2**63 + 2], np.int64),
+        np.array([2**63 - 1, 2**63 - 6, 2**63 - 2, 2**63 - 1, 2**63 - 3, 2**63 - 4], np.int64),
+        np.array([2**64 - 1, 2**64 - 6, 2**64 - 1, 2**64 - 2, 2**64 - 4, 2**64 - 3], np.uint64),
+        np.array([3, -2, 3, 3, 0, -2], np.int64),
+    ],
+)
+
+
 @given(table=tables(), chunk=st.sampled_from([1, 3, 4096]))
+@example(table=NARROW_TABLE, chunk=1)
+@example(table=NARROW_TABLE, chunk=4096)
 def test_columns_match_row_formatter(tmp_path_factory, table, chunk):
     header, columns = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     with mock.patch.object(output, "_CSV_CHUNK_ROWS", chunk):
         write_csv(path, header, columns)
     assert path.read_text() == row_csv(header, zip(*columns))
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.arange(-128, 128, dtype=np.int8),  # every int8: a span of 256 rows
+        np.arange(99, -101, -1, dtype=np.int8),  # offsets up to 199, past int8's max
+        np.arange(256, dtype=np.uint8).repeat(2),
+        np.arange(-150, 150, dtype=">i2"),  # big-endian
+    ],
+    ids=["int8-all", "int8-wide-offsets", "uint8-all", "int16-big-endian"],
+)
+@pytest.mark.parametrize("chunk", [3, 4096])
+def test_long_narrow_int_columns_match_row_formatter(tmp_path, column, chunk):
+    """Columns longer than the drawn tables, so a span can outgrow its dtype."""
+    with mock.patch.object(output, "_CSV_CHUNK_ROWS", chunk):
+        write_csv(tmp_path / "t.csv", ("a",), (column,))
+    assert (tmp_path / "t.csv").read_text() == row_csv(("a",), zip(column))
 
 
 def test_zero_rows_write_the_header_only(tmp_path):

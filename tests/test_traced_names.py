@@ -4,11 +4,12 @@ training loop still makes the calls the benchmark counts exactly.
 ``perfbench/run.py`` wraps each function of its ``TARGETS`` by name; a
 renamed or deleted function would otherwise fail only a benchmark run.
 Its exact-call gate demands one loss call (``training_step`` or
-``ce_forward``) and one ``update_batched`` call per cell per step, and
-one ``confusion_and_prf`` call per cell per task, and its minimum-call
-gate at least one ``solve_calibration`` call per TAL cell per task; the
-tests below trace tiny runs with the benchmark's own tracer and check
-the same counts.
+``ce_forward``) and one ``update_batched`` call per cell per step, one
+``confusion_and_prf`` call per cell per task, one ``update_tal`` call per
+stream step and one ``verify_theorem1`` call per dominance pair, and its
+minimum-call gate at least one ``solve_calibration`` call per TAL cell
+per task; the tests below trace tiny runs with the benchmark's own tracer
+and check the same counts.
 """
 
 import importlib
@@ -73,18 +74,21 @@ def load_tracer():
     return module
 
 
-def traced_calls(argv):
-    """Call counts of the gated functions over one CLI run."""
+TRAINING_GATES = ("loss.training_step", "loss.ce_forward", "kernel.update_batched",
+                  "metrics.confusion_and_prf", "calibration.solve_calibration")
+
+
+def traced_calls(*argvs, names=TRAINING_GATES):
+    """Call counts of the named functions over CLI runs, one per argv."""
     tracer_module = load_tracer()
-    names = ("loss.training_step", "loss.ce_forward", "kernel.update_batched",
-             "metrics.confusion_and_prf", "calibration.solve_calibration")
     targets = [tracer_module.Target(*name.split(".")) for name in names]
     tracer = tracer_module.Tracer("talcil", targets)
     tracer.install()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the exploratory r < 1 cells
-            assert main(argv) == 0
+            for argv in argvs:
+                assert main(argv) == 0
     finally:
         tracer.restore()
     return dict(zip(names, tracer.summary()[0]))
@@ -119,3 +123,17 @@ def test_ablate_makes_one_gated_call_per_cell_and_step(tmp_path):
         "kernel.update_batched": cells * SEEDS * STEPS,
         "metrics.confusion_and_prf": cells * SEEDS * TASKS,
     }
+
+
+def test_stream_commands_make_one_gated_call_per_step_and_pair(tmp_path):
+    stream = ["--classes", "4", "--tasks", "2", "--per-class", "10", "--replay", "3"]
+    theorem = ["--pairs", "7", "--lambdas", "0.9,0.99"]
+    calls = traced_calls(
+        ["simulate-stream", *stream, "--output-dir", str(tmp_path / "stream")],
+        ["verify-theorem1", *theorem, "--output-dir", str(tmp_path / "theorem")],
+        names=("kernel.update_tal", "streams.verify_theorem1"),
+    )
+    # task 0 streams its 2 new classes' 10 samples each; task 1 adds 3
+    # replayed samples of each of the 2 old classes
+    steps = 2 * 10 + (2 * 10 + 2 * 3)
+    assert calls == {"kernel.update_tal": steps, "streams.verify_theorem1": 2 * 7}
