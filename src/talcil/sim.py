@@ -23,9 +23,9 @@ draws its own dataset, head initial weights and batch order, and the
 spec's ``ScheduleBlock`` fixes the rest; a seed's cells differ only in
 their ``LossBlock``.  Cell (seed, loss) is one slice of a head stacked
 over both, so each step runs one forward and one SGD step for every
-cell, and each cell's own loss and tracker step on its slice.  Every
-seed's data are held at once, so a run's memory grows with its seed
-count.
+cell, and each cell's own loss and tracker step on its slice; a cell
+stops once its logits or loss are no longer finite.  Every seed's data
+are held at once, so a run's memory grows with its seed count.
 """
 
 from __future__ import annotations
@@ -218,28 +218,6 @@ def _batches(rngs, pool_x, pool_y, class_count: int, epochs: int, batch_size: in
             yield epoch, xs[:, :, i * batch_size : (i + 1) * batch_size], pieces[i::per_seed]
 
 
-def _cell_step(loss: LossBlock, class_count: int):
-    """One cell's step for a task over ``class_count`` classes:
-    ``(q, logits, minibatch) -> (LossOutput, q')``.
-
-    The adjusted loss is ``training_step`` under the task's calibration;
-    cross-entropy leaves the loss alone and only advances its tracker.
-    The step functions are looked up when the step runs, not here.
-    """
-    if loss.kind == "TAL":
-        config = TalConfig.for_classes(
-            loss.lam, loss.r, class_count, loss.epsilon, exploratory=loss.exploratory
-        )
-        return lambda q, z, batch: training_step(config, q, z, batch)
-    kernel = MemoryKernel(lam=loss.lam)
-
-    def ce_step(q, z, batch):
-        out = ce_forward(z, batch)
-        return out, update_batched(q, kernel, loss.r, batch, strict=not loss.exploratory)
-
-    return ce_step
-
-
 def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[MetricsReport]]:
     """Task-sequential training with replay of every spec seed times
     several loss blocks in lockstep; ``reports[i][l]`` is seed
@@ -262,12 +240,14 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
     of training its seed and loss alone.
 
     The tracker is advanced once per training minibatch (never during
-    evaluation).  Each cell's step is built at every task boundary, where
-    the adjusted loss re-solves its calibration because the class count
-    grows.  A cell whose loss diverges stops: its slice is zeroed, so
-    the stacked products stay finite, and the others train on.  The
-    ``TrainingError`` of the first failed cell in (seed, loss) order is
-    raised at the end, carrying that cell's own step.
+    evaluation).  At each task boundary every live cell gets its step's
+    ``TalConfig`` (re-solved, as the class count grows) or ``MemoryKernel``.
+    Before any loss runs, one check of every cell's logits fails the
+    cells whose logits are not finite ("training diverged"); a cell whose
+    loss is not finite fails too ("loss diverged").  A failed cell stops:
+    its slice is zeroed, so the stacked products stay finite, and the
+    others train on.  The ``TrainingError`` of the first failed cell in
+    (seed, loss) order is raised at the end, carrying its own step.
     """
     seeds, losses = spec.seeds, list(losses)
     if not losses:
@@ -296,7 +276,7 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
          for seed in seeds]
     )
     q_states = [QState(q=np.zeros(0))] * cells
-    steps = [None] * cells  # a cell's step for the current task; None once it failed
+    live = list(range(cells))  # the cells still training, in (seed, loss) order
     errors: list[TrainingError | None] = [None] * cells
     acc_matrix = np.full((cells, n_tasks, n_tasks), np.nan)
     overall = np.zeros((cells, n_tasks))
@@ -309,10 +289,13 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
         new = schedule.new_classes(t)
         head.add_classes(len(new))
         c_now = head.class_count
-        for k in range(cells):
-            if errors[k] is None:
-                q_states[k] = q_states[k].append_classes(len(new))
-                steps[k] = _cell_step(losses[k % n_losses], c_now)
+        params = [None] * cells  # a live cell's TalConfig or MemoryKernel for the task
+        for k in live:
+            loss = losses[k % n_losses]
+            q_states[k] = q_states[k].append_classes(len(new))
+            params[k] = MemoryKernel(lam=loss.lam) if loss.kind == "CE" else TalConfig.for_classes(
+                loss.lam, loss.r, c_now, loss.epsilon, exploratory=loss.exploratory
+            )
 
         pool_x = np.concatenate(
             [train[:, new.start : new.stop].reshape(n_seeds, -1, data.dim),
@@ -327,40 +310,37 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
         for epoch, xb, batches in _batches(rngs, pool_x, pool_y, c_now, epochs, batch_size):
             h = head.features(xb)
             z = head.logits(h)
-            grads = []
-            for k, (step, z_cell) in enumerate(zip(steps, z.reshape(cells, -1, c_now))):
-                if step is not None:
-                    # The loss functions reject non-finite logits with a
-                    # DomainError; in a training run that means divergence.
-                    try:
-                        out, q_states[k] = step(q_states[k], z_cell, batches[k // n_losses])
-                    except DomainError as exc:
-                        if np.isfinite(z_cell).all():
-                            raise
-                        error = TrainingError(
-                            f"training diverged at step {global_step}", step=global_step
-                        )
-                        error.__cause__ = exc
-                    else:
-                        if math.isfinite(out.loss):
-                            grads.append(out.grad_logits)
-                            if sinks[k] is not None:
-                                sinks[k]({"task": t, "epoch": epoch, "step": global_step,
-                                          "loss": out.loss})
-                            continue
-                        error = TrainingError(
-                            f"loss diverged at step {global_step}", step=global_step
-                        )
-                    errors[k], steps[k] = error, None
-                    head.clear(divmod(k, n_losses))
-                grads.append(np.zeros_like(z_cell))  # a stopped cell steps by zero
-            if not any(steps):
+            z_cells = z.reshape(cells, -1, c_now)
+            finite = np.logical_and.reduce(np.isfinite(z_cells), axis=(1, 2)).tolist()
+            grads = np.zeros(z_cells.shape)  # a stopped cell steps by zero
+            still = []
+            for k in live:  # a loss is never handed non-finite logits
+                loss, batch = losses[k % n_losses], batches[k // n_losses]
+                if finite[k] and loss.kind == "TAL":
+                    out, q_states[k] = training_step(params[k], q_states[k], z_cells[k], batch)
+                elif finite[k]:
+                    out = ce_forward(z_cells[k], batch)
+                    q_states[k] = update_batched(
+                        q_states[k], params[k], loss.r, batch, strict=not loss.exploratory
+                    )
+                if finite[k] and math.isfinite(out.loss):
+                    grads[k] = out.grad_logits
+                    still.append(k)
+                    if sinks[k] is not None:
+                        sinks[k]({"task": t, "epoch": epoch, "step": global_step,
+                                  "loss": out.loss})
+                    continue
+                what = "loss" if finite[k] else "training"
+                errors[k] = TrainingError(f"{what} diverged at step {global_step}", step=global_step)
+                head.clear(divmod(k, n_losses))
+            live = still
+            if not live:
                 break
-            head.train_batch(xb, h, np.array(grads).reshape(z.shape), lr)
+            head.train_batch(xb, h, grads.reshape(z.shape), lr)
             global_step += 1
-        if not any(steps):
+        if not live:
             break
-        del pool_x, xb, h, z  # free the task's inputs before evaluation allocates its logits
+        del pool_x, xb, h, z, z_cells, grads  # free the task's inputs before evaluation
 
         for i in range(n_seeds):
             for c in new:
@@ -374,9 +354,7 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
         for u in range(t + 1):
             mask = np.isin(test_y, schedule.new_classes(u))
             acc_matrix[:, t, u] = correct[:, mask].mean(axis=1)
-        for k, step in enumerate(steps):
-            if step is None:
-                continue
+        for k in live:
             per_task[k].append(confusion_and_prf(preds[k], test_y, c_now))
             snapshots[k].append((global_step, q_states[k].q))
 

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import math
@@ -43,6 +44,9 @@ loss:
 seeds: [0, 1]
 """
 
+# A CE run whose learning rate makes it diverge at step 1 (exit 5).
+DIVERGENT_SPEC = TINY_SPEC.replace("lr: 0.1", "lr: 1.0e+308").replace("kind: TAL", "kind: CE")
+
 
 def write_spec(tmp_path, text=TINY_SPEC, name="exp.yaml"):
     path = tmp_path / name
@@ -83,8 +87,7 @@ def test_error_records_carry_exception_context(tmp_path, capsys):
     assert record["error"] == "SolverError" and record["residual"] == 0.0
     assert "step" not in record
 
-    divergent = TINY_SPEC.replace("lr: 0.1", "lr: 1.0e+308").replace("kind: TAL", "kind: CE")
-    spec = write_spec(tmp_path, divergent)
+    spec = write_spec(tmp_path, DIVERGENT_SPEC)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         code = main(["train", "--spec", str(spec), "--output-dir", str(tmp_path / "out")])
@@ -707,6 +710,38 @@ def test_console_script_entry_point():
     assert "alpha=" in proc.stdout
     # the exit code reaches the shell
     assert run("calibrate", "--classes", "1", "--exponent", "2").returncode == 4
+
+
+# ---------------------------------------------------------------------------
+# runtime invariants under python -O
+# ---------------------------------------------------------------------------
+
+
+def test_library_states_no_assert():
+    # ``python -O`` strips assert statements, so every runtime invariant
+    # of the library must be an explicit raise.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "talcil").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_divergent_train_exits_5_under_optimize(tmp_path):
+    spec, out = write_spec(tmp_path, DIVERGENT_SPEC), tmp_path / "out"
+    src = str(Path(talcil.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-W", "ignore::RuntimeWarning", "-m", "talcil",
+         "train", "--spec", str(spec), "--output-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 5, proc.stderr
+    record = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert record["error"] == "TrainingError" and record["step"] == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
+    """The script's (stdout, stderr), once it has exited with ``code``."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == code, proc.stderr
+    return proc.stdout, proc.stderr
 
 
 def test_temporal_imbalance_demo_writes_s_curves(tmp_path):
@@ -39,4 +42,11 @@ paired a_last improvement: +0.0160 (wins 1/1)
 
 
 def test_ce_vs_tal_prints_the_paired_table():
-    assert run_script("ce_vs_tal.py", "--seeds", "1") == CE_VS_TAL_SEED0
+    out, _ = run_script("ce_vs_tal.py", "--seeds", "1")
+    assert out == CE_VS_TAL_SEED0
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1", "1.5", "two"])
+def test_ce_vs_tal_rejects_a_seed_count_below_one(seeds):
+    out, err = run_script("ce_vs_tal.py", "--seeds", seeds, code=2)
+    assert "usage" in err and out == ""

@@ -253,6 +253,46 @@ def test_divergent_run_raises_training_error_with_step():
     assert err.value.step is not None
 
 
+DIVERGING = spec_of(
+    schedule=ScheduleBlock(replay_per_class=2, epochs=3, batch_size=32),
+    classes=4, dim=8, tasks=2, per_class=20, test_per_class=10,
+)
+
+
+@pytest.mark.parametrize(
+    "lr, cells, message",
+    [
+        (1e307, (CE, TAL), "loss diverged at step 6"),
+        (1e307, (TAL, CE), "loss diverged at step 6"),
+        (1e308, (CE, TAL), "training diverged at step 1"),
+        (1e308, (TAL, CE), "loss diverged at step 2"),
+    ],
+    ids=["1e307-ce-tal", "1e307-tal-ce", "1e308-ce-tal", "1e308-tal-ce"],
+)
+def test_divergence_is_reported_by_the_first_failed_cell(lr, cells, message):
+    # Non-finite logits are "training diverged"; finite logits whose loss
+    # overflows are "loss diverged".  Both carry the failed cell's step.
+    spec = replace(DIVERGING, schedule=replace(DIVERGING.schedule, lr=lr))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(TrainingError) as err:
+            train_cells(one_seed(spec, 0), list(cells))
+    assert str(err.value) == message
+    assert err.value.step == int(message.rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize(
+    "loss, name", [(TAL, "training_step"), (CE, "ce_forward")], ids=["tal", "ce"]
+)
+def test_a_library_error_in_a_finite_step_is_not_divergence(monkeypatch, loss, name):
+    def boom(*args, **kwargs):
+        raise DomainError("boom")
+
+    monkeypatch.setattr(f"talcil.sim.{name}", boom)
+    with pytest.raises(DomainError, match="boom"):
+        train_cells(one_seed(DIVERGING, 0), [loss])
+
+
 def test_event_sink_sees_every_step():
     spec = spec_of(
         schedule=ScheduleBlock(replay_per_class=4, lr=0.1, epochs=2, batch_size=16),
