@@ -14,6 +14,8 @@ import argparse
 
 import numpy as np
 
+from talcil.config import LossBlock
+from talcil.errors import DomainError
 from talcil.sim import desk_scale_pair
 
 
@@ -31,6 +33,10 @@ def main():
     parser.add_argument("--lam", type=float, default=0.995)
     parser.add_argument("--r", type=float, default=1.0)
     args = parser.parse_args()
+    try:
+        LossBlock(lam=args.lam, r=args.r)  # the loss cells' own checks, before any output
+    except DomainError as exc:
+        parser.error(str(exc))
 
     results = {"ce": [], "tal": []}
     print(f"{'seed':>4}  {'loss':<4} {'a_mean':>7} {'a_last':>7} {'age corr':>9}")

@@ -15,19 +15,32 @@ import argparse
 from pathlib import Path
 
 from talcil import MemoryKernel, TaskSchedule, generate_stream, verify_theorem1
+from talcil.errors import DomainError
 from talcil.output import write_csv
+
+
+def seed_value(text):
+    """``--seed``: an integer of at least 0 (argparse reports the rest as usage errors)."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lam", type=float, default=0.99)
     parser.add_argument("--per-class", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=seed_value, default=0)
     parser.add_argument("--output-dir", default=None)
     args = parser.parse_args()
+    try:
+        schedule = TaskSchedule(2, 2, args.per_class, 0)
+        kernel = MemoryKernel(lam=args.lam)
+    except DomainError as exc:
+        parser.error(str(exc))
 
-    trace = generate_stream(TaskSchedule(2, 2, args.per_class, 0), seed=args.seed)
-    kernel = MemoryKernel(lam=args.lam)
+    trace = generate_stream(schedule, seed=args.seed)
     verdict = verify_theorem1(kernel, (trace.polarities(0), trace.polarities(1)))
 
     print(f"stream: {len(trace)} steps, 2 classes, lam={args.lam} (q_max={kernel.q_max:.3f})")

@@ -183,17 +183,9 @@ def confusion_and_prf(predictions, labels, class_count: int) -> PerClassMetrics:
 
 def _rank(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based), ties share the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0], dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < sorted_vals.shape[0]:
-        j = i
-        while j + 1 < sorted_vals.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts, dtype=np.float64)
+    return (ends - 0.5 * (counts - 1))[inverse]
 
 
 def spearman(x, y) -> float:

@@ -27,7 +27,7 @@ must agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -147,30 +147,16 @@ def _deltas(f: np.ndarray, n: int) -> np.ndarray:
     return f[n - 2 :: -1] - f[n - 1 : 0 : -1]
 
 
-def _terms(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The kernel quantities ``verify_theorem1`` needs: f[:N], Delta and sum(f)."""
-    f = f[:n]
-    return f, _deltas(f, n), float(np.sum(f))
-
-
 @lru_cache(maxsize=32)
 def _memory_kernel_terms(lam: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Memoised per (lam, N), so read-only: every such call shares the arrays."""
-    terms = _terms(MemoryKernel(lam=lam).weights(n), n)
-    for array in terms[:2]:
-        array.flags.writeable = False
-    return terms
+    """f[:N], Delta and sum(f) of a MemoryKernel, memoised per (lam, N).
 
-
-def _kernel_terms(kernel, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    if isinstance(kernel, MemoryKernel):
-        return _memory_kernel_terms(kernel.lam, n)
-    f = np.asarray(kernel, dtype=np.float64)
-    if f.shape[0] < n:
-        raise DomainError("kernel value array shorter than the trace")
-    if not (np.isfinite(f).all() and (f >= 0).all()) or np.any(np.diff(f[:n]) > 0):
-        raise DomainError("kernel values must be finite, nonnegative and nonincreasing")
-    return _terms(f, n)
+    They are read-only, as every such call shares the arrays.
+    """
+    f = MemoryKernel(lam=lam).weights(n)
+    deltas = _deltas(f, n)
+    f.flags.writeable = deltas.flags.writeable = False
+    return f, deltas, float(np.sum(f))
 
 
 def _phi(f: np.ndarray, deltas: np.ndarray, s: np.ndarray) -> float:
@@ -198,16 +184,15 @@ class TheoremVerdict:
     conclusion_held: bool
 
 
-def verify_theorem1(kernel, pair) -> TheoremVerdict:
+def verify_theorem1(kernel: MemoryKernel, pair) -> TheoremVerdict:
     """Check Q_A <= Q_B for an equal-positive-count, dominance-ordered pair.
 
-    ``kernel`` is a MemoryKernel or an explicit nonincreasing value
-    array; ``pair`` is a pair of +1/-1 sequences, such as two classes'
-    ``SupervisionTrace.polarities``.  Both evaluation paths are computed
-    and cross-checked: Q by direct convolution and Q = 2*Phi - sum(f)
-    through the cumulative curves.  Raises if the pair's positive totals
-    differ (the hypothesis of the statement), or if the two paths
-    disagree beyond 1e-10.
+    ``kernel`` is a MemoryKernel; ``pair`` is a pair of +1/-1 sequences,
+    such as two classes' ``SupervisionTrace.polarities``.  Both evaluation
+    paths are computed and cross-checked: Q by direct convolution and
+    Q = 2*Phi - sum(f) through the cumulative curves.  Raises if the
+    pair's positive totals differ (the hypothesis of the statement), or
+    if the two paths disagree beyond 1e-10.
     """
     a_raw, b_raw = pair
     a_seq = np.asarray(a_raw, dtype=np.float64)
@@ -225,7 +210,7 @@ def verify_theorem1(kernel, pair) -> TheoremVerdict:
             f"classes have unequal positive totals ({int(s_a[-1])} vs {int(s_b[-1])}); "
             "the monotonicity statement assumes equal counts"
         )
-    f, deltas, kernel_mass = _kernel_terms(kernel, n)
+    f, deltas, kernel_mass = _memory_kernel_terms(kernel.lam, n)
     q_a = _convolve(f, a_seq)
     q_b = _convolve(f, b_seq)
     phi_a = _phi(f, deltas, s_a)
@@ -289,32 +274,19 @@ def sample_dominance_pair(
 
     A's positions are what one scalar ``rng.integers(prev + 1, b + 1)``
     per positive gives, and the generator ends in the state those calls
-    leave, but its 32-bit words are pulled in batches.  A batch never
-    holds more words than the scalar calls still to come are certain to
-    consume: one for the position being drawn, and one for each later
-    position whose B-gap is 2 or more, as its span is then at least 2.
+    leave: each 32-bit word comes from the generator's own source, the
+    ``next_uint32`` that ``Generator.integers`` calls.
     """
     if not (0 < positives <= length):
         raise DomainError("positives must lie in [1, length]")
     if length > _WORD:
         raise DomainError(f"length {length} exceeds 2**32, numpy's 32-bit bounded rule")
     b_pos = np.sort(rng.choice(length, size=positives, replace=False))
-    b_list = b_pos.tolist()
-    certain = int(np.count_nonzero(b_pos[1:] - b_pos[:-1] > 1)) + (b_list[0] > 0)
-    words: list[int] = []  # pulled and not yet used, next one last
-
-    def next_word() -> int:
-        if not words:
-            batch = rng.integers(0, _WORD, size=1 + certain, dtype=np.uint32)
-            words.extend(batch[::-1].tolist())
-        return words.pop()
-
+    source = rng.bit_generator.ctypes
+    next_word = partial(source.next_uint32, source.state)
     a_list = []
-    prev = prev_b = -1
-    for b in b_list:
-        if b - prev_b > 1:
-            certain -= 1  # from here on it counts the later positions only
-        prev_b = b
+    prev = -1
+    for b in b_pos.tolist():
         prev += 1 + _bounded(b - prev, next_word)
         a_list.append(prev)
     a_seq = np.full(length, -1.0)

@@ -167,19 +167,6 @@ def test_trace_based_verification():
     assert verdict.q_a < verdict.q_b
 
 
-def test_custom_decreasing_kernel_accepted_increasing_rejected():
-    a = np.array([1.0, -1.0, 1.0, -1.0])
-    b = np.array([-1.0, 1.0, -1.0, 1.0])
-    f_ok = 1.0 / (np.arange(4) + 2.0)
-    verdict = verify_theorem1(f_ok, (a, b))
-    assert verdict.conclusion_held
-    with pytest.raises(DomainError):
-        verify_theorem1(np.array([0.1, 0.5, 0.6, 0.9]), (a, b))
-    for bad in ([0.5, np.nan, 0.2, 0.1], [np.inf, np.inf, 1.0, 0.5], [0.5, 0.4, 0.3, 0.2, np.nan]):
-        with pytest.raises(DomainError):  # not a NaN verdict read as a counterexample
-            verify_theorem1(np.array(bad), (a, b))
-
-
 def test_pair_sequences_must_be_one_dimensional():
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
     with pytest.raises(DomainError):
@@ -227,16 +214,14 @@ def test_verdict_fields_match_the_reference_formulas_bit_for_bit(n):
         pairs.append((np.array([-1.0]), np.array([-1.0])))
     for lam in (0.5, 0.9, 0.99):
         kernel = MemoryKernel(lam=lam)
-        explicit = 1.0 / (np.arange(n + 3) + 2.0)  # longer than the pair
         for a, b in pairs:
-            for k, f in ((kernel, kernel.weights(n)), (explicit, explicit)):
-                assert verify_theorem1(k, (a, b)) == _reference_verdict(f, a, b)
+            assert verify_theorem1(kernel, (a, b)) == _reference_verdict(kernel.weights(n), a, b)
     f, deltas, _ = _memory_kernel_terms(0.9, n)  # memoised by the calls above
     assert not f.flags.writeable and not deltas.flags.writeable
 
 
 # ---------------------------------------------------------------------------
-# batched sampler against one scalar draw per positive
+# the sampler against one scalar draw per positive
 # ---------------------------------------------------------------------------
 
 
@@ -271,9 +256,10 @@ def _pair_shapes(draw):
     shape=_pair_shapes(),
     seed=st.integers(min_value=0, max_value=2**63),
     pairs=st.integers(min_value=1, max_value=4),
+    draw_between=st.booleans(),
 )
 @settings(max_examples=80)
-def test_batched_sampler_reproduces_the_scalar_loop(shape, seed, pairs):
+def test_batched_sampler_reproduces_the_scalar_loop(shape, seed, pairs, draw_between):
     length, positives = shape
     batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(pairs):
@@ -281,6 +267,8 @@ def test_batched_sampler_reproduces_the_scalar_loop(shape, seed, pairs):
         want = _scalar_dominance_pair(scalar, length, positives)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert batched.bit_generator.state == scalar.bit_generator.state
+        if draw_between:  # one 32-bit word, so half of the next 64-bit output stays buffered
+            assert batched.integers(0, 3) == scalar.integers(0, 3)
 
 
 @pytest.mark.parametrize("span", [1, 2, 600, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32])
