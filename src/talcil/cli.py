@@ -184,15 +184,13 @@ def _cmd_verify_theorem1(args) -> int:
 def _cmd_train(args) -> int:
     spec = load_spec(args.spec)
     out_dir = _resolve_output_dir(args.output_dir, spec.output_dir)
-    events: list[list[dict]] = [[] for _ in spec.seeds]
-    reports = train_incremental(spec, [seed_events.append for seed_events in events])
+    reports = train_incremental(spec)
     rows = [{"seed": r.seed, "a_mean": r.a_mean, "a_last": r.a_last} for r in reports]
     [summary] = seed_summary(rows)
     for report in reports:
         for name, (header, columns) in report.tables().items():
             write_csv(out_dir / name, header, columns)
-    for seed, seed_events in zip(spec.seeds, events):
-        write_jsonl(out_dir / f"events_seed{seed}.jsonl", seed_events)
+        write_jsonl(out_dir / f"events_seed{report.seed}.jsonl", report.events)
     write_csv(
         out_dir / "summary.csv",
         ("seed", "a_mean", "a_last"),

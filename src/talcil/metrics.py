@@ -64,6 +64,8 @@ class MetricsReport:
     is the accuracy over all classes seen by task t.  per_task[t] holds
     the per-class metrics over those classes after task t, and
     q_snapshots[t] the (global step, tracker q) at that point.
+    events is the per-step table of ``events_seed<N>.jsonl``, ``{key:
+    column}``: every training step's task, epoch, step and the cell's loss.
     """
 
     accuracy_matrix: np.ndarray
@@ -71,6 +73,7 @@ class MetricsReport:
     per_task: tuple[PerClassMetrics, ...]
     q_snapshots: tuple[tuple[int, np.ndarray], ...]
     seed: int
+    events: dict[str, np.ndarray]
 
     @property
     def a_mean(self) -> float:

@@ -118,25 +118,28 @@ def write_csv(path, header, columns) -> None:
 _NON_FINITE = frozenset(map(repr, (np.nan, np.inf, -np.inf)))
 
 
-def write_jsonl(path, records) -> None:
-    """One record per line, spelled as ``json.dumps(record, sort_keys=True)``.
+def write_jsonl(path, columns) -> None:
+    """One line per row of ``columns``, ``{key: 1-d column}`` (ndarray or
+    list), spelled as ``json.dumps(row, sort_keys=True)``.
 
-    The records are a run's events: they share one set of string keys
-    and hold ints and finite floats, whose ``repr`` is their JSON, so one
-    template formats every line.  Any other record list is a
-    ``DomainError``, raised before anything is written.
+    The columns are a run's events: string keys over columns of one
+    length of ints and finite floats (an array's ``tolist``), whose
+    ``repr`` is their JSON, so one template formats every line.  Any
+    other table is a ``DomainError``, raised before anything is written.
     """
-    records = list(records)
-    keys = sorted(records[0]) if records else []
-    if any(type(k) is not str for k in keys) or any(r.keys() != records[0].keys() for r in records):
-        raise DomainError("JSONL records must share one set of string keys")
+    if any(type(key) is not str for key in columns):
+        raise DomainError("JSONL keys must be strings")
+    keys = sorted(columns)
     cells = []
     for key in keys:
-        column = [r[key] for r in records]
+        column = columns[key]  # a 2-d array's rows are lists, refused below
+        column = column.tolist() if isinstance(column, np.ndarray) else list(column)
         spelled = list(map(repr, column))
         if not set(map(type, column)) <= {int, float} or not _NON_FINITE.isdisjoint(spelled):
             raise DomainError(f"JSONL field {key!r} must hold ints and finite floats")
         cells.append(spelled)
+    if len({len(column) for column in cells}) > 1:
+        raise DomainError("JSONL columns must have one length")
     template = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "}\n"
     atomic_write_text(path, "".join(map(template.__mod__, zip(*cells))))
 

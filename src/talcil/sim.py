@@ -24,8 +24,9 @@ spec's ``ScheduleBlock`` fixes the rest; a seed's cells differ only in
 their ``LossBlock``.  Cell (seed, loss) is one slice of a head stacked
 over both, so each step runs one forward and one SGD step for every
 cell, and each cell's own loss and tracker step on its slice; a cell
-stops once its logits or loss are no longer finite.  Every seed's data
-are held at once, so a run's memory grows with its seed count.
+stops once its logits or loss are no longer finite, and its report
+holds its loss at every step.  Every seed's data are held at once (a
+task's training split until its exemplars are picked).
 """
 
 from __future__ import annotations
@@ -94,12 +95,11 @@ def make_gaussian_tasks(spec: ExperimentSpec, seed: int) -> tuple[SyntheticDatas
     data = spec.dataset
     rng = np.random.default_rng(seed)
     means = _place_means(rng, data.classes, data.dim, data.sep)
-    train = means[:, None, :] + data.cov_scale * rng.standard_normal(
-        (data.classes, data.per_class, data.dim)
-    )
-    test = means[:, None, :] + data.cov_scale * rng.standard_normal(
-        (data.classes, data.test_per_class, data.dim)
-    )
+    train = rng.standard_normal((data.classes, data.per_class, data.dim))
+    test = rng.standard_normal((data.classes, data.test_per_class, data.dim))
+    for split in (train, test):  # in place, so a draw makes no temporaries
+        split *= data.cov_scale
+        split += means[:, None, :]
     schedule = TaskSchedule(data.classes, data.tasks, data.per_class, spec.schedule.replay_per_class)
     return SyntheticDataset(class_means=means, train=train, test=test), schedule
 
@@ -202,42 +202,43 @@ def class_ages(schedule: TaskSchedule) -> np.ndarray:
 
 
 def _batches(rngs, pool_x, pool_y, class_count: int, epochs: int, batch_size: int):
-    """(epoch, inputs, minibatches) of every step of a task, in training
-    order: the inputs of every seed as one ``(S, 1, N, d)`` view and one
-    minibatch per seed.  Each seed draws its own permutation per epoch;
-    one gather and one ``Minibatch.split`` per epoch serve every seed."""
+    """(inputs, minibatches) of every step of a task, ``ceil(n / batch_size)``
+    per epoch, in training order: the inputs of every seed as one
+    ``(S, 1, N, d)`` view and one minibatch per seed.  Each seed draws its
+    own permutation per epoch; one gather and one ``Minibatch.split`` per
+    epoch serve every seed."""
     n_seeds, n, dim = pool_x.shape
     flat_x, run_start = pool_x.reshape(-1, dim), np.arange(0, n_seeds * n, n)[:, None]
     xs = np.empty((n_seeds, 1, n, dim))  # every epoch gathers into it; the indices are in range
-    for epoch in range(epochs):
+    for _ in range(epochs):
         perms = np.array([rng.permutation(n) for rng in rngs])
         flat_x.take((perms + run_start).ravel(), axis=0, out=xs.reshape(-1, dim), mode="clip")
         pieces = Minibatch.split(pool_y[perms].ravel(), class_count, batch_size, n_seeds)
         per_seed = len(pieces) // n_seeds
         for i in range(per_seed):
-            yield epoch, xs[:, :, i * batch_size : (i + 1) * batch_size], pieces[i::per_seed]
+            yield xs[:, :, i * batch_size : (i + 1) * batch_size], pieces[i::per_seed]
 
 
-def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[MetricsReport]]:
+def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
     """Task-sequential training with replay of every spec seed times
     several loss blocks in lockstep; ``reports[i][l]`` is seed
-    ``spec.seeds[i]`` under ``losses[l]``, and ``event_sinks``, when
-    given, holds one sink (or None) per seed and loss in the same layout.
+    ``spec.seeds[i]`` under ``losses[l]``.
 
     Each seed keeps its own problem (``make_gaussian_tasks``), head
     ``Classifier(spec.dataset.dim, spec.schedule.hidden, seed)``, batch
     order, pools and replay exemplars; every cell starts from an empty
     tracker and trains under the spec's ``ScheduleBlock``, so a seed's
     cells differ only in their ``LossBlock``.  The seeds' data are held
-    once, as ``(S, C, n, d)`` arrays, so a run's memory grows with its
-    seed count.  All seeds have one schedule and so one step count: each
-    epoch is gathered once and its labels are checked once, by one
+    once, as ``(S, ...)`` arrays (a task's training split until its
+    exemplars are picked), so a run's memory grows with its seed count.
+    All seeds have one schedule and so one step count: each epoch is
+    gathered once and its labels are checked once, by one
     ``Minibatch.split`` whose pieces every cell's loss and tracker step
     read.  Cell (s, l) is slice (s, l) of one stacked head from the first
     step to the last: one ``np.matmul`` per product gives every cell's
     logits, SGD step and test predictions, and each cell runs its own
-    loss and tracker step on its slice, so its report is bit for bit that
-    of training its seed and loss alone.
+    loss and tracker step on its slice, so its report, step losses
+    included, is bit for bit that of training its seed and loss alone.
 
     The tracker is advanced once per training minibatch (never during
     evaluation).  At each task boundary every live cell gets its step's
@@ -254,19 +255,16 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
         raise DomainError("need at least one loss cell")
     n_seeds, n_losses = len(seeds), len(losses)
     cells = n_seeds * n_losses  # cell k is (seed k // n_losses, loss k % n_losses)
-    if event_sinks is None:
-        sinks = [None] * cells
-    else:
-        rows = [list(row) for row in event_sinks]
-        if len(rows) != n_seeds or any(len(row) != n_losses for row in rows):
-            raise DomainError("need one event sink (or None) per seed and loss cell")
-        sinks = [sink for row in rows for sink in row]
     data = spec.dataset
-    train = np.empty((n_seeds, data.classes, data.per_class, data.dim))
+    shape = (n_seeds, data.classes // data.tasks, data.per_class, data.dim)
+    train = [np.empty(shape) for _ in range(data.tasks)]  # one split per task, freed after it
     test = np.empty((n_seeds, data.classes, data.test_per_class, data.dim))
     for i, seed in enumerate(seeds):
         dataset, schedule = make_gaussian_tasks(spec, seed)
-        train[i], test[i] = dataset.train, dataset.test
+        for split, part in zip(train, np.split(dataset.train, data.tasks)):
+            split[i] = part
+        test[i] = dataset.test
+    del dataset, part  # part is a view: the seeds' samples live on in train and test alone
     n_tasks = schedule.tasks
     kept = min(schedule.replay_per_old_class, data.per_class)
     replay = np.empty((n_seeds, data.classes, kept, data.dim))
@@ -282,6 +280,7 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
     overall = np.zeros((cells, n_tasks))
     per_task: list[list[PerClassMetrics]] = [[] for _ in range(cells)]
     snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(cells)]
+    step_losses = []  # one (cells, steps) array per task
     global_step = 0
     epochs, batch_size, lr = spec.schedule.epochs, spec.schedule.batch_size, spec.schedule.lr
 
@@ -298,7 +297,7 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
             )
 
         pool_x = np.concatenate(
-            [train[:, new.start : new.stop].reshape(n_seeds, -1, data.dim),
+            [train[t].reshape(n_seeds, -1, data.dim),
              replay[:, : new.start].reshape(n_seeds, -1, data.dim)],
             axis=1,
         )
@@ -306,8 +305,11 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
             [np.repeat(np.arange(new.start, new.stop), data.per_class),
              np.repeat(np.arange(new.start), kept)]
         )
+        per_epoch = -(-len(pool_y) // batch_size)  # the steps _batches yields per epoch
+        step_losses.append(np.zeros((cells, epochs * per_epoch)))
 
-        for epoch, xb, batches in _batches(rngs, pool_x, pool_y, c_now, epochs, batch_size):
+        task_steps = _batches(rngs, pool_x, pool_y, c_now, epochs, batch_size)
+        for j, (xb, batches) in enumerate(task_steps):
             h = head.features(xb)
             z = head.logits(h)
             z_cells = z.reshape(cells, -1, c_now)
@@ -325,10 +327,8 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
                     )
                 if finite[k] and math.isfinite(out.loss):
                     grads[k] = out.grad_logits
+                    step_losses[t][k, j] = out.loss
                     still.append(k)
-                    if sinks[k] is not None:
-                        sinks[k]({"task": t, "epoch": epoch, "step": global_step,
-                                  "loss": out.loss})
                     continue
                 what = "loss" if finite[k] else "training"
                 errors[k] = TrainingError(f"{what} diverged at step {global_step}", step=global_step)
@@ -344,7 +344,8 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
 
         for i in range(n_seeds):
             for c in new:
-                replay[i, c] = _select_exemplars(train[i, c], kept)
+                replay[i, c] = _select_exemplars(train[t][i, c - new.start], kept)
+        train[t] = None  # the task's training split is read no more
 
         test_y = np.repeat(np.arange(c_now), data.test_per_class)
         preds = head.predict(test[:, None, :c_now].reshape(n_seeds, 1, -1, data.dim))
@@ -361,6 +362,10 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
     first_error = next((error for error in errors if error is not None), None)
     if first_error is not None:
         raise first_error
+    sizes = [part.shape[1] for part in step_losses]  # a task's steps, epochs * per_epoch
+    steps = {"epoch": np.concatenate([np.arange(n) // (n // epochs) for n in sizes]),
+             "step": np.arange(global_step), "task": np.repeat(np.arange(n_tasks), sizes)}
+    step_losses = np.concatenate(step_losses, axis=1)
     reports = [
         MetricsReport(
             accuracy_matrix=acc_matrix[k],
@@ -368,18 +373,17 @@ def train_cells(spec: ExperimentSpec, losses, event_sinks=None) -> list[list[Met
             per_task=tuple(per_task[k]),
             q_snapshots=tuple(snapshots[k]),
             seed=seeds[k // n_losses],
+            events={**steps, "loss": step_losses[k]},
         )
         for k in range(cells)
     ]
     return [reports[i : i + n_losses] for i in range(0, cells, n_losses)]
 
 
-def train_incremental(spec: ExperimentSpec, event_sinks=None) -> list[MetricsReport]:
-    """Every spec seed trained under the spec's own loss, one report (and
-    one event sink, or None, in ``event_sinks``) per seed in
-    ``spec.seeds`` order: the one-loss case of ``train_cells``."""
-    sinks = None if event_sinks is None else [[sink] for sink in event_sinks]
-    return [report for [report] in train_cells(spec, [spec.loss], sinks)]
+def train_incremental(spec: ExperimentSpec) -> list[MetricsReport]:
+    """Every spec seed trained under the spec's own loss, one report per
+    seed in ``spec.seeds`` order: the one-loss case of ``train_cells``."""
+    return [report for [report] in train_cells(spec, [spec.loss])]
 
 
 def ablate(spec: ExperimentSpec, *, lambdas=ABLATION_LAMBDAS, rs=ABLATION_RS) -> list[dict]:

@@ -152,17 +152,30 @@ _EVENT_VALUES = (
 
 
 @st.composite
-def event_logs(draw):
+def event_tables(draw):
+    """``{key: column}`` of one length, each column a list or, when its
+    values fit one, a float64 or int64 array."""
     keys = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
     n = draw(st.integers(0, 20))
-    return [{k: draw(_EVENT_VALUES) for k in draw(st.permutations(keys))} for _ in range(n)]
+    columns = {}
+    for key in draw(st.permutations(keys)):
+        column = [draw(_EVENT_VALUES) for _ in range(n)]
+        if draw(st.booleans()) and all(type(v) is float for v in column):
+            column = np.array(column, dtype=np.float64)
+        elif draw(st.booleans()) and all(type(v) is int and abs(v) < 2**63 for v in column):
+            column = np.array(column, dtype=np.int64)
+        columns[key] = column
+    return columns
 
 
-@given(records=event_logs())
-def test_jsonl_lines_are_json_dumps_with_sorted_keys(tmp_path_factory, records):
+@given(columns=event_tables())
+@example(columns={"step": np.arange(3), "loss": np.array([0.5, -0.0, 1e16]), "b": [1, 2, 3]})
+def test_jsonl_lines_are_json_dumps_with_sorted_keys(tmp_path_factory, columns):
     path = tmp_path_factory.mktemp("jsonl") / "events.jsonl"
-    write_jsonl(path, records)
-    assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    write_jsonl(path, columns)
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    rows = [dict(zip(columns, row)) for row in zip(*values)]
+    assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
 
 
 @pytest.mark.parametrize(
@@ -182,6 +195,26 @@ def test_jsonl_lines_are_json_dumps_with_sorted_keys(tmp_path_factory, records):
     ids=repr,
 )
 def test_jsonl_refuses_what_one_template_cannot_spell(tmp_path, records):
+    # the table in column form; a key a row lacks is an empty (None) cell there
+    keys = dict.fromkeys(key for record in records for key in record)
+    columns = {key: [record.get(key) for record in records] for key in keys}
     with pytest.raises(DomainError):
-        write_jsonl(tmp_path / "sub" / "events.jsonl", records)
+        write_jsonl(tmp_path / "sub" / "events.jsonl", columns)
+    assert not (tmp_path / "sub").exists()
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"a": [1, 2], "b": [0.5]},
+        {"a": np.arange(3), "b": np.zeros(2)},
+        {"a": np.zeros((2, 1))},
+        {"a": np.array([True])},
+        {"a": np.array([0.5, np.nan])},
+    ],
+    ids=["lists", "arrays", "2-d", "bool array", "nan array"],
+)
+def test_jsonl_refuses_unequal_lengths_and_arrays_it_cannot_spell(tmp_path, columns):
+    with pytest.raises(DomainError):
+        write_jsonl(tmp_path / "sub" / "events.jsonl", columns)
     assert not (tmp_path / "sub").exists()

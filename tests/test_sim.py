@@ -37,9 +37,9 @@ def one_seed(spec, seed):
     return replace(spec, seeds=(seed,))
 
 
-def train_one(spec, seed, event_sink=None):
+def train_one(spec, seed):
     """The report of ``spec``'s own loss on the one seed ``seed``."""
-    [report] = train_incremental(one_seed(spec, seed), [event_sink])
+    [report] = train_incremental(one_seed(spec, seed))
     return report
 
 
@@ -293,17 +293,22 @@ def test_a_library_error_in_a_finite_step_is_not_divergence(monkeypatch, loss, n
         train_cells(one_seed(DIVERGING, 0), [loss])
 
 
-def test_event_sink_sees_every_step():
+def test_report_losses_cover_every_step():
     spec = spec_of(
         schedule=ScheduleBlock(replay_per_class=4, lr=0.1, epochs=2, batch_size=16),
         classes=4, dim=8, tasks=2, per_class=24, test_per_class=10,
     )
-    events = []
-    train_one(spec, 0, events.append)
+    events = train_one(spec, 0).events
+    assert sorted(events) == ["epoch", "loss", "step", "task"]
     # task 0: 48 samples -> 3 batches/epoch; task 1: 48+8 -> 4 batches/epoch
-    assert len(events) == 2 * 3 + 2 * 4
-    assert [e["step"] for e in events] == list(range(len(events)))
-    assert all(np.isfinite(e["loss"]) for e in events)
+    assert events["loss"].dtype == np.float64 and events["loss"].shape == (2 * 3 + 2 * 4,)
+    assert np.all(np.isfinite(events["loss"]))
+    assert events["step"].tolist() == list(range(14))
+    assert events["task"].tolist() == [0] * 6 + [1] * 8
+    assert events["epoch"].tolist() == [0, 0, 0, 1, 1, 1] + [0] * 4 + [1] * 4
+    # every column spells its cells as Python int and float reprs
+    row = {key: column.tolist()[13] for key, column in events.items()}
+    assert [type(row[key]) for key in sorted(row)] == [int, float, int, int]
 
 
 def test_forgetting_curve_directions():
@@ -343,10 +348,13 @@ def bits(value):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, tuple):
         return tuple(bits(v) for v in value)
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
     return repr(value)  # floats: shortest round-trip, so -0.0 and NaN count too
 
 
 def report_bits(report):
+    """Every field in ``bits`` form, the per-step events table included."""
     return {f.name: bits(getattr(report, f.name)) for f in fields(report)}
 
 
@@ -364,21 +372,11 @@ def test_lockstep_cells_equal_one_cell_runs_bit_for_bit(hidden):
         schedule=ScheduleBlock(replay_per_class=5, hidden=hidden, lr=0.1, epochs=4, batch_size=16),
         classes=6, dim=8, tasks=3, per_class=40, test_per_class=20,
     )
-    alone_events = [[] for _ in LOCKSTEP_CELLS]
-    lock_events = [[] for _ in LOCKSTEP_CELLS]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        alone = [
-            train_one(replace(spec, loss=loss), 2, events.append)
-            for loss, events in zip(LOCKSTEP_CELLS, alone_events)
-        ]
-        [lock] = train_cells(
-            one_seed(spec, 2), LOCKSTEP_CELLS, [[events.append for events in lock_events]]
-        )
+        alone = [train_one(replace(spec, loss=loss), 2) for loss in LOCKSTEP_CELLS]
+        [lock] = train_cells(one_seed(spec, 2), LOCKSTEP_CELLS)
     assert [report_bits(r) for r in lock] == [report_bits(r) for r in alone]
-    assert [bits(tuple(tuple(e.items()) for e in ev)) for ev in lock_events] == [
-        bits(tuple(tuple(e.items()) for e in ev)) for ev in alone_events
-    ]
 
 
 @pytest.mark.parametrize("hidden", [0, 8])
@@ -388,23 +386,13 @@ def test_seed_lockstep_equals_one_seed_runs_bit_for_bit(hidden):
         classes=6, dim=8, tasks=3, per_class=40, test_per_class=20,
     )
     seeds = (3, 0)  # out of order on purpose: reports follow the spec, not the seed value
-    lock_events = [[[] for _ in LOCKSTEP_CELLS] for _ in seeds]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        lock = train_cells(
-            replace(spec, seeds=seeds), LOCKSTEP_CELLS,
-            [[events.append for events in row] for row in lock_events],
-        )
-        for seed, reports, events in zip(seeds, lock, lock_events, strict=True):
-            alone_events = [[] for _ in LOCKSTEP_CELLS]
-            [alone] = train_cells(
-                one_seed(spec, seed), LOCKSTEP_CELLS, [[e.append for e in alone_events]]
-            )
+        lock = train_cells(replace(spec, seeds=seeds), LOCKSTEP_CELLS)
+        for seed, reports in zip(seeds, lock, strict=True):
+            [alone] = train_cells(one_seed(spec, seed), LOCKSTEP_CELLS)
             assert [r.seed for r in reports] == [seed] * len(LOCKSTEP_CELLS)
             assert [report_bits(r) for r in reports] == [report_bits(r) for r in alone]
-            assert [bits(tuple(tuple(e.items()) for e in ev)) for ev in events] == [
-                bits(tuple(tuple(e.items()) for e in ev)) for ev in alone_events
-            ]
 
 
 DIVERGENT_SPEC = """\
@@ -425,23 +413,26 @@ def test_lockstep_raises_the_first_failed_cell_in_grid_order(tmp_path, capsys):
     )
     seeds = (1, 0)
     cells = [LossBlock(lam=0.99, r=1.0), CE]
-    alone_events = [[[] for _ in cells] for _ in seeds]
-    lock_events = [[[] for _ in cells] for _ in seeds]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         steps = []  # (seed, cell) in spec order: (1, TAL), (1, CE), (0, TAL), (0, CE)
-        for seed, row in zip(seeds, alone_events):
-            for loss, events in zip(cells, row):
+        for seed in seeds:
+            for loss in cells:
                 with pytest.raises(TrainingError) as err:
-                    train_one(replace(spec, loss=loss), seed, events.append)
+                    train_one(replace(spec, loss=loss), seed)
                 steps.append(err.value.step)
         with pytest.raises(TrainingError) as one_seed_err:
             train_cells(one_seed(spec, 0), cells)
         with pytest.raises(TrainingError) as err:
-            train_cells(
-                replace(spec, seeds=seeds), cells,
-                [[events.append for events in row] for row in lock_events],
-            )
+            train_cells(replace(spec, seeds=seeds), cells)
+        # every cell trains on until its own failure: put each cell first in
+        # grid order once, and the error raised is its own one-cell error
+        rotated = []
+        for i in range(len(seeds)):
+            for c in range(len(cells)):
+                with pytest.raises(TrainingError) as first_err:
+                    train_cells(replace(spec, seeds=seeds[i:] + seeds[:i]), cells[c:] + cells[:c])
+                rotated.append(first_err.value.step)
         code = main(["train", "--spec", str(write_spec(tmp_path, DIVERGENT_SPEC)),
                      "--output-dir", str(tmp_path / "out")])
     assert steps[3] < steps[2]  # seed 0's second cell fails first in time ...
@@ -449,9 +440,7 @@ def test_lockstep_raises_the_first_failed_cell_in_grid_order(tmp_path, capsys):
     assert steps[3] < steps[0]  # and seed 0 fails before seed 1 ...
     assert err.value.step == steps[0]  # ... but seed 1 comes first in the spec
     assert str(err.value) == f"training diverged at step {steps[0]}"
-    # every cell trains on until its own failure
-    assert lock_events == alone_events
-    assert [len(events) for row in lock_events for events in row] == steps
+    assert rotated == steps
     # a failed run exits 5 with the same error and writes nothing
     assert code == 5 and not (tmp_path / "out").exists()
     record = json.loads(capsys.readouterr().err.strip())
@@ -481,13 +470,10 @@ def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
             schedule=ScheduleBlock(replay_per_class=2, **schedule),
             classes=4, dim=dim, tasks=2, per_class=20, test_per_class=10,
         )
-        lock_events = [[] for _ in cells]
-        [lock] = train_cells(
-            one_seed(spec, seed), cells, [[events.append for events in lock_events]]
-        )
+        [lock] = train_cells(one_seed(spec, seed), cells)
         alone = [train_one(replace(spec, loss=loss), seed) for loss in cells]
         assert [report_bits(r) for r in lock] == [report_bits(r) for r in alone]
-        return lock, [[(e["task"], e["epoch"], e["step"]) for e in ev] for ev in lock_events]
+        return lock, [bits({k: v for k, v in r.events.items() if k != "loss"}) for r in lock]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -501,17 +487,11 @@ def test_lockstep_cells_must_share_the_batch_stream_and_head_shape(change):
         assert report_bits(old) != report_bits(new)
 
 
-def test_lockstep_needs_a_cell_and_one_sink_per_cell():
+def test_lockstep_needs_a_cell():
     spec = spec_of(classes=4, dim=8, tasks=2, per_class=20, test_per_class=10)
     spec = replace(spec, seeds=(0, 1))
     with pytest.raises(DomainError):
         train_cells(spec, [])
-    with pytest.raises(DomainError):
-        train_cells(spec, [CE, TAL], [[None], [None]])
-    with pytest.raises(DomainError):
-        train_cells(spec, [CE], [[None, None], [None, None]])
-    with pytest.raises(DomainError):
-        train_cells(spec, [CE], [[None]])
 
 
 # ---------------------------------------------------------------------------
