@@ -108,12 +108,11 @@ def _cmd_simulate_stream(args) -> int:
     kernel = MemoryKernel(lam=args.lam)
     state = QState.zeros(c)
     classes = np.arange(c)
-    polarity = np.where(trace.labels[:, None] == classes, 1.0, -1.0)
+    polarity = np.where(classes[:, None] == classes, 1.0, -1.0)  # row k: a step labelled k
     q = np.empty((steps, c))
-    for n in range(steps):
-        state = update_tal(state, kernel, args.exponent, polarity[n])
+    for n, label in enumerate(trace.labels):
+        state = update_tal(state, kernel, args.exponent, polarity[label])
         q[n] = state.q
-    del polarity  # read only by the loop; its memory pays for the writer's tables
     out_dir = _resolve_output_dir(args.output_dir)
     step_ids = np.arange(steps)
     write_csv(out_dir / "trace.csv", ("step", "label"), (step_ids, trace.labels))

@@ -8,9 +8,9 @@ computes the hidden layer once (``features``) and hands it to both the
 logits and the SGD step.  When a task introduces classes the head grows
 zero-initialized columns and the tracker grows zero entries.
 
-Replay follows the usual fixed-budget recipe: when a class's task ends,
-the exemplars closest to its empirical mean are kept (mean-matching in
-input space) and replayed into every later task's training pool.
+Replay follows the usual fixed-budget recipe: the exemplars closest to a
+class's mean (mean-matching in input space) are picked as a seed's data
+are drawn and replayed into every later task's training pool.
 
 Both loss kinds advance the tracker with the fractional minibatch rule;
 under plain cross-entropy the tracker is a pure diagnostic (it never
@@ -26,7 +26,7 @@ over both, so each step runs one forward and one SGD step for every
 cell, and each cell's own loss and tracker step on its slice; a cell
 stops once its logits or loss are no longer finite, and its report
 holds its loss at every step.  Every seed's data are held at once (a
-task's training split until its exemplars are picked).
+task's training split until its pool is built).
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _select_exemplars(pool: np.ndarray, count: int) -> np.ndarray:
     """Mean-matching pick: the ``count`` samples closest to the class mean."""
     center = pool.mean(axis=0)
     dists = np.linalg.norm(pool - center, axis=1)
-    order = np.argsort(dists, kind="stable")[: min(count, pool.shape[0])]
+    order = np.argsort(dists, kind="stable")[:count]
     return pool[np.sort(order)]
 
 
@@ -204,19 +204,18 @@ def class_ages(schedule: TaskSchedule) -> np.ndarray:
 def _batches(rngs, pool_x, pool_y, class_count: int, epochs: int, batch_size: int):
     """(inputs, minibatches) of every step of a task, ``ceil(n / batch_size)``
     per epoch, in training order: the inputs of every seed as one
-    ``(S, 1, N, d)`` view and one minibatch per seed.  Each seed draws its
-    own permutation per epoch; one gather and one ``Minibatch.split`` per
-    epoch serve every seed."""
-    n_seeds, n, dim = pool_x.shape
-    flat_x, run_start = pool_x.reshape(-1, dim), np.arange(0, n_seeds * n, n)[:, None]
-    xs = np.empty((n_seeds, 1, n, dim))  # every epoch gathers into it; the indices are in range
+    ``(S, 1, N, d)`` array gathered from the pool and one minibatch per
+    seed.  Each seed draws its own permutation per epoch; one
+    ``Minibatch.split`` per epoch serves every seed."""
+    n_seeds, n, _ = pool_x.shape
+    rows = np.arange(n_seeds)[:, None]
     for _ in range(epochs):
         perms = np.array([rng.permutation(n) for rng in rngs])
-        flat_x.take((perms + run_start).ravel(), axis=0, out=xs.reshape(-1, dim), mode="clip")
         pieces = Minibatch.split(pool_y[perms].ravel(), class_count, batch_size, n_seeds)
         per_seed = len(pieces) // n_seeds
         for i in range(per_seed):
-            yield xs[:, :, i * batch_size : (i + 1) * batch_size], pieces[i::per_seed]
+            cols = perms[:, i * batch_size : (i + 1) * batch_size]
+            yield pool_x[rows, cols][:, None], pieces[i::per_seed]
 
 
 def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
@@ -226,18 +225,19 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
 
     Each seed keeps its own problem (``make_gaussian_tasks``), head
     ``Classifier(spec.dataset.dim, spec.schedule.hidden, seed)``, batch
-    order, pools and replay exemplars; every cell starts from an empty
-    tracker and trains under the spec's ``ScheduleBlock``, so a seed's
-    cells differ only in their ``LossBlock``.  The seeds' data are held
-    once, as ``(S, ...)`` arrays (a task's training split until its
-    exemplars are picked), so a run's memory grows with its seed count.
-    All seeds have one schedule and so one step count: each epoch is
-    gathered once and its labels are checked once, by one
-    ``Minibatch.split`` whose pieces every cell's loss and tracker step
-    read.  Cell (s, l) is slice (s, l) of one stacked head from the first
-    step to the last: one ``np.matmul`` per product gives every cell's
-    logits, SGD step and test predictions, and each cell runs its own
-    loss and tracker step on its slice, so its report, step losses
+    order, pools and replay exemplars (picked as its data are drawn);
+    every cell starts from an empty tracker and trains under the spec's
+    ``ScheduleBlock``, so a seed's cells differ only in their
+    ``LossBlock``.  The seeds' data are held once, as ``(S, ...)``
+    arrays, so a run's memory grows with its seed count; a task's split
+    lives until its pool is built, the exemplars until the last pool is,
+    and each step gathers its batch from the pool.  All seeds have one
+    schedule and so one step count: each epoch's labels are checked once,
+    by one ``Minibatch.split`` whose pieces every cell's loss and tracker
+    step read.  Cell (s, l) is slice (s, l) of one stacked head from the
+    first step to the last: one ``np.matmul`` per product gives every
+    cell's logits, SGD step and test predictions, and each cell runs its
+    own loss and tracker step on its slice, so its report, step losses
     included, is bit for bit that of training its seed and loss alone.
 
     The tracker is advanced once per training minibatch (never during
@@ -257,17 +257,17 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
     cells = n_seeds * n_losses  # cell k is (seed k // n_losses, loss k % n_losses)
     data = spec.dataset
     shape = (n_seeds, data.classes // data.tasks, data.per_class, data.dim)
-    train = [np.empty(shape) for _ in range(data.tasks)]  # one split per task, freed after it
+    train = [np.empty(shape) for _ in range(data.tasks)]  # one split per task, until its pool
     test = np.empty((n_seeds, data.classes, data.test_per_class, data.dim))
+    kept = min(spec.schedule.replay_per_class, data.per_class)
+    replay = np.empty((n_seeds, data.classes, kept, data.dim))
     for i, seed in enumerate(seeds):
         dataset, schedule = make_gaussian_tasks(spec, seed)
-        for split, part in zip(train, np.split(dataset.train, data.tasks)):
-            split[i] = part
+        for t, part in enumerate(np.split(dataset.train, data.tasks)):
+            train[t][i] = part
+        replay[i] = [_select_exemplars(samples, kept) for samples in dataset.train]
         test[i] = dataset.test
-    del dataset, part  # part is a view: the seeds' samples live on in train and test alone
-    n_tasks = schedule.tasks
-    kept = min(schedule.replay_per_old_class, data.per_class)
-    replay = np.empty((n_seeds, data.classes, kept, data.dim))
+        del dataset, part  # part is a view: free the seed's draw before the next one
     rngs = [np.random.default_rng(seed) for seed in seeds]
     head = Classifier.stack(
         [Classifier.stack([Classifier(data.dim, spec.schedule.hidden, seed)] * n_losses)
@@ -276,15 +276,15 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
     q_states = [QState(q=np.zeros(0))] * cells
     live = list(range(cells))  # the cells still training, in (seed, loss) order
     errors: list[TrainingError | None] = [None] * cells
-    acc_matrix = np.full((cells, n_tasks, n_tasks), np.nan)
-    overall = np.zeros((cells, n_tasks))
+    acc_matrix = np.full((cells, data.tasks, data.tasks), np.nan)
+    overall = np.zeros((cells, data.tasks))
     per_task: list[list[PerClassMetrics]] = [[] for _ in range(cells)]
     snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(cells)]
     step_losses = []  # one (cells, steps) array per task
     global_step = 0
     epochs, batch_size, lr = spec.schedule.epochs, spec.schedule.batch_size, spec.schedule.lr
 
-    for t in range(n_tasks):
+    for t in range(data.tasks):
         new = schedule.new_classes(t)
         head.add_classes(len(new))
         c_now = head.class_count
@@ -301,6 +301,8 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
              replay[:, : new.start].reshape(n_seeds, -1, data.dim)],
             axis=1,
         )
+        train[t] = None  # the pool holds the task's training split from here on
+        replay = replay if new.stop < data.classes else None  # the last pool is their last reader
         pool_y = np.concatenate(
             [np.repeat(np.arange(new.start, new.stop), data.per_class),
              np.repeat(np.arange(new.start), kept)]
@@ -342,11 +344,6 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
             break
         del pool_x, xb, h, z, z_cells, grads  # free the task's inputs before evaluation
 
-        for i in range(n_seeds):
-            for c in new:
-                replay[i, c] = _select_exemplars(train[t][i, c - new.start], kept)
-        train[t] = None  # the task's training split is read no more
-
         test_y = np.repeat(np.arange(c_now), data.test_per_class)
         preds = head.predict(test[:, None, :c_now].reshape(n_seeds, 1, -1, data.dim))
         preds = preds.reshape(cells, -1)
@@ -364,7 +361,7 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
         raise first_error
     sizes = [part.shape[1] for part in step_losses]  # a task's steps, epochs * per_epoch
     steps = {"epoch": np.concatenate([np.arange(n) // (n // epochs) for n in sizes]),
-             "step": np.arange(global_step), "task": np.repeat(np.arange(n_tasks), sizes)}
+             "step": np.arange(global_step), "task": np.repeat(np.arange(data.tasks), sizes)}
     step_losses = np.concatenate(step_losses, axis=1)
     reports = [
         MetricsReport(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from numbers import Integral
 
 import numpy as np
 
@@ -60,6 +61,8 @@ class TaskSchedule:
     replay_per_old_class: int
 
     def __post_init__(self):
+        if any(isinstance(n, bool) or not isinstance(n, Integral) for n in vars(self).values()):
+            raise DomainError(f"schedule counts must be integers, got {self}")
         if self.tasks < 1 or self.class_count < 1:
             raise DomainError("need at least one task and one class")
         if self.class_count % self.tasks != 0:
@@ -79,16 +82,16 @@ class TaskSchedule:
 
 @dataclass(frozen=True)
 class SupervisionTrace:
-    """A single-label step stream and its induced per-class polarities."""
+    """A single-label stream of integer labels and its per-class polarities."""
 
     labels: np.ndarray
     class_count: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1 or labels.size == 0:
-            raise DomainError("trace needs a nonempty 1-d label stream")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or labels.size == 0 or labels.dtype.kind not in "biu":
+            raise DomainError(f"trace needs a nonempty 1-d integer label stream, got {labels!r}")
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
         if labels.min() < 0 or labels.max() >= self.class_count:
             raise DomainError("trace labels outside [0, class_count)")
 
@@ -133,7 +136,7 @@ def generate_stream(schedule: TaskSchedule, seed: int) -> SupervisionTrace:
         new = schedule.new_classes(t)
         labels = np.concatenate([
             np.repeat(new, schedule.samples_per_class),
-            np.repeat(range(new.start), schedule.replay_per_old_class),
+            np.repeat(np.arange(new.start), schedule.replay_per_old_class),
         ])
         rng.shuffle(labels)
         chunks.append(labels)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from talcil import (
     DomainError,
     MemoryKernel,
+    SupervisionTrace,
     TaskSchedule,
     generate_stream,
     sample_dominance_pair,
@@ -22,14 +23,39 @@ from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms
 
 @pytest.mark.parametrize(
     "class_count, tasks, samples_per_class, replay_per_old_class",
-    [(4, 0, 5, 0), (0, 1, 5, 0), (10, 3, 5, 0), (4, 2, 0, 0), (4, 2, 5, -1)],
-    ids=["no task", "no class", "uneven tasks", "no samples", "negative replay"],
+    [(4, 0, 5, 0), (0, 1, 5, 0), (10, 3, 5, 0), (4, 2, 0, 0), (4, 2, 5, -1),
+     (4.0, 2, 3, 0), (4, 2, 2.5, 0), (4, 2, 3, True), (4, np.float64(2), 3, 0), ("4", 2, 3, 0)],
+    ids=["no task", "no class", "uneven tasks", "no samples", "negative replay",
+         "float class count", "fractional samples", "bool replay", "numpy float tasks",
+         "string class count"],
 )
 def test_schedule_refuses_what_it_cannot_lay_out(
     class_count, tasks, samples_per_class, replay_per_old_class
 ):
     with pytest.raises(DomainError):
         TaskSchedule(class_count, tasks, samples_per_class, replay_per_old_class)
+
+
+def test_schedule_takes_numpy_integer_counts():
+    schedule = TaskSchedule(np.int64(4), np.int32(2), np.uint8(3), np.int64(0))
+    assert schedule == TaskSchedule(4, 2, 3, 0)
+    assert len(generate_stream(schedule, seed=0)) == 12
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[], [[0, 1], [1, 0]], [0, 2, 1], [0, -1, 1], [0.7, 1.9, 0.2], ["0", "1", "0"]],
+    ids=["empty", "2-d", "past the last class", "negative", "float", "string"],
+)
+def test_trace_refuses_labels_it_cannot_read_as_classes(labels):
+    with pytest.raises(DomainError):
+        SupervisionTrace(labels=labels, class_count=2)
+
+
+def test_trace_keeps_integer_and_bool_labels_as_int64():
+    for labels in ([1, 0, 1], np.array([1, 0, 1], dtype=np.uint8), [True, False, True]):
+        trace = SupervisionTrace(labels=labels, class_count=2)
+        assert trace.labels.dtype == np.int64 and trace.labels.tolist() == [1, 0, 1]
 
 
 def test_schedule_tasks_introduce_equal_width_blocks_in_id_order():
