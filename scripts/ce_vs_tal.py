@@ -14,22 +14,15 @@ import argparse
 
 import numpy as np
 
+from talcil.cli import _int_from
 from talcil.config import LossBlock
 from talcil.errors import DomainError
 from talcil.sim import desk_scale_pair
 
 
-def seed_count(text):
-    """``--seeds``: an integer of at least 1 (argparse reports the rest as usage errors)."""
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=seed_count, default=5)
+    parser.add_argument("--seeds", type=_int_from(1), default=5)
     parser.add_argument("--lam", type=float, default=0.995)
     parser.add_argument("--r", type=float, default=1.0)
     args = parser.parse_args()

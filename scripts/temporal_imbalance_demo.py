@@ -15,23 +15,16 @@ import argparse
 from pathlib import Path
 
 from talcil import MemoryKernel, TaskSchedule, generate_stream, verify_theorem1
+from talcil.cli import _int_from
 from talcil.errors import DomainError
 from talcil.output import write_csv
-
-
-def seed_value(text):
-    """``--seed``: an integer of at least 0 (argparse reports the rest as usage errors)."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
-    return seed
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lam", type=float, default=0.99)
     parser.add_argument("--per-class", type=int, default=100)
-    parser.add_argument("--seed", type=seed_value, default=0)
+    parser.add_argument("--seed", type=_int_from(0), default=0)
     parser.add_argument("--output-dir", default=None)
     args = parser.parse_args()
     try:

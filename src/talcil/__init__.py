@@ -10,6 +10,8 @@ Gaussian classes, SGD softmax classifier, replay) demonstrates the
 temporal-imbalance phenomenon and its correction end to end.
 """
 
+__version__ = "0.1.0"  # above the imports: a submodule may read it mid-import
+
 from .calibration import CalibrationResult, solve_calibration
 from .errors import DomainError, SolverError, SpecError, TalcilError, TrainingError
 from .kernel import (
@@ -46,8 +48,6 @@ from .streams import (
     sample_dominance_pair,
     verify_theorem1,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

@@ -61,19 +61,16 @@ def run_loss_benchmark(
     class_counts=DEFAULT_CLASS_COUNTS,
     *,
     repeats: int = 30,
-    lam: float = 0.995,
-    r: float = 1.0,
-    seed: int = 0,
 ) -> list[BenchRow]:
     if repeats < 1:
         raise DomainError(f"need at least one timed repeat, got {repeats}")
     if min(batch_sizes) < 1:  # a minibatch needs at least one label
         raise DomainError(f"batch sizes must be at least 1, got {list(batch_sizes)}")
     _require_slope([n * c for n in batch_sizes for c in class_counts])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rows = []
     for c in class_counts:
-        config = TalConfig.for_classes(lam, r, c)
+        config = TalConfig.for_classes(0.995, 1.0, c)  # the demo spec's lam and r
         q = rng.uniform(0.0, 0.5 * config.kernel.q_max, size=c)
         for n in batch_sizes:
             logits = rng.standard_normal((n, c))

@@ -131,7 +131,7 @@ def _cmd_simulate_stream(args) -> int:
         "lambda": args.lam,
         "r": args.exponent,
     }
-    write_manifest(out_dir, spec_dict, [args.seed], __version__)
+    write_manifest(out_dir, spec_dict, [args.seed])
     print(f"wrote trace ({len(trace)} steps), S curves and Q trajectory to {out_dir}")
     return EXIT_OK
 
@@ -174,7 +174,6 @@ def _cmd_verify_theorem1(args) -> int:
             "lambdas": list(args.lambdas),
         },
         [args.seed],
-        __version__,
     )
     print(f"conclusion held in {held}/{total} pairs (strict in {strict_held})")
     return EXIT_OK if held == total else EXIT_SOLVER
@@ -199,7 +198,7 @@ def _cmd_train(args) -> int:
             [*(row["a_last"] for row in rows), summary["a_last_mean"], summary["a_last_std"]],
         ),
     )
-    write_manifest(out_dir, spec.resolved_dict(), spec.seeds, __version__)
+    write_manifest(out_dir, spec.resolved_dict(), spec.seeds)
     print(
         f"{spec.loss.kind} over {len(spec.seeds)} seeds: "
         f"a_mean={summary['a_mean_mean']:.4f}+-{summary['a_mean_std']:.4f} "
@@ -211,9 +210,7 @@ def _cmd_train(args) -> int:
 def _cmd_ablate(args) -> int:
     spec = load_spec(args.spec)
     out_dir = _resolve_output_dir(args.output_dir, spec.output_dir)
-    lambdas = tuple(args.lambdas) if args.lambdas else ABLATION_LAMBDAS
-    rs = tuple(args.rs) if args.rs else ABLATION_RS
-    rows = ablate(spec, lambdas=lambdas, rs=rs)
+    rows = ablate(spec, lambdas=args.lambdas, rs=args.rs)
     write_csv(
         out_dir / "ablation.csv",
         ("loss", "lambda", "r", "seed", "a_mean", "a_last"),
@@ -229,17 +226,13 @@ def _cmd_ablate(args) -> int:
         ("loss", "lambda", "r", *stats),
         [[cell[key] for cell in summary] for key in ("loss", "lam", "r", *stats)],
     )
-    write_manifest(out_dir, spec.resolved_dict(), spec.seeds, __version__)
-    print(f"ablation grid {len(lambdas)}x{len(rs)} (+CE) over {len(spec.seeds)} seeds -> {out_dir}")
+    write_manifest(out_dir, spec.resolved_dict(), spec.seeds)
+    print(f"ablation grid {len(args.lambdas)}x{len(args.rs)} (+CE) over {len(spec.seeds)} seeds -> {out_dir}")
     return EXIT_OK
 
 
 def _cmd_bench_loss(args) -> int:
-    rows = run_loss_benchmark(
-        batch_sizes=args.batch_sizes or DEFAULT_BATCH_SIZES,
-        class_counts=args.class_counts or DEFAULT_CLASS_COUNTS,
-        repeats=args.repeats,
-    )
+    rows = run_loss_benchmark(args.batch_sizes, args.class_counts, repeats=args.repeats)
     out_dir = _resolve_output_dir(args.output_dir)
     fields = ("batch_size", "class_count", "ce_seconds", "tal_seconds", "overhead_seconds")
     write_csv(out_dir / "bench.csv", fields, [[getattr(r, name) for r in rows] for name in fields])
@@ -247,12 +240,11 @@ def _cmd_bench_loss(args) -> int:
         out_dir,
         {
             "command": "bench-loss",
-            "batch_sizes": list(args.batch_sizes or DEFAULT_BATCH_SIZES),
-            "class_counts": list(args.class_counts or DEFAULT_CLASS_COUNTS),
+            "batch_sizes": list(args.batch_sizes),
+            "class_counts": list(args.class_counts),
             "repeats": args.repeats,
         },
         [0],
-        __version__,
     )
     slopes = overhead_slopes(rows)
     print(
@@ -422,14 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="grid over (lambda, r) plus a CE baseline row")
     p.add_argument("--spec", required=True)
-    p.add_argument("--lambdas", type=_float_list, default=None)
-    p.add_argument("--rs", type=_float_list, default=None)
+    p.add_argument("--lambdas", type=_float_list, default=ABLATION_LAMBDAS)
+    p.add_argument("--rs", type=_float_list, default=ABLATION_RS)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(handler=_cmd_ablate)
 
     p = sub.add_parser("bench-loss", help="per-batch loss timing, CE vs adjusted")
-    p.add_argument("--batch-sizes", type=_int_list, default=None)
-    p.add_argument("--class-counts", type=_int_list, default=None)
+    p.add_argument("--batch-sizes", type=_int_list, default=DEFAULT_BATCH_SIZES)
+    p.add_argument("--class-counts", type=_int_list, default=DEFAULT_CLASS_COUNTS)
     p.add_argument("--repeats", type=_int_from(1), default=30)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(handler=_cmd_bench_loss)

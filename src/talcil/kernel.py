@@ -157,10 +157,9 @@ class Minibatch:
     Every cell that trains on the same minibatch (the lockstep ablation
     runs 21) can share one.  Like ``QState`` it is a snapshot:
     construction copies ``labels`` into a read-only int64 array of its
-    own and checks them once -- a 1-d vector of at least one label, of
-    an integer or bool dtype (a float or string label is refused, never
-    truncated), each in ``[0, class_count)``.  A label out of range
-    raises ``IndexError``, everything else ``DomainError``.  ``split``
+    own and checks them once -- a label vector (``_label_vector``), each
+    label in ``[0, class_count)``.  A label out of range raises
+    ``IndexError``, everything else ``DomainError``.  ``split``
     cuts a label vector, or several joined end to end, into minibatches
     under one such check.
 
@@ -177,15 +176,8 @@ class Minibatch:
     flat_true: np.ndarray
 
     def __init__(self, labels, class_count: int):
-        y = np.asarray(labels)
-        if y.ndim != 1:
-            raise DomainError("labels must be a 1-d vector")
-        if not y.size:
-            raise DomainError("a minibatch needs at least one label")
-        if y.dtype.kind not in "biu":
-            raise DomainError(f"labels must be integers, got dtype {y.dtype}")
+        y = _label_vector(labels)
         c = operator.index(class_count)
-        y = np.array(y, dtype=np.int64)  # uint64 plus the int64 row offsets would be float
         if np.maximum.reduce(y.view(np.uint64)) >= c:  # a negative label wraps past any c
             raise IndexError(f"labels must lie in [0, {c})")
         n = y.shape[0]
@@ -226,6 +218,22 @@ class Minibatch:
         q = 1.0 - p
         p.flags.writeable = q.flags.writeable = False
         return p, q
+
+
+def _label_vector(labels) -> np.ndarray:
+    """``labels`` as a fresh int64 array, checked: a 1-d vector of at least
+    one label, of an integer or bool dtype (a float or string label is
+    refused, never truncated).  Anything else is a ``DomainError``; the
+    range check is the caller's.  ``Minibatch``, ``SupervisionTrace`` and
+    ``metrics.confusion_matrix`` read labels through this one check."""
+    y = np.asarray(labels)
+    if y.ndim != 1:
+        raise DomainError("labels must be a 1-d vector")
+    if not y.size:
+        raise DomainError("a minibatch needs at least one label")
+    if y.dtype.kind not in "biu":
+        raise DomainError(f"labels must be integers, got dtype {y.dtype}")
+    return np.array(y, dtype=np.int64)  # uint64 plus int64 row offsets would be float
 
 
 @lru_cache(maxsize=64)
@@ -300,8 +308,17 @@ def negative_weight(q, q_max: float, r: float):
     return (np.asarray(q, dtype=np.float64) / q_max) ** r
 
 
+def _polarity_floats(polarities) -> np.ndarray:
+    """``polarities`` as float64, refused unless of an integer or float
+    dtype: a string is not parsed, and a bool is not read as +1."""
+    a = np.asarray(polarities)
+    if a.dtype.kind not in "iuf":
+        raise DomainError(f"polarities must be integers or floats, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def _check_polarities(polarities, class_count: int) -> np.ndarray:
-    a = np.asarray(polarities, dtype=np.float64)
+    a = _polarity_floats(polarities)
     if a.shape != (class_count,):
         raise DomainError(
             f"polarity vector has length {a.shape}, expected ({class_count},)"

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .kernel import _label_vector
 
 __all__ = [
     "PerClassMetrics",
@@ -148,11 +149,11 @@ def seed_summary(rows, by=()) -> list[dict]:
 
 
 def confusion_matrix(predictions, labels, class_count: int) -> np.ndarray:
-    """counts[i, j] = number of samples with true class i predicted as j."""
-    y_pred = np.asarray(predictions, dtype=np.int64)
-    y_true = np.asarray(labels, dtype=np.int64)
-    if y_pred.size == 0 or y_true.size == 0:
-        raise DomainError("empty predictions or labels")
+    """counts[i, j] = number of samples with true class i predicted as j.
+
+    Both vectors are label vectors (``kernel._label_vector``): a float,
+    string or 2-d input is refused, never truncated or flattened."""
+    y_pred, y_true = _label_vector(predictions), _label_vector(labels)
     if y_pred.shape != y_true.shape:
         raise DomainError("predictions and labels must have the same length")
     for arr in (y_pred, y_true):

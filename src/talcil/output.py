@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import DomainError
 
 __all__ = [
@@ -152,14 +153,14 @@ def spec_digest(spec_dict: dict) -> str:
     return hashlib.sha256(_canonical_json(spec_dict).encode()).hexdigest()
 
 
-def write_manifest(directory, spec_dict: dict, seeds, version: str) -> None:
+def write_manifest(directory, spec_dict: dict, seeds) -> None:
     """Reproducibility record: the fully resolved spec (defaults included),
     its hash, the seed list and the library version."""
     manifest = {
         "spec": spec_dict,
         "spec_sha256": spec_digest(spec_dict),
         "seeds": list(seeds),
-        "version": version,
+        "version": __version__,
     }
     atomic_write_text(
         Path(directory) / "manifest.json",

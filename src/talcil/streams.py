@@ -33,7 +33,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DomainError
-from .kernel import MemoryKernel, _convolve
+from .kernel import MemoryKernel, _convolve, _label_vector, _polarity_floats
 
 __all__ = [
     "TaskSchedule",
@@ -43,6 +43,11 @@ __all__ = [
     "verify_theorem1",
     "sample_dominance_pair",
 ]
+
+
+def _is_integer(n) -> bool:
+    """An int or a numpy integer; a bool is no count or index."""
+    return isinstance(n, Integral) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class TaskSchedule:
     replay_per_old_class: int
 
     def __post_init__(self):
-        if any(isinstance(n, bool) or not isinstance(n, Integral) for n in vars(self).values()):
+        if not all(map(_is_integer, vars(self).values())):
             raise DomainError(f"schedule counts must be integers, got {self}")
         if self.tasks < 1 or self.class_count < 1:
             raise DomainError("need at least one task and one class")
@@ -75,7 +80,9 @@ class TaskSchedule:
             raise DomainError("replay count cannot be negative")
 
     def new_classes(self, t: int) -> range:
-        """The class ids task ``t`` introduces."""
+        """The class ids task ``t`` introduces, 0 <= t < tasks."""
+        if not (_is_integer(t) and 0 <= t < self.tasks):
+            raise DomainError(f"task index must be an integer in [0, {self.tasks}), got {t!r}")
         width = self.class_count // self.tasks
         return range(t * width, (t + 1) * width)
 
@@ -88,19 +95,21 @@ class SupervisionTrace:
     class_count: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or labels.size == 0 or labels.dtype.kind not in "biu":
-            raise DomainError(f"trace needs a nonempty 1-d integer label stream, got {labels!r}")
-        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
+        if not _is_integer(self.class_count):
+            raise DomainError(f"class count must be an integer, got {self.class_count!r}")
+        labels = _label_vector(self.labels)
         if labels.min() < 0 or labels.max() >= self.class_count:
             raise DomainError("trace labels outside [0, class_count)")
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.labels.shape[0]
 
     def _is_class(self, class_id: int) -> np.ndarray:
-        if not (0 <= class_id < self.class_count):
-            raise DomainError(f"class {class_id} outside [0, {self.class_count})")
+        if not (_is_integer(class_id) and 0 <= class_id < self.class_count):
+            raise DomainError(
+                f"class id must be an integer in [0, {self.class_count}), got {class_id!r}"
+            )
         return self.labels == class_id
 
     def polarities(self, class_id: int) -> np.ndarray:
@@ -190,16 +199,15 @@ class TheoremVerdict:
 def verify_theorem1(kernel: MemoryKernel, pair) -> TheoremVerdict:
     """Check Q_A <= Q_B for an equal-positive-count, dominance-ordered pair.
 
-    ``kernel`` is a MemoryKernel; ``pair`` is a pair of +1/-1 sequences,
-    such as two classes' ``SupervisionTrace.polarities``.  Both evaluation
+    ``kernel`` is a MemoryKernel; ``pair`` is a pair of +1/-1 sequences
+    of an integer or float dtype, such as two classes'
+    ``SupervisionTrace.polarities``.  Both evaluation
     paths are computed and cross-checked: Q by direct convolution and
     Q = 2*Phi - sum(f) through the cumulative curves.  Raises if the
     pair's positive totals differ (the hypothesis of the statement), or
     if the two paths disagree beyond 1e-10.
     """
-    a_raw, b_raw = pair
-    a_seq = np.asarray(a_raw, dtype=np.float64)
-    b_seq = np.asarray(b_raw, dtype=np.float64)
+    a_seq, b_seq = map(_polarity_floats, pair)
     if a_seq.ndim != 1 or a_seq.shape != b_seq.shape:
         raise DomainError("pair sequences must be 1-d and of equal length")
     if a_seq.size == 0 or not (

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import talcil
-from talcil.bench import run_loss_benchmark
+from talcil.bench import DEFAULT_BATCH_SIZES, DEFAULT_CLASS_COUNTS, run_loss_benchmark
 from talcil.cli import _error_record, main
 from talcil.config import load_spec
 from talcil.errors import DomainError, SolverError, TrainingError
@@ -319,6 +319,7 @@ def test_verify_theorem1_cli(tmp_path, capsys):
         ["verify-theorem1", "--pairs", "0"],
         ["verify-theorem1", "--pairs", "-1"],
         ["verify-theorem1", "--lambdas", ","],
+        ["ablate", "--spec", "unused.yaml", "--lambdas", ","],
         ["ablate", "--spec", "unused.yaml", "--rs", ","],
         ["bench-loss", "--batch-sizes", ","],
         ["bench-loss", "--repeats", "0"],
@@ -445,6 +446,15 @@ def test_bench_loss_emits_table(tmp_path, capsys):
     assert lines[0] == "batch_size,class_count,ce_seconds,tal_seconds,overhead_seconds"
     assert len(lines) == 1 + 4
     assert "overhead slope" in capsys.readouterr().out
+
+
+def test_bench_loss_records_its_default_grid_and_the_library_version(tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    assert main(["bench-loss", "--repeats", "1", "--output-dir", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["spec"]["batch_sizes"] == list(DEFAULT_BATCH_SIZES)
+    assert manifest["spec"]["class_counts"] == list(DEFAULT_CLASS_COUNTS)
+    assert manifest["version"] == talcil.__version__
 
 
 def test_loss_benchmark_needs_a_timed_repeat():

@@ -200,6 +200,22 @@ def test_tal_rejects_uncalibrated_parameters():
         update_tal(QState.zeros(1), MemoryKernel(lam=0.4), 1.0, [1.0])
 
 
+@pytest.mark.parametrize(
+    "polarities", [["1", "-1"], [True, True], np.array([1, -1], dtype=object), [1 + 0j, -1 + 0j]],
+    ids=["strings", "bools", "objects", "complex"],
+)
+def test_tal_refuses_polarities_that_are_not_integers_or_floats(polarities):
+    with pytest.raises(DomainError, match="integers or floats"):
+        update_tal(QState.zeros(2), MemoryKernel(lam=0.9), 1.0, polarities)
+
+
+def test_tal_reads_integer_polarities_as_their_floats():
+    k = MemoryKernel(lam=0.9)
+    for polarities in ([1, -1], np.array([1, -1], dtype=np.int8)):
+        stepped = update_tal(QState.zeros(2), k, 1.0, polarities)
+        assert stepped.q.tolist() == update_tal(QState.zeros(2), k, 1.0, [1.0, -1.0]).q.tolist()
+
+
 def test_tal_rejects_state_outside_range():
     with pytest.raises(DomainError):
         update_tal(QState(q=np.array([-0.1])), MemoryKernel(lam=0.9), 1.0, [1.0])

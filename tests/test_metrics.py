@@ -78,6 +78,15 @@ def test_empty_inputs_rejected():
         confusion_and_prf([0, 1], [0], 2)
     with pytest.raises(DomainError):
         confusion_and_prf([0, 5], [0, 1], 3)
+    # a float label is refused, not truncated, and a 2-d one is not flattened
+    for preds, labels in (
+        ([0.7, 1.9], [0, 1]),
+        ([0, 1], [0.0, 1.0]),
+        (["0", "1"], [0, 1]),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+    ):
+        with pytest.raises(DomainError):
+            confusion_and_prf(preds, labels, 2)
 
 
 def test_micro_recall_on_balanced_split_equals_accuracy():

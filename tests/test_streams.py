@@ -52,6 +52,12 @@ def test_trace_refuses_labels_it_cannot_read_as_classes(labels):
         SupervisionTrace(labels=labels, class_count=2)
 
 
+@pytest.mark.parametrize("class_count", [2.5, 2.0, True, "2"])
+def test_trace_refuses_a_class_count_that_is_not_an_integer(class_count):
+    with pytest.raises(DomainError):
+        SupervisionTrace(labels=[0, 1], class_count=class_count)
+
+
 def test_trace_keeps_integer_and_bool_labels_as_int64():
     for labels in ([1, 0, 1], np.array([1, 0, 1], dtype=np.uint8), [True, False, True]):
         trace = SupervisionTrace(labels=labels, class_count=2)
@@ -136,9 +142,18 @@ def test_trace_class_id_validation():
     schedule = TaskSchedule(2, 1, 5, 0)
     trace = generate_stream(schedule, seed=0)
     for per_class in (trace.polarities, trace.cumulative_positives):
-        for class_id in (2, -1, 99):
+        for class_id in (2, -1, 99, 1.5, True, np.float64(1.0), "1"):
             with pytest.raises(DomainError):
                 per_class(class_id)
+        assert np.array_equal(per_class(np.int64(1)), per_class(1))
+
+
+def test_schedule_task_index_validation():
+    schedule = TaskSchedule(4, 2, 3, 0)
+    for t in (2, 5, -1, 1.5, True, np.float64(0.0)):
+        with pytest.raises(DomainError):
+            schedule.new_classes(t)
+    assert schedule.new_classes(np.int32(1)) == schedule.new_classes(1) == range(2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +206,23 @@ def test_trace_based_verification():
     verdict = verify_theorem1(MemoryKernel(lam=0.9), (trace.polarities(0), trace.polarities(1)))
     assert verdict.dominance_held and verdict.conclusion_held
     assert verdict.q_a < verdict.q_b
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(["1", "-1"], ["-1", "1"]), (np.array([True, True]), np.array([True, True])),
+     ([1.0, 1.0], [True, True])],
+    ids=["strings", "bools", "one bool sequence"],
+)
+def test_pair_sequences_must_be_integer_or_float(pair):
+    with pytest.raises(DomainError):
+        verify_theorem1(MemoryKernel(lam=0.9), pair)
+
+
+def test_integer_pair_sequences_read_as_their_floats():
+    a, b = [1, 1, -1, -1], [-1, 1, -1, 1]
+    verdict = verify_theorem1(MemoryKernel(lam=0.9), (np.array(a, dtype=np.int8), b))
+    assert verdict == verify_theorem1(MemoryKernel(lam=0.9), (np.array(a, float), np.array(b, float)))
 
 
 def test_pair_sequences_must_be_one_dimensional():
