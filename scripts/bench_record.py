@@ -5,9 +5,11 @@ For each workload the checkout's ``BENCHMARK.json`` lists, runs
 ``<checkout>/perfbench/run.py --workload W --seed 0 --trace 0`` in a
 subprocess and appends one entry to ``BENCH_<workload>.json`` at the
 root of this repository.  An entry holds the commit the checkout was
-made from, the run's ``# env`` line, each metric's median, p25, p75 and
-sample count, and the run's ``correct`` and ``failed``.  A run that is not ``"correct": true`` is refused: the
-script exits 1 and writes nothing for that workload.
+made from, the checkout's absolute path (``peak_rss_mb`` moves with the
+name of the directory a checkout sits in), the run's ``# env`` line,
+each metric's median, p25, p75 and sample count, and the run's
+``correct`` and ``failed``.  A run that is not ``"correct": true`` is
+refused: the script exits 1 and writes nothing for that workload.
 
 Run (a checkout unpacked with ``git archive``, say):
     python scripts/bench_record.py --checkout DIR --commit SHA
@@ -25,8 +27,9 @@ ROOT = Path(__file__).resolve().parents[1]
 METRIC_LINE = re.compile(r"# (\S+) median=(\S+) .*p25=(\S+) p75=(\S+) n=(\d+)$")
 
 
-def parse_run(stdout: str, commit: str) -> dict:
-    """The entry for one ``run.py --trace 0`` stdout; ``ValueError`` unless it is correct."""
+def parse_run(stdout: str, commit: str, checkout: Path) -> dict:
+    """The entry for one ``run.py --trace 0`` stdout of ``checkout``;
+    ``ValueError`` unless it is correct."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if result.get("correct") is not True:
@@ -39,7 +42,8 @@ def parse_run(stdout: str, commit: str) -> dict:
             name, med, p25, p75, n = match.groups()
             quartiles[name] = {"median": float(med), "p25": float(p25), "p75": float(p75), "n": int(n)}
     metrics = {name: {**quartiles[name], "unit": m["unit"]} for name, m in result["metrics"].items()}
-    return {"commit": commit, "env": env, "metrics": metrics,
+    return {"commit": commit, "checkout": str(Path(checkout).resolve()), "env": env,
+            "metrics": metrics,
             "correct": True, "failed": result["failed"]}
 
 
@@ -68,7 +72,7 @@ def main() -> int:
             capture_output=True, text=True,
         )
         try:
-            entry = parse_run(proc.stdout, args.commit)
+            entry = parse_run(proc.stdout, args.commit, args.checkout)
         except ValueError as exc:
             print(f"bench_record: {workload}: {exc}\n{proc.stderr}", file=sys.stderr)
             status = 1

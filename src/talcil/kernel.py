@@ -38,6 +38,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -218,6 +219,12 @@ class Minibatch:
         q = 1.0 - p
         p.flags.writeable = q.flags.writeable = False
         return p, q
+
+
+def _is_integer(n) -> bool:
+    """An int or a numpy integer; a bool is no count or index.  The one
+    integer rule, read by ``streams`` and ``metrics``."""
+    return isinstance(n, Integral) and not isinstance(n, bool)
 
 
 def _label_vector(labels) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel import _label_vector
+from .kernel import _is_integer, _label_vector
 
 __all__ = [
     "PerClassMetrics",
@@ -153,6 +153,8 @@ def confusion_matrix(predictions, labels, class_count: int) -> np.ndarray:
 
     Both vectors are label vectors (``kernel._label_vector``): a float,
     string or 2-d input is refused, never truncated or flattened."""
+    if not _is_integer(class_count):
+        raise DomainError(f"class count must be an integer, got {class_count!r}")
     y_pred, y_true = _label_vector(predictions), _label_vector(labels)
     if y_pred.shape != y_true.shape:
         raise DomainError("predictions and labels must have the same length")

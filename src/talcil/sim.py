@@ -22,11 +22,11 @@ blocks, all trained together in lockstep (``train_cells``).  Each seed
 draws its own dataset, head initial weights and batch order, and the
 spec's ``ScheduleBlock`` fixes the rest; a seed's cells differ only in
 their ``LossBlock``.  Cell (seed, loss) is one slice of a head stacked
-over both, so each step runs one forward and one SGD step for every
-cell, and each cell's own loss and tracker step on its slice; a cell
-stops once its logits or loss are no longer finite, and its report
-holds its loss at every step.  Every seed's data are held at once (a
-task's training split until its pool is built).
+over both, so each training step runs one forward and one SGD step for
+every cell, and each cell's own loss and tracker step on its slice; a
+cell stops once its logits or loss are no longer finite, and its report
+holds its loss at every step.  Evaluation goes one cell at a time and
+holds one cell's test logits.  Every seed's data are held at once.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class Classifier:
     stacked heads adds another); every method then computes all cells
     with one ``np.matmul`` per product, broadcasting inputs with matching
     leading axes, and each cell's slice is bit for bit what its lone head
-    computes.
+    computes.  Evaluation predicts through ``cell(k)``, one slice at a time.
     """
 
     def __init__(self, dim: int, hidden: int = 0, seed: int = 0):
@@ -137,6 +137,15 @@ class Classifier:
             if getattr(stacked, name) is not None:
                 setattr(stacked, name, np.stack([getattr(h, name) for h in heads]))
         return stacked
+
+    def cell(self, k) -> "Classifier":
+        """Cell ``k`` (an index into the cells axes) of a stacked head, as a
+        head whose arrays are no-copy views of the stack's."""
+        view = copy.copy(self)
+        for name in _WEIGHTS:
+            if getattr(self, name) is not None:
+                setattr(view, name, getattr(self, name)[k])
+        return view
 
     def clear(self, k: int) -> None:
         """Zero cell ``k`` (an index into the cells axes) of a stacked head:
@@ -235,9 +244,11 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
     schedule and so one step count: each epoch's labels are checked once,
     by one ``Minibatch.split`` whose pieces every cell's loss and tracker
     step read.  Cell (s, l) is slice (s, l) of one stacked head from the
-    first step to the last: one ``np.matmul`` per product gives every
-    cell's logits, SGD step and test predictions, and each cell runs its
-    own loss and tracker step on its slice, so its report, step losses
+    first step to the last: training is stacked, one ``np.matmul`` per
+    product giving every cell's logits and SGD step, and each cell runs
+    its own loss and tracker step on its slice.  Evaluation goes one live
+    cell at a time (``head.cell``), so it holds one cell's test logits.
+    Each cell's products are its own slice's, so its report, step losses
     included, is bit for bit that of training its seed and loss alone.
 
     The tracker is advanced once per training minibatch (never during
@@ -344,16 +355,14 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
             break
         del pool_x, xb, h, z, z_cells, grads  # free the task's inputs before evaluation
 
-        test_y = np.repeat(np.arange(c_now), data.test_per_class)
-        preds = head.predict(test[:, None, :c_now].reshape(n_seeds, 1, -1, data.dim))
-        preds = preds.reshape(cells, -1)
-        correct = preds == test_y  # a failed cell's rows are never reported
-        overall[:, t] = correct.mean(axis=1)
-        for u in range(t + 1):
-            mask = np.isin(test_y, schedule.new_classes(u))
-            acc_matrix[:, t, u] = correct[:, mask].mean(axis=1)
-        for k in live:
-            per_task[k].append(confusion_and_prf(preds[k], test_y, c_now))
+        test_y = np.repeat(np.arange(c_now), data.test_per_class)  # task by task
+        for k in live:  # one cell's test logits at a time
+            x = test[k // n_losses, :c_now].reshape(-1, data.dim)  # a view, as test is whole
+            preds = head.cell(divmod(k, n_losses)).predict(x)
+            correct = preds == test_y
+            overall[k, t] = correct.mean()
+            acc_matrix[k, t, : t + 1] = correct.reshape(t + 1, -1).mean(axis=1)
+            per_task[k].append(confusion_and_prf(preds, test_y, c_now))
             snapshots[k].append((global_step, q_states[k].q))
 
     first_error = next((error for error in errors if error is not None), None)

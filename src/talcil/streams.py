@@ -28,12 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from numbers import Integral
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel import MemoryKernel, _convolve, _label_vector, _polarity_floats
+from .kernel import MemoryKernel, _convolve, _is_integer, _label_vector, _polarity_floats
 
 __all__ = [
     "TaskSchedule",
@@ -43,11 +42,6 @@ __all__ = [
     "verify_theorem1",
     "sample_dominance_pair",
 ]
-
-
-def _is_integer(n) -> bool:
-    """An int or a numpy integer; a bool is no count or index."""
-    return isinstance(n, Integral) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,10 @@ class TaskSchedule:
         return range(t * width, (t + 1) * width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupervisionTrace:
-    """A single-label stream of integer labels and its per-class polarities."""
+    """A single-label stream of integer labels and its per-class
+    polarities; compared by identity, its labels read-only once checked."""
 
     labels: np.ndarray
     class_count: int
@@ -100,6 +95,7 @@ class SupervisionTrace:
         labels = _label_vector(self.labels)
         if labels.min() < 0 or labels.max() >= self.class_count:
             raise DomainError("trace labels outside [0, class_count)")
+        labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from talcil import DomainError, asymmetry_index, confusion_and_prf, forgetting_curve, spearman
+from talcil import metrics
 from talcil.metrics import confusion_matrix, seed_summary
 
 
@@ -87,6 +88,24 @@ def test_empty_inputs_rejected():
     ):
         with pytest.raises(DomainError):
             confusion_and_prf(preds, labels, 2)
+
+
+@pytest.mark.parametrize("class_count", [2.5, 3.0, True, "4", np.float64(3)])
+def test_class_count_must_be_an_integer(class_count, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the class count was checked")
+
+    monkeypatch.setattr(metrics, "_label_vector", no_allocation)
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(DomainError, match="class count"):
+        confusion_and_prf([0, 1], [0, 1], class_count)
+
+
+@pytest.mark.parametrize("class_count", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_numpy_integer_class_counts_are_accepted(class_count):
+    counts = confusion_matrix([0, 2, 1], [0, 1, 1], class_count)
+    assert counts.shape == (3, 3) and counts.sum() == 3
+    assert confusion_and_prf([0, 2, 1], [0, 1, 1], class_count).support.tolist() == [1, 2, 0]
 
 
 def test_micro_recall_on_balanced_split_equals_accuracy():

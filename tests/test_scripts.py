@@ -99,9 +99,10 @@ RUN_STDOUT = """\
 """
 
 
-def test_bench_record_parses_each_metric_and_the_environment():
-    entry = _bench_record().parse_run(RUN_STDOUT, "abc1234")
+def test_bench_record_parses_each_metric_and_the_environment(tmp_path):
+    entry = _bench_record().parse_run(RUN_STDOUT, "abc1234", tmp_path)
     assert entry["commit"] == "abc1234" and entry["correct"] is True and entry["failed"] == 0
+    assert entry["checkout"] == str(tmp_path.resolve())
     assert entry["env"]["numpy"] == "2.4.6" and entry["env"]["nproc"] == 2
     assert list(entry["metrics"]) == ["cpu_s", "steps_per_s", "peak_rss_mb", "setup_s"]
     assert entry["metrics"]["peak_rss_mb"] == {
@@ -118,14 +119,15 @@ def test_bench_record_parses_each_metric_and_the_environment():
 )
 def test_bench_record_refuses_a_run_that_is_not_correct(stdout):
     with pytest.raises(ValueError):
-        _bench_record().parse_run(stdout, "abc1234")
+        _bench_record().parse_run(stdout, "abc1234", ROOT)
 
 
 def test_bench_record_appends_to_the_workload_file(tmp_path):
     recorder = _bench_record()
     path = tmp_path / "BENCH_stream-lab.json"
     for commit in ("parent", "change"):
-        recorder.append_entry(path, recorder.parse_run(RUN_STDOUT, commit))
+        recorder.append_entry(path, recorder.parse_run(RUN_STDOUT, commit, tmp_path / commit))
     entries = json.loads(path.read_text())
     assert [e["commit"] for e in entries] == ["parent", "change"]
+    assert [e["checkout"] for e in entries] == [str(tmp_path.resolve() / c) for c in ("parent", "change")]
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_stream-lab.json"]

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -393,6 +394,49 @@ def test_seed_lockstep_equals_one_seed_runs_bit_for_bit(hidden):
             [alone] = train_cells(one_seed(spec, seed), LOCKSTEP_CELLS)
             assert [r.seed for r in reports] == [seed] * len(LOCKSTEP_CELLS)
             assert [report_bits(r) for r in reports] == [report_bits(r) for r in alone]
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_a_cell_view_predicts_its_slice_of_the_stack_bit_for_bit(hidden):
+    rng = np.random.default_rng(0)
+    head = Classifier.stack(
+        [Classifier.stack([Classifier(dim=16, hidden=hidden, seed=s)] * 3) for s in range(2)]
+    )
+    head.add_classes(10)
+    for name in ("w1", "b1", "w", "b"):
+        if getattr(head, name) is not None:
+            setattr(head, name, rng.standard_normal(getattr(head, name).shape))
+    x = rng.standard_normal((2, 1, 1000, 16))
+    logits, preds = head.logits(head.features(x)), head.predict(x)
+    for i in range(2):
+        for j in range(3):
+            cell = head.cell((i, j))
+            for name in ("w1", "b1", "w", "b"):
+                if getattr(head, name) is not None:
+                    assert np.shares_memory(getattr(cell, name), getattr(head, name))
+            assert bits(cell.logits(cell.features(x[i, 0]))) == bits(logits[i, j])
+            assert bits(cell.predict(x[i, 0])) == bits(preds[i, j])
+
+
+def test_evaluation_memory_does_not_grow_with_cells_times_test_samples():
+    spec = one_seed(spec_of(
+        schedule=ScheduleBlock(replay_per_class=0, epochs=1, batch_size=32),
+        classes=4, dim=8, tasks=1, per_class=8, test_per_class=2000,
+    ), 0)
+    grid = [CE] + [LossBlock(lam=lam, r=r) for lam in (0.99, 0.995, 0.999, 0.9995)
+                   for r in (1.0, 1.5, 2.0, 3.0, 5.0)]
+    train_cells(spec, grid[:1])  # first-use imports and caches are no part of either peak
+    peaks = []
+    for losses in (grid[:1], grid):
+        tracemalloc.start()
+        try:
+            train_cells(spec, losses)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # every cell's float64 test logits at once would add (cells - 1) * N_test * C doubles
+    stacked = (len(grid) - 1) * 4 * 2000 * 4 * 8
+    assert peaks[1] - peaks[0] < stacked / 10
 
 
 DIVERGENT_SPEC = """\

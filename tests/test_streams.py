@@ -58,6 +58,22 @@ def test_trace_refuses_a_class_count_that_is_not_an_integer(class_count):
         SupervisionTrace(labels=[0, 1], class_count=class_count)
 
 
+def test_trace_compares_and_hashes_by_identity():
+    trace, twin = (SupervisionTrace(labels=[0, 1, 0], class_count=2) for _ in range(2))
+    assert trace == trace and trace != twin
+    assert hash(trace) == hash(trace)
+    assert {trace, twin} == {twin, trace}
+
+
+def test_trace_labels_are_read_only_once_checked():
+    source = np.array([0, 1, 0])
+    trace = SupervisionTrace(labels=source, class_count=2)
+    with pytest.raises(ValueError):
+        trace.labels[0] = 5
+    source[0] = 5  # the trace holds its own copy
+    assert trace.labels.tolist() == [0, 1, 0]
+
+
 def test_trace_keeps_integer_and_bool_labels_as_int64():
     for labels in ([1, 0, 1], np.array([1, 0, 1], dtype=np.uint8), [True, False, True]):
         trace = SupervisionTrace(labels=labels, class_count=2)
