@@ -42,9 +42,8 @@ def parse_run(stdout: str, commit: str, checkout: Path) -> dict:
             name, med, p25, p75, n = match.groups()
             quartiles[name] = {"median": float(med), "p25": float(p25), "p75": float(p75), "n": int(n)}
     metrics = {name: {**quartiles[name], "unit": m["unit"]} for name, m in result["metrics"].items()}
-    return {"commit": commit, "checkout": str(Path(checkout).resolve()), "env": env,
-            "metrics": metrics,
-            "correct": True, "failed": result["failed"]}
+    return {"commit": commit, "checkout": str(checkout.resolve()), "env": env,
+            "metrics": metrics, "correct": True, "failed": result["failed"]}
 
 
 def append_entry(path: Path, entry: dict) -> None:

@@ -355,7 +355,7 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
             break
         del pool_x, xb, h, z, z_cells, grads  # free the task's inputs before evaluation
 
-        test_y = np.repeat(np.arange(c_now), data.test_per_class)  # task by task
+        test_y = np.repeat(np.arange(c_now), data.test_per_class)  # one block per task
         for k in live:  # one cell's test logits at a time
             x = test[k // n_losses, :c_now].reshape(-1, data.dim)  # a view, as test is whole
             preds = head.cell(divmod(k, n_losses)).predict(x)
