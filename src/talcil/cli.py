@@ -41,7 +41,7 @@ from .kernel import MemoryKernel, QState, update_tal
 from .metrics import TABLE_HEADERS, forgetting_curve, seed_summary
 from .output import atomic_write_text, write_csv, write_jsonl, write_manifest
 from .sim import ABLATION_LAMBDAS, ABLATION_RS, ablate, train_incremental
-from .streams import TaskSchedule, generate_stream, sample_dominance_pair, verify_theorem1
+from .streams import TaskSchedule, _index_dtype, generate_stream, sample_dominance_pair, verify_theorem1
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -104,17 +104,17 @@ def _cmd_calibrate(args) -> int:
 def _cmd_simulate_stream(args) -> int:
     schedule = TaskSchedule(args.classes, args.tasks, args.per_class, args.replay)
     trace = generate_stream(schedule, args.seed)
-    steps, c = len(trace), trace.class_count
+    steps, c, index_dtype = len(trace), trace.class_count, _index_dtype(trace)
     kernel = MemoryKernel(lam=args.lam)
     state = QState.zeros(c)
-    classes = np.arange(c)
+    classes = np.arange(c, dtype=index_dtype)
     polarity = np.where(classes[:, None] == classes, 1.0, -1.0)  # row k: a step labelled k
     q = np.empty((steps, c))
     for n, label in enumerate(trace.labels):
         state = update_tal(state, kernel, args.exponent, polarity[label])
         q[n] = state.q
     out_dir = _resolve_output_dir(args.output_dir)
-    step_ids = np.arange(steps)
+    step_ids = np.arange(steps, dtype=index_dtype)
     write_csv(out_dir / "trace.csv", ("step", "label"), (step_ids, trace.labels))
     write_csv(out_dir / "s_curves.csv", *trace.s_curve_table())
     write_csv(

@@ -161,9 +161,8 @@ def confusion_matrix(predictions, labels, class_count: int) -> np.ndarray:
     for arr in (y_pred, y_true):
         if arr.min() < 0 or arr.max() >= class_count:
             raise DomainError(f"entries outside [0, {class_count})")
-    counts = np.zeros((class_count, class_count), dtype=np.int64)
-    np.add.at(counts, (y_true, y_pred), 1)
-    return counts
+    cells = np.bincount(y_true * class_count + y_pred, minlength=class_count * class_count)
+    return cells.reshape(class_count, class_count)
 
 
 def confusion_and_prf(predictions, labels, class_count: int) -> PerClassMetrics:

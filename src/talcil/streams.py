@@ -118,14 +118,27 @@ class SupervisionTrace:
 
     def s_curve_table(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
         """The ``s_curves.csv`` table as ``(header, columns)``: S_k[n] of
-        every class k at every step n, class-major."""
-        steps, classes = len(self), np.arange(self.class_count)
-        s_curves = np.cumsum(self.labels[:, None] == classes, axis=0, dtype=np.int64)
+        every class k at every step n, class-major.
+
+        All three columns are of ``_index_dtype(self)``, the smallest
+        unsigned integer dtype that holds the step count and the class
+        count: ``uint8`` up to 255 of each, ``uint16`` up to 65,535,
+        ``uint32`` beyond."""
+        steps, dtype = len(self), _index_dtype(self)
+        classes = np.arange(self.class_count, dtype=dtype)
+        s_curves = np.cumsum(classes[:, None] == self.labels, axis=1, dtype=dtype)
         return ("step", "class", "cumulative_positives"), (
-            np.tile(np.arange(steps), self.class_count),
+            np.tile(np.arange(steps, dtype=dtype), self.class_count),
             np.repeat(classes, steps),
-            s_curves.T.ravel(),
+            s_curves.ravel(),
         )
+
+
+def _index_dtype(trace: SupervisionTrace) -> np.dtype:
+    """The smallest unsigned integer dtype that holds every step id, class
+    id and positive count of ``trace``: each is at most its step count or
+    its class count."""
+    return np.min_scalar_type(max(len(trace), trace.class_count))
 
 
 def generate_stream(schedule: TaskSchedule, seed: int) -> SupervisionTrace:

@@ -12,6 +12,8 @@ None of this runs in training, so none of it is in the ``talcil`` package:
   weight function, which must come back as 1.
 * ``phi_from_counts`` -- the summation-by-parts functional of one
   cumulative positive curve, which ``verify_theorem1`` ties to Q.
+* ``confusion_counts`` -- a confusion matrix counted one sample at a
+  time with ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "update_plain",
     "degeneracy_check",
     "phi_from_counts",
+    "confusion_counts",
 ]
 
 
@@ -84,3 +87,11 @@ def phi_from_counts(kernel_values: np.ndarray, cum_positives: np.ndarray) -> flo
     if n == 0:
         raise DomainError("empty cumulative curve")
     return _phi(f, _deltas(f, n), s)
+
+
+def confusion_counts(predictions, labels, class_count: int) -> np.ndarray:
+    """counts[i, j] = samples of true class i predicted as j, one unbuffered
+    increment per sample; no range or dtype check."""
+    counts = np.zeros((class_count, class_count), dtype=np.int64)
+    np.add.at(counts, (np.asarray(labels), np.asarray(predictions)), 1)
+    return counts

@@ -58,7 +58,7 @@ def test_train_demo_reproduces_committed_run(tmp_path):
         ),
         (
             # the benchmark's stream: 5,400 steps, so s_curves.csv and
-            # q_trajectory.csv stream 54,000 rows in 14 chunks, with long
+            # q_trajectory.csv stream 54,000 rows in 53 chunks, with long
             # (step) and short (class, count) integer spans
             [
                 "simulate-stream",

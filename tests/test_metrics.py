@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from talcil import DomainError, asymmetry_index, confusion_and_prf, forgetting_curve, spearman
 from talcil import metrics
+from oracle import confusion_counts
 from talcil.metrics import confusion_matrix, seed_summary
 
 
@@ -70,6 +71,27 @@ def test_random_instance_matches_hand_counted_matrix():
         tp = by_hand[k, k]
         assert m.precision[k] == pytest.approx(tp / by_hand[:, k].sum())
         assert m.recall[k] == pytest.approx(tp / by_hand[k, :].sum())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_confusion_matrix_matches_the_add_at_oracle(seed):
+    rng = np.random.default_rng(seed)
+    class_count = int(rng.integers(1, 12))
+    n = int(rng.integers(1, 500))
+    labels, preds = rng.integers(0, class_count, size=(2, n))
+    counts = confusion_matrix(preds, labels, class_count)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, confusion_counts(preds, labels, class_count))
+
+
+def test_confusion_matrix_keeps_rows_and_columns_of_absent_classes():
+    # classes 0, 3 and 5 are never true; 1, 3 and 5 are never predicted
+    labels = np.array([1, 2, 4, 4, 2, 1, 6])
+    preds = np.array([0, 2, 4, 2, 6, 0, 6])
+    counts = confusion_matrix(preds, labels, 7)
+    assert counts.shape == (7, 7)
+    assert np.array_equal(counts, confusion_counts(preds, labels, 7))
+    assert not counts[[0, 3, 5]].any() and not counts[:, [1, 3, 5]].any()
 
 
 def test_empty_inputs_rejected():

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,8 @@ from talcil import (
     verify_theorem1,
 )
 from oracle import convolve_q, phi_from_counts
+from talcil.cli import main
+from talcil.output import write_csv
 from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms
 
 
@@ -103,10 +109,52 @@ def test_s_curve_table_lays_out_every_class_curve_class_major():
     assert header == ("step", "class", "cumulative_positives")
     assert steps.tolist() == list(range(n)) * 6
     assert classes.tolist() == [k for k in range(6) for _ in range(n)]
-    assert s_curves.dtype == np.int64
+    # the smallest dtype that holds the 54 steps and 6 classes
+    assert steps.dtype == classes.dtype == s_curves.dtype == np.uint8
     assert s_curves.tolist() == np.concatenate(
         [trace.cumulative_positives(k) for k in range(6)]
     ).tolist()
+
+
+def test_index_columns_widen_past_65535_steps_and_spell_as_int64(tmp_path):
+    trace = generate_stream(TaskSchedule(2, 1, 33_000, 0), seed=0)  # 66,000 steps
+    header, columns = trace.s_curve_table()
+    assert {col.dtype for col in columns} == {np.dtype(np.uint32)}
+    steps, classes, s_curves = columns
+    assert steps[-1] == 65_999 and classes[-1] == 1 and s_curves[-1] == 33_000
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate-stream", "--classes", "2", "--tasks", "1", "--per-class", "33000",
+                     "--output-dir", str(tmp_path / "stream")]) == 0
+    wide = tmp_path / "int64"
+    write_csv(wide / "s_curves.csv", header, (
+        np.tile(np.arange(66_000), 2),
+        np.repeat(np.arange(2), 66_000),
+        np.concatenate([trace.cumulative_positives(k) for k in range(2)]),
+    ))
+    write_csv(wide / "trace.csv", ("step", "label"), (np.arange(66_000), trace.labels))
+    q_values = np.loadtxt(tmp_path / "stream" / "q_trajectory.csv", delimiter=",",
+                          skiprows=1, usecols=2)  # repr cells read back to the same doubles
+    write_csv(wide / "q_trajectory.csv", ("step", "class_id", "q_value"),
+              (np.repeat(np.arange(66_000), 2), np.tile(np.arange(2), 66_000), q_values))
+    for name in ("trace.csv", "s_curves.csv", "q_trajectory.csv"):
+        assert (tmp_path / "stream" / name).read_bytes() == (wide / name).read_bytes()
+
+
+def test_simulate_stream_peak_memory_stays_near_its_q_trajectory(tmp_path):
+    # the benchmark's stream: 5,400 steps of 10 classes
+    argv = ["simulate-stream", "--classes", "10", "--tasks", "5", "--per-class", "500",
+            "--replay", "20", "--lam", "0.995"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([*argv, "--output-dir", str(tmp_path / "warm")])  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--output-dir", str(tmp_path / "traced")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the float64 Q trajectory (432 KB) is held whole; int64 index columns,
+    # a step-major S-curve copy and 4,096-row chunks take the peak past 6x it
+    assert peak < 4 * 5_400 * 10 * 8
 
 
 def test_earlier_class_dominates_later_class_cumulative_curve():
