@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
-from .kernel import check_domain
+from .kernel import _is_integer, check_domain
 
 __all__ = ["CalibrationResult", "solve_calibration"]
 
@@ -159,8 +159,8 @@ def solve_calibration(class_count: int, r: float, *, strict: bool = True) -> Cal
     sits outside the calibrated training domain and is meant for
     exploratory sweeps.
     """
-    if class_count < 2:
-        raise DomainError(f"need at least 2 classes, got {class_count}")
+    if not (_is_integer(class_count) and class_count >= 2):
+        raise DomainError(f"need an integer count of at least 2 classes, got {class_count!r}")
     check_domain(None, r, not strict)
     if r < 1.0:
         warnings.warn(

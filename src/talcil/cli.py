@@ -36,7 +36,7 @@ from .bench import (
 )
 from .calibration import solve_calibration
 from .config import load_spec
-from .errors import DomainError, SolverError, SpecError, TalcilError, TrainingError
+from .errors import DomainError, SolverError, SpecError, TrainingError
 from .kernel import MemoryKernel, QState, update_tal
 from .metrics import TABLE_HEADERS, forgetting_curve, seed_summary
 from .output import atomic_write_text, write_csv, write_jsonl, write_manifest
@@ -470,16 +470,13 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(_error_record(exc, EXIT_SPEC), file=sys.stderr)
         return EXIT_SPEC
-    except (DomainError, IndexError) as exc:
+    except DomainError as exc:
         print(_error_record(exc, EXIT_DOMAIN), file=sys.stderr)
         return EXIT_DOMAIN
     except (SolverError, TrainingError) as exc:
         print(_error_record(exc, EXIT_SOLVER), file=sys.stderr)
         return EXIT_SOLVER
-    except TalcilError as exc:
-        print(_error_record(exc, EXIT_INTERNAL), file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - last resort
+    except Exception as exc:  # a library bug (a bare TalcilError) or anything unforeseen
         print(_error_record(exc, EXIT_INTERNAL), file=sys.stderr)
         return EXIT_INTERNAL
 

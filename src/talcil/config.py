@@ -232,9 +232,9 @@ def _spec_loader():
     imported here, so only a spec read loads it.
 
     Safe YAML 1.1, which reads ``1e-3`` as a string, plus YAML 1.2's
-    exponent floats.  A key written twice in one mapping is a
-    ``ConstructorError`` (a ``YAMLError``) that names the key; the keys a
-    merge (``<<``) brings in may still be overridden.
+    exponent floats.  A key written twice in one mapping, a merge key
+    (``<<``) included, is a ``ConstructorError`` (a ``YAMLError``) that
+    names the key; the keys one merge brings in may still be overridden.
     """
     import yaml
 
@@ -243,8 +243,9 @@ def _spec_loader():
             seen = set()
             for key_node, _ in node.value:
                 if key_node.tag == "tag:yaml.org,2002:merge":
-                    continue  # the base class merges it in
-                key = self.construct_object(key_node, deep=deep)
+                    key = "<<"  # counted like any key; the base class merges it in
+                else:
+                    key = self.construct_object(key_node, deep=deep)
                 try:
                     repeated = key in seen
                 except TypeError:  # an unhashable key: the base class refuses it

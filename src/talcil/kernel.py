@@ -34,7 +34,6 @@ since each cell of a lockstep run has its own kernel, r and state.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -118,8 +117,8 @@ class QState:
     @classmethod
     def zeros(cls, class_count: int) -> "QState":
         """Fresh tracker: every class starts at zero strength."""
-        if class_count < 1:
-            raise DomainError("need at least one class")
+        if not (_is_integer(class_count) and class_count >= 1):
+            raise DomainError(f"class count must be an integer >= 1, got {class_count!r}")
         return cls._owned(np.zeros(class_count))
 
     @property
@@ -146,8 +145,8 @@ class QState:
 
     def append_classes(self, n_new: int) -> "QState":
         """Grow the tracker when a task introduces classes; new entries start at 0."""
-        if n_new < 0:
-            raise DomainError("cannot append a negative number of classes")
+        if not (_is_integer(n_new) and n_new >= 0):
+            raise DomainError(f"new class count must be an integer >= 0, got {n_new!r}")
         return QState._owned(np.concatenate([self.q, np.zeros(n_new)]))
 
 
@@ -158,9 +157,8 @@ class Minibatch:
     Every cell that trains on the same minibatch (the lockstep ablation
     runs 21) can share one.  Like ``QState`` it is a snapshot:
     construction copies ``labels`` into a read-only int64 array of its
-    own and checks them once -- a label vector (``_label_vector``), each
-    label in ``[0, class_count)``.  A label out of range raises
-    ``IndexError``, everything else ``DomainError``.  ``split``
+    own and checks them once, with their class count, as a label vector
+    (``_label_vector``); a failed check is a ``DomainError``.  ``split``
     cuts a label vector, or several joined end to end, into minibatches
     under one such check.
 
@@ -177,11 +175,8 @@ class Minibatch:
     flat_true: np.ndarray
 
     def __init__(self, labels, class_count: int):
-        y = _label_vector(labels)
-        c = operator.index(class_count)
-        if np.maximum.reduce(y.view(np.uint64)) >= c:  # a negative label wraps past any c
-            raise IndexError(f"labels must lie in [0, {c})")
-        n = y.shape[0]
+        y = _label_vector(labels, class_count)
+        c, n = int(class_count), y.shape[0]
         flat_true = np.arange(0, n * c, c) + y
         y.flags.writeable = flat_true.flags.writeable = False
         vars(self).update(labels=y, class_count=c, size=n, flat_true=flat_true)
@@ -195,9 +190,11 @@ class Minibatch:
         pieces come run by run.  The labels are checked once, a piece's
         arrays are read-only views of the split's own, and one histogram
         gives every piece its fractions."""
+        if not (_is_integer(batch_size) and _is_integer(runs)):  # the cache keys True as 1
+            raise DomainError(f"batch size and runs must be integers, got {batch_size!r}, {runs!r}")
         whole = cls(labels, class_count)
         y, c = whole.labels, whole.class_count
-        pieces, piece_of, at, sizes = _split_layout(whole.size, batch_size, runs)
+        pieces, piece_of, at, sizes = _split_layout(whole.size, int(batch_size), int(runs))
         flat_true = at * c + y  # row offsets restart in each piece
         p = np.bincount(piece_of * c + y, minlength=sizes.size * c).reshape(-1, c) / sizes
         q = 1.0 - p
@@ -223,16 +220,19 @@ class Minibatch:
 
 def _is_integer(n) -> bool:
     """An int or a numpy integer; a bool is no count or index.  The one
-    integer rule, read by ``streams`` and ``metrics``."""
+    integer rule for every count and index the library takes."""
     return isinstance(n, Integral) and not isinstance(n, bool)
 
 
-def _label_vector(labels) -> np.ndarray:
-    """``labels`` as a fresh int64 array, checked: a 1-d vector of at least
-    one label, of an integer or bool dtype (a float or string label is
-    refused, never truncated).  Anything else is a ``DomainError``; the
-    range check is the caller's.  ``Minibatch``, ``SupervisionTrace`` and
+def _label_vector(labels, class_count) -> np.ndarray:
+    """``labels`` as a fresh int64 array, checked: an integer class count C
+    (``_is_integer``, before any label is read), then a 1-d vector of at
+    least one label, of an integer or bool dtype (a float or string label
+    is refused, never truncated), each label in ``[0, C)``.  Anything else
+    is a ``DomainError``.  ``Minibatch``, ``SupervisionTrace`` and
     ``metrics.confusion_matrix`` read labels through this one check."""
+    if not _is_integer(class_count):
+        raise DomainError(f"class count must be an integer, got {class_count!r}")
     y = np.asarray(labels)
     if y.ndim != 1:
         raise DomainError("labels must be a 1-d vector")
@@ -240,17 +240,20 @@ def _label_vector(labels) -> np.ndarray:
         raise DomainError("a minibatch needs at least one label")
     if y.dtype.kind not in "biu":
         raise DomainError(f"labels must be integers, got dtype {y.dtype}")
-    return np.array(y, dtype=np.int64)  # uint64 plus int64 row offsets would be float
+    y = np.array(y, dtype=np.int64)  # uint64 plus int64 row offsets would be float
+    c = int(class_count)
+    if np.maximum.reduce(y.view(np.uint64)) >= c:  # a negative label wraps past any c
+        raise DomainError(f"labels must lie in [0, {c})")
+    return y
 
 
 @lru_cache(maxsize=64)
-def _split_layout(n: int, batch_size: int, runs: int):
+def _split_layout(n: int, b: int, runs: int):
     """How ``Minibatch.split`` cuts ``n`` labels, which depends on the
-    counts alone: each piece's ``(start, stop)``, each label's piece and
-    its row within the piece, and each piece's size as a column.  Every
-    epoch of a training task cuts the same counts, so the layout is built
-    once and shared; what it returns is immutable."""
-    b, runs = operator.index(batch_size), operator.index(runs)
+    counts alone (``b`` is the batch size): each piece's ``(start, stop)``,
+    each label's piece and its row within the piece, and each piece's size
+    as a column.  Every epoch of a training task cuts the same counts, so
+    the layout is built once and shared; what it returns is immutable."""
     if b < 1:
         raise DomainError(f"batch size must be at least 1, got {b}")
     if runs < 1 or n % runs:
@@ -316,12 +319,17 @@ def negative_weight(q, q_max: float, r: float):
 
 
 def _polarity_floats(polarities) -> np.ndarray:
-    """``polarities`` as float64, refused unless of an integer or float
-    dtype: a string is not parsed, and a bool is not read as +1."""
+    """``polarities`` as float64, checked: of an integer or float dtype (a
+    string is not parsed, and a bool is not read as +1), and every entry
+    exactly +1 or -1.  ``update_tal`` and ``verify_theorem1`` read
+    polarities through this one check; the shape is the caller's."""
     a = np.asarray(polarities)
     if a.dtype.kind not in "iuf":
         raise DomainError(f"polarities must be integers or floats, got dtype {a.dtype}")
-    return a.astype(np.float64, copy=False)
+    a = a.astype(np.float64, copy=False)
+    if not np.logical_and.reduce(np.abs(a) == 1.0, axis=None):
+        raise DomainError("polarities must be exactly +1 or -1")
+    return a
 
 
 def _check_polarities(polarities, class_count: int) -> np.ndarray:
@@ -330,8 +338,6 @@ def _check_polarities(polarities, class_count: int) -> np.ndarray:
         raise DomainError(
             f"polarity vector has length {a.shape}, expected ({class_count},)"
         )
-    if not np.logical_and.reduce(np.abs(a) == 1.0):
-        raise DomainError("polarities must be exactly +1 or -1")
     return a
 
 

@@ -111,7 +111,7 @@ def _check_inputs(logits, labels, class_count=None):
         raise DomainError(f"logits have {c} columns, expected {class_count}")
     if not isinstance(labels, Minibatch):
         y = np.asarray(labels)
-        if y.shape != (n,):  # before the label values, so a bad shape is never an IndexError
+        if y.shape != (n,):  # before the values: a bad shape is never reported as a range error
             raise DomainError("labels must be a vector with one entry per row of logits")
         labels = Minibatch(y, c)
     if (labels.size, labels.class_count) != (n, c):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel import _is_integer, _label_vector
+from .kernel import _label_vector
 
 __all__ = [
     "PerClassMetrics",
@@ -151,16 +151,14 @@ def seed_summary(rows, by=()) -> list[dict]:
 def confusion_matrix(predictions, labels, class_count: int) -> np.ndarray:
     """counts[i, j] = number of samples with true class i predicted as j.
 
-    Both vectors are label vectors (``kernel._label_vector``): a float,
-    string or 2-d input is refused, never truncated or flattened."""
-    if not _is_integer(class_count):
-        raise DomainError(f"class count must be an integer, got {class_count!r}")
-    y_pred, y_true = _label_vector(predictions), _label_vector(labels)
+    Both vectors are label vectors over ``class_count`` classes
+    (``kernel._label_vector``, which checks the count first): a float,
+    string, 2-d or out-of-range input is refused, never truncated or
+    flattened."""
+    y_pred = _label_vector(predictions, class_count)
+    y_true = _label_vector(labels, class_count)
     if y_pred.shape != y_true.shape:
         raise DomainError("predictions and labels must have the same length")
-    for arr in (y_pred, y_true):
-        if arr.min() < 0 or arr.max() >= class_count:
-            raise DomainError(f"entries outside [0, {class_count})")
     cells = np.bincount(y_true * class_count + y_pred, minlength=class_count * class_count)
     return cells.reshape(class_count, class_count)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import ExperimentSpec, LossBlock, check_calibration
 from .errors import DomainError, SolverError, TrainingError
-from .kernel import MemoryKernel, Minibatch, QState, update_batched
+from .kernel import MemoryKernel, Minibatch, QState, _is_integer, update_batched
 from .loss import TalConfig, ce_forward, training_step
 from .metrics import MetricsReport, PerClassMetrics, asymmetry_index, confusion_and_prf
 from .streams import TaskSchedule
@@ -160,8 +160,8 @@ class Classifier:
         return self.w.shape[-1]
 
     def add_classes(self, n_new: int) -> None:
-        if n_new < 0:
-            raise DomainError("cannot add a negative number of classes")
+        if not (_is_integer(n_new) and n_new >= 0):
+            raise DomainError(f"new class count must be an integer >= 0, got {n_new!r}")
         self.w = np.concatenate([self.w, np.zeros((*self.w.shape[:-1], n_new))], axis=-1)
         self.b = np.concatenate([self.b, np.zeros((*self.b.shape[:-1], n_new))], axis=-1)
 

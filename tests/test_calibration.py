@@ -88,6 +88,12 @@ def test_solution_properties_hold_generally(c, r):
     assert res.alpha > 1.0
 
 
+@pytest.mark.parametrize("class_count", [2.5, 3.0, True, "3"])
+def test_class_count_must_be_an_integer(class_count):
+    with pytest.raises(DomainError, match="integer count of at least 2 classes"):
+        solve_calibration(class_count, 1.0)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         solve_calibration(1, 1.0)

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import talcil
 from talcil.bench import DEFAULT_BATCH_SIZES, DEFAULT_CLASS_COUNTS, run_loss_benchmark
+from talcil import cli
 from talcil.cli import _error_record, main
 from talcil.config import load_spec
-from talcil.errors import DomainError, SolverError, TrainingError
+from talcil.errors import DomainError, SolverError, TalcilError, TrainingError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,6 +102,18 @@ def test_error_records_carry_exception_context(tmp_path, capsys):
         assert set(json.loads(_error_record(exc, 5))) == {"error", "message", "exit_code"}
 
 
+@pytest.mark.parametrize("exc", [IndexError("a bug"), TalcilError("a bug"), KeyError("a bug")])
+def test_a_library_bug_exits_1(monkeypatch, capsys, exc):
+    # only the families the README names map to 2-5; anything else is exit 1
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_calibrate", broken)
+    assert main(["calibrate", "--classes", "10", "--exponent", "1"]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": type(exc).__name__, "message": str(exc), "exit_code": 1}
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -150,6 +163,13 @@ def test_train_invalid_spec_fails_before_any_output(tmp_path):
         ("tasks: 2", "tasks: 4"),  # one class per task leaves TAL nothing to calibrate
         ("r: 1.0", "r: 1000"),  # alpha = 1/x*^r overflows
         ("r: 1.0", "r: 1.0\n  exploratory: 1"),
+        ("classes: 4", "classes: 1"),
+        ("dim: 8", "dim: 0"),
+        ("lr: 0.1", "lr: 0.0"),
+        ("lr: 0.1", "lr: 0.1\n  hidden: -1"),
+        ("seeds: [0, 1]", "seeds: [0, 1]\noutput_dir: 3"),
+        (TINY_SPEC, "- dataset\n- loss\n"),  # a list as the spec root
+        ("seeds: [0, 1]", "seeds: [0, 1]\nextras: {}"),  # an unknown top-level key
     ],
 )
 def test_malformed_specs_map_to_spec_error(tmp_path, mutation, capsys):
@@ -205,8 +225,11 @@ _ONE_LOSS = "loss:\n  kind: TAL\n  lambda: 0.995\n  r: 1.0\n"
         (TINY_SPEC.replace("  epochs: 3\n", "  epochs: 1\n  epochs: 3\n"), "duplicate key 'epochs'"),
         (TINY_SPEC.replace("lambda: 0.995", "lambda: 0.9\n  lam: 0.99"),
          "loss.lambda is set twice, as 'lambda' and 'lam'"),
+        # the later merge would win: 3 epochs, not 1
+        (TINY_SPEC.replace("  epochs: 3\n", "  <<: {epochs: 1}\n  <<: {epochs: 3}\n"),
+         "duplicate key '<<'"),
     ],
-    ids=["block", "key", "alias"],
+    ids=["block", "key", "alias", "merge"],
 )
 def test_a_setting_named_twice_exits_3_with_nothing_written(tmp_path, capsys, text, named):
     spec = write_spec(tmp_path, text)
@@ -216,6 +239,21 @@ def test_a_setting_named_twice_exits_3_with_nothing_written(tmp_path, capsys, te
     [line] = capsys.readouterr().err.splitlines()
     record = json.loads(line)
     assert record["error"] == "SpecError" and named in record["message"]
+
+
+def test_one_merge_may_be_overridden(tmp_path):
+    text = TINY_SPEC.replace("  epochs: 3\n", "  <<: {epochs: 1, hidden: 4}\n  epochs: 3\n")
+    schedule = load_spec(write_spec(tmp_path, text)).schedule
+    assert (schedule.epochs, schedule.hidden) == (3, 4)
+
+
+def test_an_unhashable_key_exits_3_with_nothing_written(tmp_path, capsys):
+    spec = write_spec(tmp_path, TINY_SPEC.replace("  epochs: 3\n", "  ? [1, 2]\n  : 3\n"))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--spec", str(spec), "--output-dir", str(out_dir)]) == 3
+    assert not out_dir.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SpecError" and "unhashable key" in record["message"]
 
 
 def test_lam_alone_still_names_the_memory_parameter(tmp_path):
@@ -712,6 +750,14 @@ def _append(row):
     return lambda text: text + row + "\n"
 
 
+def _rename_a_column(text):
+    return text.replace("after_task", "after", 1)
+
+
+def _negate_a_cell(cell):
+    return lambda text: text.replace(f",{cell},", f",-{cell},", 1)
+
+
 def _repeat_a_pair(text):
     return text.replace("\n1,1,0.91\n", "\n1,0,0.123\n", 1)  # row count still 5 tasks'
 
@@ -730,6 +776,9 @@ def _repeat_a_pair(text):
         ("accuracy_matrix_seed0.csv", _append("10000000000,0,0.5"), "accuracy"),
         ("per_class_seed2.csv", _drop_a_cell, "per-class"),
         ("q_snapshots_seed1.csv", _keep_header, "q"),
+        ("accuracy_matrix_seed0.csv", _rename_a_column, "accuracy"),
+        ("q_snapshots_seed1.csv", _negate_a_cell("1"), "q"),  # the first class id 1
+        ("per_class_seed2.csv", _negate_a_cell("100"), "per-class"),  # the first support
     ],
     ids=[
         "header-only",
@@ -743,6 +792,9 @@ def _repeat_a_pair(text):
         "huge-task-id",
         "missing-cell-per-class",
         "seed-dropped",
+        "wrong-header",
+        "negative-id",
+        "negative-count",
     ],
 )
 def test_plotdata_malformed_run_file_exits_3_with_nothing_written(
@@ -779,6 +831,25 @@ def test_plotdata_unreadable_run_file_exits_3_with_nothing_written(tmp_path, cap
     assert main(["plotdata", "--run", str(run), "--what", "q", "--output", str(out_file)]) == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "SpecError" and "q_snapshots_seed1.csv" in record["message"]
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "what, prefix",
+    [("accuracy", "accuracy_matrix"), ("forgetting", "accuracy_matrix"),
+     ("per-class", "per_class"), ("q", "q_snapshots")],
+)
+def test_plotdata_run_without_the_asked_table_exits_3_with_nothing_written(
+    tmp_path, capsys, what, prefix
+):
+    run = tmp_path / "run"
+    shutil.copytree(ROOT / "runs" / "demo", run)
+    for path in run.glob(f"{prefix}_seed*.csv"):
+        path.unlink()
+    out_file = tmp_path / "long.csv"
+    assert main(["plotdata", "--run", str(run), "--what", what, "--output", str(out_file)]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SpecError" and f"no {prefix}_seed*.csv files" in record["message"]
     assert not out_file.exists()
 
 

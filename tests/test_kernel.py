@@ -16,9 +16,11 @@ import talcil
 from talcil import (
     DomainError,
     MemoryKernel,
+    Minibatch,
     QState,
     SolverError,
     SpecError,
+    SupervisionTrace,
     TalConfig,
     check_domain,
     solve_calibration,
@@ -27,6 +29,7 @@ from talcil import (
 )
 from talcil.config import spec_from_mapping
 from talcil.kernel import negative_weight
+from talcil.metrics import confusion_matrix
 from oracle import convolve_q, update_plain
 
 LAMBDAS = [0.5, 0.9, 0.99, 0.995, 0.999]
@@ -209,6 +212,12 @@ def test_tal_refuses_polarities_that_are_not_integers_or_floats(polarities):
         update_tal(QState.zeros(2), MemoryKernel(lam=0.9), 1.0, polarities)
 
 
+@pytest.mark.parametrize("polarities", [[1.0, 0.0], [0.5, -1.0], [1, 0], [np.nan, 1.0]])
+def test_tal_refuses_polarities_that_are_not_plus_or_minus_one(polarities):
+    with pytest.raises(DomainError, match="exactly"):
+        update_tal(QState.zeros(2), MemoryKernel(lam=0.9), 1.0, polarities)
+
+
 def test_tal_reads_integer_polarities_as_their_floats():
     k = MemoryKernel(lam=0.9)
     for polarities in ([1, -1], np.array([1, -1], dtype=np.int8)):
@@ -350,8 +359,34 @@ def test_batched_rejects_empty_batch_and_bad_counts():
     with pytest.raises(DomainError):
         update_batched(st, k, 1.0, [0.0, 1.0])
     for labels in ([2, 0], [-1, 1]):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             update_batched(st, k, 1.0, labels)
+
+
+_LABEL_READERS = [
+    Minibatch,
+    lambda labels, c: SupervisionTrace(labels=labels, class_count=c),
+    lambda labels, c: confusion_matrix(labels, labels, c),
+]
+
+
+@pytest.mark.parametrize(
+    "labels, class_count, message",
+    [
+        ([0, 1], True, "class count must be an integer, got True"),
+        ([0, 1], 2.0, "class count must be an integer, got 2.0"),
+        ([0, 1], np.float64(2), f"class count must be an integer, got {np.float64(2)!r}"),
+        ([0, 2], 2, "labels must lie in [0, 2)"),
+        ([-1, 0], 2, "labels must lie in [0, 2)"),
+        (np.array([2**64 - 1], np.uint64), 2, "labels must lie in [0, 2)"),
+    ],
+)
+def test_every_label_reader_refuses_alike(labels, class_count, message):
+    # one check reads the labels of a minibatch, a trace and a confusion matrix
+    for read in _LABEL_READERS:
+        with pytest.raises(DomainError) as refused:
+            read(labels, class_count)
+        assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +405,14 @@ def test_qstate_starts_at_zero_and_grows_with_zeros():
         st.append_classes(-1)
     with pytest.raises(DomainError):
         QState.zeros(0)
+
+
+@pytest.mark.parametrize("count", [True, 2.5, 2.0, np.float64(2)])
+def test_qstate_counts_must_be_integers(count):
+    with pytest.raises(DomainError, match="class count must be an integer >= 1"):
+        QState.zeros(count)
+    with pytest.raises(DomainError, match="new class count must be an integer >= 0"):
+        QState.zeros(2).append_classes(count)
 
 
 def test_batched_exploratory_small_r_clamps_and_warns():

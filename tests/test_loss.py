@@ -68,6 +68,12 @@ def test_config_epsilon_and_domain_gates():
     assert config.alpha > 1.0  # exploratory calibration still solved
 
 
+@pytest.mark.parametrize("class_count", [3.0, 2.5, 0.9, True, np.float64(3)])
+def test_config_class_count_must_be_an_integer(class_count):
+    with pytest.raises(DomainError, match="integer count of at least 2 classes"):
+        TalConfig.for_classes(0.9, 1.0, class_count)
+
+
 def test_a_spec_and_a_config_report_one_epsilon_message():
     message = "epsilon must lie in (0, 1e-6], got 1.0"
     with pytest.raises(DomainError) as err:
@@ -240,7 +246,7 @@ def test_input_validation_errors():
     q = QState.zeros(3)
     with pytest.raises(DomainError):
         tal_forward(config, np.array([[1.0, np.inf, 0.0]]), [0], q)
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError):
         tal_forward(config, np.zeros((1, 3)), [3], q)
     with pytest.raises(DomainError):
         tal_forward(config, np.zeros((1, 4)), [0], q)

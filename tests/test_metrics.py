@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from talcil import DomainError, asymmetry_index, confusion_and_prf, forgetting_curve, spearman
-from talcil import metrics
 from oracle import confusion_counts
 from talcil.metrics import confusion_matrix, seed_summary
 
@@ -117,10 +116,12 @@ def test_class_count_must_be_an_integer(class_count, monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before the class count was checked")
 
-    monkeypatch.setattr(metrics, "_label_vector", no_allocation)
+    class Unread:  # labels that fail the test if they are read at all
+        __array__ = no_allocation
+
     monkeypatch.setattr(np, "zeros", no_allocation)
     with pytest.raises(DomainError, match="class count"):
-        confusion_and_prf([0, 1], [0, 1], class_count)
+        confusion_and_prf(Unread(), Unread(), class_count)
 
 
 @pytest.mark.parametrize("class_count", [np.int64(3), np.int32(3), np.uint8(3)])

@@ -120,6 +120,14 @@ def test_classifier_head_grows_with_zero_columns():
     assert np.all(z[:, :2] == 4.0)
 
 
+@pytest.mark.parametrize("n_new", [2.5, 2.0, True, np.float64(2), -1])
+def test_classifier_adds_an_integer_count_of_classes(n_new):
+    clf = Classifier(dim=4)
+    with pytest.raises(DomainError, match="new class count must be an integer >= 0"):
+        clf.add_classes(n_new)
+    assert clf.class_count == 0
+
+
 @pytest.mark.parametrize("hidden", [0, 8])
 def test_cleared_cell_computes_zeros_and_the_others_keep_their_bits(hidden):
     rng = np.random.default_rng(0)

@@ -425,15 +425,25 @@ def test_split_needs_runs_of_one_length():
             Minibatch.split([0, 1, 2, 0], 3, 2, runs)
 
 
+@pytest.mark.parametrize(
+    "batch_size, runs", [(True, 1), (2.0, 1), (np.float64(2), 1), (2, True), (2, 1.0)]
+)
+def test_split_counts_must_be_integers(batch_size, runs):
+    Minibatch.split([0, 1, 0, 1], 2, 2, 1)  # fill the layout cache under the keys
+    Minibatch.split([0, 1, 0, 1], 2, 1, 1)  # that True, 1.0 and 2.0 hash as
+    with pytest.raises(DomainError, match="batch size and runs must be integers"):
+        Minibatch.split([0, 1, 0, 1], 2, batch_size, runs)
+
+
 def test_split_refuses_what_a_minibatch_refuses():
     for labels, error in (
         ([], DomainError),
         ([0.0, 1.0], DomainError),
         (np.array([0.5]), DomainError),
         ([[0, 1]], DomainError),
-        ([0, -1], IndexError),
-        ([0, 3], IndexError),
-        (np.array([2**64 - 1], np.uint64), IndexError),
+        ([0, -1], DomainError),
+        ([0, 3], DomainError),
+        (np.array([2**64 - 1], np.uint64), DomainError),
     ):
         with pytest.raises(error) as want:
             Minibatch(labels, 3)
@@ -460,9 +470,9 @@ def test_minibatch_that_does_not_fit_is_a_domain_error():
     with pytest.raises(DomainError):
         update_batched(state, k, 1.0, wrong_classes)
     for labels in ([0, 3], [-1, 0], [np.iinfo(np.int64).min], np.array([2**64 - 1], np.uint64)):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             Minibatch(labels, 3)
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             ce_forward(np.zeros((len(labels), 3)), labels)
     with pytest.raises(DomainError):
         Minibatch([[0, 1]], 3)
@@ -504,11 +514,16 @@ def test_non_integer_labels_are_refused_not_truncated(labels):
 
 def test_bad_logits_are_reported_before_a_label_out_of_range():
     # the order of the checks is part of each exception's meaning: a
-    # logits fault is a DomainError even when a label is out of range too
+    # logits fault is reported as one even when a label is out of range too
     config = TalConfig.for_classes(0.9, 1.0, 3)
     state = QState.zeros(3)
     y = [0, 5]
-    for z in (np.full((2, 3), np.nan), np.zeros(3), np.zeros((3, 3)), np.zeros((2, 4))):
+    for z, message in (
+        (np.full((2, 3), np.nan), "logits contain non-finite values"),
+        (np.zeros(3), "logits must be an N x C matrix"),
+        (np.zeros((3, 3)), "labels must be a vector with one entry per row of logits"),
+        (np.zeros((2, 4)), "logits have 4 columns, expected 3"),
+    ):
         calls = [
             lambda: tal_forward(config, z, y, state),
             lambda: training_step(config, state, z, y),
@@ -516,7 +531,7 @@ def test_bad_logits_are_reported_before_a_label_out_of_range():
         if z.shape != (2, 4):  # four columns are no fault without a config
             calls.append(lambda: ce_forward(z, y))
         for call in calls:
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=message):
                 call()
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError, match="labels must lie in"):
         training_step(config, state, np.zeros((2, 3)), y)

@@ -17,7 +17,9 @@ from talcil import (
     verify_theorem1,
 )
 from oracle import convolve_q, phi_from_counts
+from talcil import streams
 from talcil.cli import main
+from talcil.errors import TalcilError
 from talcil.output import write_csv
 from talcil.streams import TheoremVerdict, _bounded, _memory_kernel_terms
 
@@ -281,6 +283,22 @@ def test_trace_based_verification():
 def test_pair_sequences_must_be_integer_or_float(pair):
     with pytest.raises(DomainError):
         verify_theorem1(MemoryKernel(lam=0.9), pair)
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.5, 2.0, np.nan])
+def test_pair_sequences_must_be_plus_or_minus_one(bad):
+    good = np.array([1.0, -1.0, 1.0])
+    for pair in ((np.array([1.0, bad, 1.0]), good), (good, np.array([1.0, -1.0, bad]))):
+        with pytest.raises(DomainError, match="exactly"):
+            verify_theorem1(MemoryKernel(lam=0.9), pair)
+
+
+def test_disagreeing_evaluation_paths_are_a_library_bug(monkeypatch):
+    a, b = np.array([1.0, -1.0, -1.0]), np.array([-1.0, 1.0, -1.0])
+    monkeypatch.setattr(streams, "_convolve", lambda f, seq: 1.0 + float(np.dot(f, seq[::-1])))
+    with pytest.raises(TalcilError, match="paths disagree") as raised:
+        verify_theorem1(MemoryKernel(lam=0.9), (a, b))
+    assert type(raised.value) is TalcilError
 
 
 def test_integer_pair_sequences_read_as_their_floats():
