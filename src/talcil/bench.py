@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel import QState
+from .kernel import QState, _count
 from .loss import TalConfig, ce_forward, tal_forward
 
 __all__ = ["BenchRow", "run_loss_benchmark", "overhead_slopes"]
@@ -62,10 +62,9 @@ def run_loss_benchmark(
     *,
     repeats: int = 30,
 ) -> list[BenchRow]:
-    if repeats < 1:
-        raise DomainError(f"need at least one timed repeat, got {repeats}")
-    if min(batch_sizes) < 1:  # a minibatch needs at least one label
-        raise DomainError(f"batch sizes must be at least 1, got {list(batch_sizes)}")
+    _count(repeats, "timed repeats", 1)
+    for n in batch_sizes:
+        _count(n, "batch size", 1)  # a minibatch needs at least one label
     _require_slope([n * c for n in batch_sizes for c in class_counts])
     rng = np.random.default_rng(0)
     rows = []

@@ -26,8 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, SolverError
-from .kernel import _is_integer, check_domain
+from .errors import SolverError
+from .kernel import _count, check_domain
 
 __all__ = ["CalibrationResult", "solve_calibration"]
 
@@ -159,8 +159,7 @@ def solve_calibration(class_count: int, r: float, *, strict: bool = True) -> Cal
     sits outside the calibrated training domain and is meant for
     exploratory sweeps.
     """
-    if not (_is_integer(class_count) and class_count >= 2):
-        raise DomainError(f"need an integer count of at least 2 classes, got {class_count!r}")
+    class_count = _count(class_count, "class count", 2)
     check_domain(None, r, not strict)
     if r < 1.0:
         warnings.warn(

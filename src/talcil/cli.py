@@ -273,14 +273,18 @@ def _cmd_bench_loss(args) -> int:
 
 
 _FLOAT_COLUMNS = frozenset({"accuracy", "precision", "recall", "q_value"})
+#: a nonnegative integer as ``train`` writes one: decimal digits, no sign,
+#: space, underscore or leading zero
+_DECIMAL = re.compile("0|[1-9][0-9]*")
 
 
 def _check_cell(column: str, cell: str) -> None:
-    """A cell as ``train`` writes it: a float, or a nonnegative integer in a
-    count or id column; an undefined precision is an empty cell."""
+    """A cell as ``train`` writes it: a float, or a nonnegative integer
+    (``_DECIMAL``) in a count or id column; an undefined precision is an
+    empty cell."""
     if column not in _FLOAT_COLUMNS:
-        if int(cell) < 0:
-            raise ValueError(f"negative {column} {cell!r}")
+        if not _DECIMAL.fullmatch(cell):
+            raise ValueError(f"{column} {cell!r} is not a nonnegative integer")
     elif cell or column != "precision":
         float(cell)
 
@@ -314,10 +318,10 @@ def _read_table(path: Path, table: str) -> list[list[str]]:
 def _seed_files(run_dir: Path, prefix: str):
     """(seed, path) of each ``<prefix>_seed<N>.csv`` under the run, by seed.
 
-    N is a seed as ``train`` writes it (decimal digits, no leading zero);
-    any other name, such as ``per_class_seed0_old.csv``, is skipped.
+    N is a seed as ``train`` writes it (``_DECIMAL``); any other name,
+    such as ``per_class_seed0_old.csv``, is skipped.
     """
-    name = re.compile(re.escape(prefix) + r"_seed(0|[1-9][0-9]*)\.csv")
+    name = re.compile(rf"{re.escape(prefix)}_seed({_DECIMAL.pattern})\.csv")
     matches = (name.fullmatch(p.name) for p in run_dir.iterdir())
     found = sorted((int(m[1]), run_dir / m[0]) for m in matches if m)
     if not found:

@@ -117,9 +117,7 @@ class QState:
     @classmethod
     def zeros(cls, class_count: int) -> "QState":
         """Fresh tracker: every class starts at zero strength."""
-        if not (_is_integer(class_count) and class_count >= 1):
-            raise DomainError(f"class count must be an integer >= 1, got {class_count!r}")
-        return cls._owned(np.zeros(class_count))
+        return cls._owned(np.zeros(_count(class_count, "class count", 1)))
 
     @property
     def class_count(self) -> int:
@@ -145,9 +143,7 @@ class QState:
 
     def append_classes(self, n_new: int) -> "QState":
         """Grow the tracker when a task introduces classes; new entries start at 0."""
-        if not (_is_integer(n_new) and n_new >= 0):
-            raise DomainError(f"new class count must be an integer >= 0, got {n_new!r}")
-        return QState._owned(np.concatenate([self.q, np.zeros(n_new)]))
+        return QState._owned(np.concatenate([self.q, np.zeros(_count(n_new, "new class count"))]))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -187,14 +183,15 @@ class Minibatch:
         may be shorter), each bit for bit ``Minibatch(piece, class_count)``.
         ``labels`` may join ``runs`` label vectors of one length end to end
         (one per seed of a lockstep run); each is cut on its own and the
-        pieces come run by run.  The labels are checked once, a piece's
-        arrays are read-only views of the split's own, and one histogram
-        gives every piece its fractions."""
-        if not (_is_integer(batch_size) and _is_integer(runs)):  # the cache keys True as 1
-            raise DomainError(f"batch size and runs must be integers, got {batch_size!r}, {runs!r}")
+        pieces come run by run.  ``batch_size`` and ``runs`` are counts of
+        at least 1 (``_count``), checked before the cached layout is looked
+        up, since the cache keys ``True`` as 1.  The labels are checked
+        once, a piece's arrays are read-only views of the split's own, and
+        one histogram gives every piece its fractions."""
+        b, runs = _count(batch_size, "batch size", 1), _count(runs, "runs", 1)
         whole = cls(labels, class_count)
         y, c = whole.labels, whole.class_count
-        pieces, piece_of, at, sizes = _split_layout(whole.size, int(batch_size), int(runs))
+        pieces, piece_of, at, sizes = _split_layout(whole.size, b, runs)
         flat_true = at * c + y  # row offsets restart in each piece
         p = np.bincount(piece_of * c + y, minlength=sizes.size * c).reshape(-1, c) / sizes
         q = 1.0 - p
@@ -218,21 +215,27 @@ class Minibatch:
         return p, q
 
 
-def _is_integer(n) -> bool:
-    """An int or a numpy integer; a bool is no count or index.  The one
-    integer rule for every count and index the library takes."""
-    return isinstance(n, Integral) and not isinstance(n, bool)
+def _count(value, what: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int: an int or a numpy integer (a bool or a float is
+    no count or index) in ``[low, high)``, unbounded above when ``high`` is
+    None.  The one rule for every count and index the library takes;
+    anything else is a ``DomainError`` that names ``what``."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        n = int(value)
+        if low <= n and (high is None or n < high):
+            return n
+    span = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise DomainError(f"{what} must be an integer {span}, got {value!r}")
 
 
 def _label_vector(labels, class_count) -> np.ndarray:
-    """``labels`` as a fresh int64 array, checked: an integer class count C
-    (``_is_integer``, before any label is read), then a 1-d vector of at
-    least one label, of an integer or bool dtype (a float or string label
-    is refused, never truncated), each label in ``[0, C)``.  Anything else
-    is a ``DomainError``.  ``Minibatch``, ``SupervisionTrace`` and
-    ``metrics.confusion_matrix`` read labels through this one check."""
-    if not _is_integer(class_count):
-        raise DomainError(f"class count must be an integer, got {class_count!r}")
+    """``labels`` as a fresh int64 array, checked: a class count C of at
+    least 1 (``_count``, before any label is read), then a 1-d vector of
+    at least one label, of an integer or bool dtype (a float or string
+    label is refused, never truncated), each label in ``[0, C)``.
+    Anything else is a ``DomainError``.  ``Minibatch``, ``SupervisionTrace``
+    and ``metrics.confusion_matrix`` read labels through this one check."""
+    c = _count(class_count, "class count", 1)
     y = np.asarray(labels)
     if y.ndim != 1:
         raise DomainError("labels must be a 1-d vector")
@@ -241,7 +244,6 @@ def _label_vector(labels, class_count) -> np.ndarray:
     if y.dtype.kind not in "biu":
         raise DomainError(f"labels must be integers, got dtype {y.dtype}")
     y = np.array(y, dtype=np.int64)  # uint64 plus int64 row offsets would be float
-    c = int(class_count)
     if np.maximum.reduce(y.view(np.uint64)) >= c:  # a negative label wraps past any c
         raise DomainError(f"labels must lie in [0, {c})")
     return y
@@ -253,10 +255,9 @@ def _split_layout(n: int, b: int, runs: int):
     counts alone (``b`` is the batch size): each piece's ``(start, stop)``,
     each label's piece and its row within the piece, and each piece's size
     as a column.  Every epoch of a training task cuts the same counts, so
-    the layout is built once and shared; what it returns is immutable."""
-    if b < 1:
-        raise DomainError(f"batch size must be at least 1, got {b}")
-    if runs < 1 or n % runs:
+    the layout is built once and shared; what it returns is immutable.
+    ``b`` and ``runs`` are counts ``Minibatch.split`` has checked."""
+    if n % runs:
         raise DomainError(f"{n} labels do not make {runs} runs of one length")
     width = n // runs
     pieces = tuple(
@@ -332,15 +333,6 @@ def _polarity_floats(polarities) -> np.ndarray:
     return a
 
 
-def _check_polarities(polarities, class_count: int) -> np.ndarray:
-    a = _polarity_floats(polarities)
-    if a.shape != (class_count,):
-        raise DomainError(
-            f"polarity vector has length {a.shape}, expected ({class_count},)"
-        )
-    return a
-
-
 def _convolve(f: np.ndarray, a: np.ndarray) -> float:
     """sum_n f[N-1-n] * a[n] for equal-length arrays, unchecked."""
     return float(np.dot(f, a[::-1]))
@@ -400,7 +392,10 @@ def update_tal(
 ) -> QState:
     """One attenuated step: q' = lam*(q+1) on +1, q' = lam*(q - w(q)) on -1."""
     check_domain(kernel.lam, r, not strict)
-    positive = _check_polarities(polarities, state.class_count) > 0
+    a = _polarity_floats(polarities)
+    if a.shape != (state.class_count,):
+        raise DomainError(f"polarity vector has length {a.shape}, expected ({state.class_count},)")
+    positive = a > 0
     return _advance(state, kernel, r, positive, ~positive, strict)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import ExperimentSpec, LossBlock, check_calibration
 from .errors import DomainError, SolverError, TrainingError
-from .kernel import MemoryKernel, Minibatch, QState, _is_integer, update_batched
+from .kernel import MemoryKernel, Minibatch, QState, _count, update_batched
 from .loss import TalConfig, ce_forward, training_step
 from .metrics import MetricsReport, PerClassMetrics, asymmetry_index, confusion_and_prf
 from .streams import TaskSchedule
@@ -160,8 +160,7 @@ class Classifier:
         return self.w.shape[-1]
 
     def add_classes(self, n_new: int) -> None:
-        if not (_is_integer(n_new) and n_new >= 0):
-            raise DomainError(f"new class count must be an integer >= 0, got {n_new!r}")
+        n_new = _count(n_new, "new class count")
         self.w = np.concatenate([self.w, np.zeros((*self.w.shape[:-1], n_new))], axis=-1)
         self.b = np.concatenate([self.b, np.zeros((*self.b.shape[:-1], n_new))], axis=-1)
 
@@ -273,12 +272,14 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
     kept = min(spec.schedule.replay_per_class, data.per_class)
     replay = np.empty((n_seeds, data.classes, kept, data.dim))
     for i, seed in enumerate(seeds):
-        dataset, schedule = make_gaussian_tasks(spec, seed)
+        dataset, _ = make_gaussian_tasks(spec, seed)
         for t, part in enumerate(np.split(dataset.train, data.tasks)):
             train[t][i] = part
         replay[i] = [_select_exemplars(samples, kept) for samples in dataset.train]
         test[i] = dataset.test
         del dataset, part  # part is a view: free the seed's draw before the next one
+    # lays out each task's pool labels, with the replay capped at what was kept
+    schedule = TaskSchedule(data.classes, data.tasks, data.per_class, kept)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     head = Classifier.stack(
         [Classifier.stack([Classifier(data.dim, spec.schedule.hidden, seed)] * n_losses)
@@ -314,10 +315,7 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
         )
         train[t] = None  # the pool holds the task's training split from here on
         replay = replay if new.stop < data.classes else None  # the last pool is their last reader
-        pool_y = np.concatenate(
-            [np.repeat(np.arange(new.start, new.stop), data.per_class),
-             np.repeat(np.arange(new.start), kept)]
-        )
+        pool_y = schedule.task_labels(t)
         per_epoch = -(-len(pool_y) // batch_size)  # the steps _batches yields per epoch
         step_losses.append(np.zeros((cells, epochs * per_epoch)))
 

@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, TalcilError
-from .kernel import MemoryKernel, _convolve, _is_integer, _label_vector, _polarity_floats
+from .kernel import MemoryKernel, _convolve, _count, _label_vector, _polarity_floats
 
 __all__ = [
     "TaskSchedule",
@@ -51,7 +51,10 @@ class TaskSchedule:
     Task t introduces ``samples_per_class`` samples of each of its
     ``class_count // tasks`` new classes and replays
     ``replay_per_old_class`` exemplars of every class an earlier task
-    introduced.
+    introduced.  Each number is a count (``kernel._count``): at least one
+    class, one task and one sample per class, no negative replay, and
+    the task count must divide the class count; anything else is a
+    ``DomainError``.
     """
 
     class_count: int
@@ -60,25 +63,30 @@ class TaskSchedule:
     replay_per_old_class: int
 
     def __post_init__(self):
-        if not all(map(_is_integer, vars(self).values())):
-            raise DomainError(f"schedule counts must be integers, got {self}")
-        if self.tasks < 1 or self.class_count < 1:
-            raise DomainError("need at least one task and one class")
+        _count(self.class_count, "class count", 1)
+        _count(self.tasks, "task count", 1)
+        _count(self.samples_per_class, "samples per class", 1)
+        _count(self.replay_per_old_class, "replay per old class")
         if self.class_count % self.tasks != 0:
             raise DomainError(
                 f"class count {self.class_count} not divisible by task count {self.tasks}"
             )
-        if self.samples_per_class < 1:
-            raise DomainError("need at least one sample per class")
-        if self.replay_per_old_class < 0:
-            raise DomainError("replay count cannot be negative")
 
     def new_classes(self, t: int) -> range:
         """The class ids task ``t`` introduces, 0 <= t < tasks."""
-        if not (_is_integer(t) and 0 <= t < self.tasks):
-            raise DomainError(f"task index must be an integer in [0, {self.tasks}), got {t!r}")
+        t = _count(t, "task index", 0, self.tasks)
         width = self.class_count // self.tasks
         return range(t * width, (t + 1) * width)
+
+    def task_labels(self, t: int) -> np.ndarray:
+        """Task ``t``'s labels, unshuffled: ``samples_per_class`` of each
+        new class in id order, then ``replay_per_old_class`` of each class
+        an earlier task introduced."""
+        new = self.new_classes(t)
+        return np.concatenate([
+            np.repeat(new, self.samples_per_class),
+            np.repeat(np.arange(new.start), self.replay_per_old_class),
+        ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +107,7 @@ class SupervisionTrace:
         return self.labels.shape[0]
 
     def _is_class(self, class_id: int) -> np.ndarray:
-        if not (_is_integer(class_id) and 0 <= class_id < self.class_count):
-            raise DomainError(
-                f"class id must be an integer in [0, {self.class_count}), got {class_id!r}"
-            )
-        return self.labels == class_id
+        return self.labels == _count(class_id, "class id", 0, self.class_count)
 
     def polarities(self, class_id: int) -> np.ndarray:
         """a_k[n]: +1 at the class's own steps, -1 elsewhere."""
@@ -142,17 +146,13 @@ def generate_stream(schedule: TaskSchedule, seed: int) -> SupervisionTrace:
     """Emit the step-per-sample label stream a schedule induces.
 
     Within each task the new-class samples and the replay exemplars of
-    every already-seen class are shuffled uniformly, by a generator
-    seeded with ``seed``; tasks stay in order.
+    every already-seen class (``schedule.task_labels``) are shuffled
+    uniformly, by a generator seeded with ``seed``; tasks stay in order.
     """
     rng = np.random.default_rng(seed)
     chunks: list[np.ndarray] = []
     for t in range(schedule.tasks):
-        new = schedule.new_classes(t)
-        labels = np.concatenate([
-            np.repeat(new, schedule.samples_per_class),
-            np.repeat(np.arange(new.start), schedule.replay_per_old_class),
-        ])
+        labels = schedule.task_labels(t)
         rng.shuffle(labels)
         chunks.append(labels)
     return SupervisionTrace(labels=np.concatenate(chunks), class_count=schedule.class_count)
@@ -292,10 +292,8 @@ def sample_dominance_pair(
     leave: each 32-bit word comes from the generator's own source, the
     ``next_uint32`` that ``Generator.integers`` calls.
     """
-    if not (0 < positives <= length):
-        raise DomainError("positives must lie in [1, length]")
-    if length > _WORD:
-        raise DomainError(f"length {length} exceeds 2**32, numpy's 32-bit bounded rule")
+    length = _count(length, "length", 1, _WORD + 1)  # numpy's 32-bit bounded rule
+    positives = _count(positives, "positives", 1, length + 1)
     b_pos = np.sort(rng.choice(length, size=positives, replace=False))
     source = rng.bit_generator.ctypes
     next_word = partial(source.next_uint32, source.state)

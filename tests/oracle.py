@@ -22,7 +22,7 @@ import numpy as np
 
 from talcil.calibration import solve_calibration
 from talcil.errors import DomainError
-from talcil.kernel import MemoryKernel, QState, _check_polarities, _convolve, negative_weight
+from talcil.kernel import MemoryKernel, QState, _convolve, _polarity_floats, negative_weight
 from talcil.streams import _deltas, _phi
 
 __all__ = [
@@ -58,7 +58,9 @@ def update_plain(state: QState, kernel: MemoryKernel, polarities) -> QState:
     values are reported as-is.  Training goes through ``update_tal`` /
     ``update_batched``.
     """
-    a = _check_polarities(polarities, state.class_count)
+    a = _polarity_floats(polarities)
+    if a.shape != (state.class_count,):
+        raise DomainError(f"polarity vector has length {a.shape}, expected ({state.class_count},)")
     return QState(q=kernel.lam * (state.q + a))
 
 

@@ -754,8 +754,12 @@ def _rename_a_column(text):
     return text.replace("after_task", "after", 1)
 
 
+def _rewrite_a_cell(cell, new):
+    return lambda text: text.replace(f",{cell},", f",{new},", 1)
+
+
 def _negate_a_cell(cell):
-    return lambda text: text.replace(f",{cell},", f",-{cell},", 1)
+    return _rewrite_a_cell(cell, f"-{cell}")
 
 
 def _repeat_a_pair(text):
@@ -779,6 +783,11 @@ def _repeat_a_pair(text):
         ("accuracy_matrix_seed0.csv", _rename_a_column, "accuracy"),
         ("q_snapshots_seed1.csv", _negate_a_cell("1"), "q"),  # the first class id 1
         ("per_class_seed2.csv", _negate_a_cell("100"), "per-class"),  # the first support
+        # int() reads each of these; train writes none of them
+        ("q_snapshots_seed1.csv", _negate_a_cell("0"), "q"),
+        ("q_snapshots_seed1.csv", _rewrite_a_cell("3", "+3"), "q"),
+        ("per_class_seed2.csv", _rewrite_a_cell("7", " 7"), "per-class"),
+        ("q_snapshots_seed1.csv", _rewrite_a_cell("1", "1_0"), "q"),
     ],
     ids=[
         "header-only",
@@ -795,6 +804,10 @@ def _repeat_a_pair(text):
         "wrong-header",
         "negative-id",
         "negative-count",
+        "negative-zero",
+        "plus-sign",
+        "leading-space",
+        "underscore",
     ],
 )
 def test_plotdata_malformed_run_file_exits_3_with_nothing_written(
@@ -937,6 +950,19 @@ def test_library_states_no_assert():
         for path in sorted((ROOT / "src" / "talcil").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_only_the_kernel_reads_the_integer_rule():
+    # every count and index is checked by kernel._count; another module
+    # that reads numbers.Integral is writing a count check of its own
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "talcil").glob("*.py"))
+        if path.name != "kernel.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "Integral" in {getattr(node, field, None) for field in ("id", "attr", "name")}
     ]
     assert found == []
 

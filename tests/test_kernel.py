@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracle
 import talcil
 from talcil import (
+    Classifier,
     DomainError,
     MemoryKernel,
     Minibatch,
@@ -22,11 +23,14 @@ from talcil import (
     SpecError,
     SupervisionTrace,
     TalConfig,
+    TaskSchedule,
     check_domain,
+    sample_dominance_pair,
     solve_calibration,
     update_batched,
     update_tal,
 )
+from talcil.bench import run_loss_benchmark
 from talcil.config import spec_from_mapping
 from talcil.kernel import negative_weight
 from talcil.metrics import confusion_matrix
@@ -373,9 +377,12 @@ _LABEL_READERS = [
 @pytest.mark.parametrize(
     "labels, class_count, message",
     [
-        ([0, 1], True, "class count must be an integer, got True"),
-        ([0, 1], 2.0, "class count must be an integer, got 2.0"),
-        ([0, 1], np.float64(2), f"class count must be an integer, got {np.float64(2)!r}"),
+        ([0, 1], True, "class count must be an integer >= 1, got True"),
+        pytest.param([0, 1], 2.0, "class count must be an integer >= 1, got 2.0",
+                     id="float-count"),
+        pytest.param([0, 1], np.float64(2),
+                     f"class count must be an integer >= 1, got {np.float64(2)!r}",
+                     id="numpy-float-count"),
         ([0, 2], 2, "labels must lie in [0, 2)"),
         ([-1, 0], 2, "labels must lie in [0, 2)"),
         (np.array([2**64 - 1], np.uint64), 2, "labels must lie in [0, 2)"),
@@ -387,6 +394,46 @@ def test_every_label_reader_refuses_alike(labels, class_count, message):
         with pytest.raises(DomainError) as refused:
             read(labels, class_count)
         assert str(refused.value) == message
+
+
+_COUNT_READERS = {  # name: (what, low, high, read), one per count or index the library takes
+    "QState.zeros": ("class count", 1, None, QState.zeros),
+    "QState.append_classes": ("new class count", 0, None, QState.zeros(2).append_classes),
+    "Classifier.add_classes": ("new class count", 0, None, lambda n: Classifier(2).add_classes(n)),
+    "solve_calibration": ("class count", 2, None, lambda n: solve_calibration(n, 1.0)),
+    "Minibatch": ("class count", 1, None, lambda n: Minibatch([0], n)),
+    "SupervisionTrace": ("class count", 1, None, lambda n: SupervisionTrace([0], n)),
+    "confusion_matrix": ("class count", 1, None, lambda n: confusion_matrix([0], [0], n)),
+    "split-batch-size": ("batch size", 1, None, lambda n: Minibatch.split([0, 1], 2, n)),
+    "split-runs": ("runs", 1, None, lambda n: Minibatch.split([0, 1], 2, 2, n)),
+    "schedule-classes": ("class count", 1, None, lambda n: TaskSchedule(n, 1, 3, 1)),
+    "schedule-tasks": ("task count", 1, None, lambda n: TaskSchedule(4, n, 3, 1)),
+    "schedule-samples": ("samples per class", 1, None, lambda n: TaskSchedule(4, 2, n, 1)),
+    "schedule-replay": ("replay per old class", 0, None, lambda n: TaskSchedule(4, 2, 3, n)),
+    "new_classes": ("task index", 0, 2, TaskSchedule(4, 2, 3, 1).new_classes),
+    "trace-class-id": ("class id", 0, 2, SupervisionTrace([0, 1, 0], 2).polarities),
+    "bench-repeats": ("timed repeats", 1, None,
+                      lambda n: run_loss_benchmark((1, 2), (2,), repeats=n)),
+    "bench-batch-size": ("batch size", 1, None,
+                         lambda n: run_loss_benchmark((n, 2), (2,), repeats=1)),
+    "pair-length": ("length", 1, 2**32 + 1,
+                    lambda n: sample_dominance_pair(np.random.default_rng(0), n, 1)),
+    "pair-positives": ("positives", 1, 3,
+                       lambda n: sample_dominance_pair(np.random.default_rng(0), 2, n)),
+}
+
+
+@pytest.mark.parametrize("name", _COUNT_READERS)
+def test_every_count_reader_refuses_alike(name):
+    # one check (kernel._count) reads every count and index, with one
+    # message; a class count of 0 or -3 is no label range [0, 0) or [0, -3)
+    what, low, high, read = _COUNT_READERS[name]
+    span = f">= {low}" if high is None else f"in [{low}, {high})"
+    for value in (True, 2.5, np.float64(2), low - 1, low - 4, *([high] if high else [])):
+        with pytest.raises(DomainError) as refused:
+            read(value)
+        assert str(refused.value) == f"{what} must be an integer {span}, got {value!r}"
+    read(np.int64(low))  # a numpy integer is a count
 
 
 # ---------------------------------------------------------------------------

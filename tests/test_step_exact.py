@@ -431,8 +431,10 @@ def test_split_needs_runs_of_one_length():
 def test_split_counts_must_be_integers(batch_size, runs):
     Minibatch.split([0, 1, 0, 1], 2, 2, 1)  # fill the layout cache under the keys
     Minibatch.split([0, 1, 0, 1], 2, 1, 1)  # that True, 1.0 and 2.0 hash as
-    with pytest.raises(DomainError, match="batch size and runs must be integers"):
+    what, value = ("runs", runs) if type(batch_size) is int else ("batch size", batch_size)
+    with pytest.raises(DomainError) as refused:
         Minibatch.split([0, 1, 0, 1], 2, batch_size, runs)
+    assert str(refused.value) == f"{what} must be an integer >= 1, got {value!r}"
 
 
 def test_split_refuses_what_a_minibatch_refuses():
@@ -481,18 +483,21 @@ def test_minibatch_that_does_not_fit_is_a_domain_error():
 def test_empty_batch_is_refused_before_any_arithmetic():
     config = TalConfig.for_classes(0.9, 1.0, 3)
     state = QState.zeros(3)
+    empty = "a minibatch needs at least one label"
     calls = [
-        lambda: ce_forward(np.zeros((0, 3)), []),
-        lambda: ce_forward(np.zeros((0, 0)), []),
-        lambda: tal_forward(config, np.zeros((0, 3)), [], state),
-        lambda: training_step(config, state, np.zeros((0, 3)), np.zeros(0, dtype=np.int64)),
-        lambda: Minibatch([], 3),
+        (lambda: ce_forward(np.zeros((0, 3)), []), empty),
+        (lambda: ce_forward(np.zeros((0, 0)), []), "class count must be an integer >= 1, got 0"),
+        (lambda: tal_forward(config, np.zeros((0, 3)), [], state), empty),
+        (lambda: training_step(config, state, np.zeros((0, 3)), np.zeros(0, dtype=np.int64)),
+         empty),
+        (lambda: Minibatch([], 3), empty),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0/0 RuntimeWarning on the way
-        for call in calls:
-            with pytest.raises(DomainError, match="at least one label"):
+        for call, message in calls:
+            with pytest.raises(DomainError) as refused:
                 call()
+            assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(
