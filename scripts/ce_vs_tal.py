@@ -15,8 +15,8 @@ import argparse
 import numpy as np
 
 from talcil.cli import _int_from
-from talcil.config import LossBlock
-from talcil.errors import DomainError
+from talcil.config import ExperimentSpec, LossBlock
+from talcil.errors import DomainError, SpecError
 from talcil.sim import desk_scale_pair
 
 
@@ -26,9 +26,9 @@ def main():
     parser.add_argument("--lam", type=float, default=0.995)
     parser.add_argument("--r", type=float, default=1.0)
     args = parser.parse_args()
-    try:
-        LossBlock(lam=args.lam, r=args.r)  # the loss cells' own checks, before any output
-    except DomainError as exc:
+    try:  # the paired spec's own checks, the TAL cell's calibration too, before any output
+        ExperimentSpec(loss=LossBlock(lam=args.lam, r=args.r))
+    except (DomainError, SpecError) as exc:
         parser.error(str(exc))
 
     results = {"ce": [], "tal": []}

@@ -31,6 +31,7 @@ from .calibration import solve_calibration
 from .errors import DomainError, SolverError, SpecError
 from .kernel import check_domain
 from .loss import _check_epsilon
+from .streams import TaskSchedule
 
 __all__ = [
     "DatasetBlock",
@@ -178,6 +179,12 @@ class ExperimentSpec:
             raise SpecError(f"output_dir must be a string, got {self.output_dir!r}")
 
     __post_init__ = validate
+
+    @property
+    def task_schedule(self) -> TaskSchedule:
+        """The schedule the trainer trains on: replay capped at a class's samples."""
+        data, replay = self.dataset, self.schedule.replay_per_class
+        return TaskSchedule(data.classes, data.tasks, data.per_class, min(replay, data.per_class))
 
     def resolved_dict(self) -> dict:
         """Fully materialized mapping (defaults applied) for hashing/echoing."""

@@ -359,7 +359,7 @@ def _settle_range(q: np.ndarray, q_max: float, strict: bool) -> np.ndarray:
                 f"tracker left [0, q_max={q_max!r}) by more than rounding "
                 f"(min {low!r}, max {high!r})"
             )
-        if not (low > 0.0 and high < q_max):  # otherwise the clamp is the identity
+        if not (low >= 0.0 and high < q_max):  # otherwise the clamp is the identity
             np.maximum(q, 0.0, out=q)
             np.minimum(q, math.nextafter(q_max, 0.0), out=q)
         return q

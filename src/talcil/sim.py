@@ -86,12 +86,10 @@ def _place_means(
     )
 
 
-def make_gaussian_tasks(spec: ExperimentSpec, seed: int) -> tuple[SyntheticDataset, TaskSchedule]:
-    """The dataset and equal-width task schedule of one spec seed.
-
-    The spec's ``DatasetBlock`` has checked the shape of the problem when
-    it was built; the seed draws the means and the samples.
-    """
+def make_gaussian_tasks(spec: ExperimentSpec, seed: int) -> SyntheticDataset:
+    """The dataset of one spec seed, which ``spec.task_schedule`` splits
+    into tasks: the seed draws the means and the samples of the problem
+    that the spec's ``DatasetBlock`` checked when it was built."""
     data = spec.dataset
     rng = np.random.default_rng(seed)
     means = _place_means(rng, data.classes, data.dim, data.sep)
@@ -100,8 +98,7 @@ def make_gaussian_tasks(spec: ExperimentSpec, seed: int) -> tuple[SyntheticDatas
     for split in (train, test):  # in place, so a draw makes no temporaries
         split *= data.cov_scale
         split += means[:, None, :]
-    schedule = TaskSchedule(data.classes, data.tasks, data.per_class, spec.schedule.replay_per_class)
-    return SyntheticDataset(class_means=means, train=train, test=test), schedule
+    return SyntheticDataset(class_means=means, train=train, test=test)
 
 
 class Classifier:
@@ -265,21 +262,18 @@ def train_cells(spec: ExperimentSpec, losses) -> list[list[MetricsReport]]:
         raise DomainError("need at least one loss cell")
     n_seeds, n_losses = len(seeds), len(losses)
     cells = n_seeds * n_losses  # cell k is (seed k // n_losses, loss k % n_losses)
-    data = spec.dataset
+    data, schedule = spec.dataset, spec.task_schedule
     shape = (n_seeds, data.classes // data.tasks, data.per_class, data.dim)
     train = [np.empty(shape) for _ in range(data.tasks)]  # one split per task, until its pool
     test = np.empty((n_seeds, data.classes, data.test_per_class, data.dim))
-    kept = min(spec.schedule.replay_per_class, data.per_class)
-    replay = np.empty((n_seeds, data.classes, kept, data.dim))
+    replay = np.empty((n_seeds, data.classes, schedule.replay_per_old_class, data.dim))
     for i, seed in enumerate(seeds):
-        dataset, _ = make_gaussian_tasks(spec, seed)
+        dataset = make_gaussian_tasks(spec, seed)
         for t, part in enumerate(np.split(dataset.train, data.tasks)):
             train[t][i] = part
-        replay[i] = [_select_exemplars(samples, kept) for samples in dataset.train]
+        replay[i] = [_select_exemplars(s, schedule.replay_per_old_class) for s in dataset.train]
         test[i] = dataset.test
         del dataset, part  # part is a view: free the seed's draw before the next one
-    # lays out each task's pool labels, with the replay capped at what was kept
-    schedule = TaskSchedule(data.classes, data.tasks, data.per_class, kept)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     head = Classifier.stack(
         [Classifier.stack([Classifier(data.dim, spec.schedule.hidden, seed)] * n_losses)
@@ -444,10 +438,7 @@ def desk_scale_pair(seed: int, *, lam: float = 0.995, r: float = 1.0) -> dict[st
     spec = ExperimentSpec(loss=LossBlock(lam=lam, r=r), seeds=(seed,))
     kinds = ("ce", "tal")
     losses = [replace(spec.loss, kind=kind.upper()) for kind in kinds]
-    data = spec.dataset
-    ages = class_ages(
-        TaskSchedule(data.classes, data.tasks, data.per_class, spec.schedule.replay_per_class)
-    )
+    ages = class_ages(spec.task_schedule)
     results = {}
     [reports] = train_cells(spec, losses)
     for kind, report in zip(kinds, reports):

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -868,6 +870,103 @@ def test_plotdata_run_without_the_asked_table_exits_3_with_nothing_written(
 
 def test_plotdata_missing_run_dir(tmp_path, capsys):
     assert main(["plotdata", "--run", str(tmp_path / "nope"), "--what", "q"]) == 3
+
+
+# Tables of the demo run's seeds 0-4 and of two seeds it does not have,
+# and the ways a table can be damaged; a drawn example damages a few
+# tables of one copy of the run.
+_TABLE_NAMES = [
+    f"{prefix}_seed{seed}.csv"
+    for prefix in ("accuracy_matrix", "per_class", "q_snapshots")
+    for seed in range(7)
+]
+_DAMAGES = (
+    "empty", "truncated", "non-utf8", "duplicated-row", "directory",
+    "symlink-to-directory", "dangling-symlink", "symlink-loop", "symlink-to-table",
+)
+
+
+def _damage(path, kind, at):
+    """Damage run table ``path`` (made if absent) by ``kind``; ``at`` in
+    [0, 1) says where: the byte, the row or the table it refers to."""
+    data = path.read_bytes() if path.exists() else b""
+    cut = int(at * len(data))
+    path.unlink(missing_ok=True)
+    if kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "truncated":
+        path.write_bytes(data[:cut])
+    elif kind == "non-utf8":
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    elif kind == "duplicated-row":
+        rows = data.splitlines(keepends=True)
+        row = int(at * len(rows))
+        path.write_bytes(b"".join(rows[: row + 1] + rows[row:]))
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "symlink-to-directory":
+        path.symlink_to(".")
+    elif kind == "dangling-symlink":
+        path.symlink_to("missing.csv")
+    elif kind == "symlink-loop":
+        path.symlink_to(path.name)
+    else:
+        path.symlink_to(_TABLE_NAMES[int(at * len(_TABLE_NAMES))])
+
+
+def _plotdata_on_damaged_run(base, damages, what, to_file):
+    """(exit code, stdout, stderr, whether the output file exists) of
+    ``plotdata`` in-process on a copy of the demo run made under ``base``
+    and damaged by each (table, kind, at) of ``damages``."""
+    run = base / "run"
+    shutil.copytree(ROOT / "runs" / "demo", run, ignore=shutil.ignore_patterns("*.jsonl"))
+    for name, kind, at in damages:
+        _damage(run / name, kind, at)
+    out_file = base / "long.csv"
+    argv = ["plotdata", "--run", str(run), "--what", what]
+    argv += ["--output", str(out_file)] if to_file else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), out_file.exists()
+
+
+@given(
+    damages=st.lists(
+        st.tuples(
+            st.sampled_from(_TABLE_NAMES),
+            st.sampled_from(_DAMAGES),
+            st.floats(0.0, 1.0, exclude_max=True),
+        ),
+        min_size=1, max_size=3, unique_by=lambda damage: damage[0],
+    ),
+    what=st.sampled_from(["accuracy", "forgetting", "per-class", "q"]),
+    to_file=st.booleans(),
+)
+def test_plotdata_on_a_damaged_run_exits_0_or_3_and_writes_only_on_success(
+    tmp_path_factory, damages, what, to_file
+):
+    base = tmp_path_factory.mktemp("plotdata")
+    code, _, err, written = _plotdata_on_damaged_run(base, damages, what, to_file)
+    assert code in (0, 3), err
+    if code == 3:
+        assert json.loads(err)["error"] == "SpecError"
+    assert written == (to_file and code == 0)
+
+
+def test_a_damaged_run_gives_plotdata_the_same_result_under_optimize(tmp_path):
+    damages = [("accuracy_matrix_seed2.csv", "duplicated-row", 0.5)]
+    code, out, err, written = _plotdata_on_damaged_run(tmp_path, damages, "forgetting", True)
+    assert (code, out, written) == (3, "", False) and "accuracy_matrix_seed2.csv" in err
+    src = str(Path(talcil.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "talcil", "plotdata", "--run", str(tmp_path / "run"),
+         "--what", "forgetting", "--output", str(tmp_path / "long.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert not (tmp_path / "long.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,19 @@
 The benchmark recorder is tested on a canned harness output, so no
 benchmark runs here."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,11 +78,67 @@ def test_temporal_imbalance_demo_rejects_bad_arguments(args):
 
 
 @pytest.mark.parametrize(
-    "args", [("--lam", "1.5"), ("--lam", "0.3"), ("--r", "nan"), ("--r", "0.5")]
+    "args", [("--lam", "1.5"), ("--lam", "0.3"), ("--r", "nan"), ("--r", "0.5"), ("--r", "1e6")]
 )
 def test_ce_vs_tal_rejects_a_loss_outside_the_calibrated_domain(args):
     out, err = run_script("ce_vs_tal.py", "--seeds", "1", *args, code=2)
     assert "usage" in err and out == ""
+
+
+def _script(name):
+    """The script ``scripts/<name>.py`` imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_in_process(name, args):
+    """The exit code and stdout of ``scripts/<name>.py`` run in this
+    process with ``args``; an exception it raises propagates."""
+    out = io.StringIO()
+    with mock.patch.object(sys, "argv", [name, *args]), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            _script(name).main()
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _option(flag, values):
+    """``[flag, value]`` with a value drawn from ``values`` as text, or no option."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+# Text that is no finite number, and two spellings float() reads: 1_0 and 1.5.
+_WORDS = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "0x10", "1_0", "1.5"])
+
+
+@given(
+    seeds=st.integers(-1, 1),
+    lam=st.floats(0.4, 1.0),
+    r=st.floats(0.0, 1000.0),
+)
+def test_ce_vs_tal_on_drawn_arguments_exits_0_or_2(seeds, lam, r):
+    args = ["--seeds", str(seeds), "--lam", str(lam), "--r", str(r)]
+    code, out = run_in_process("ce_vs_tal", args)
+    assert code in (0, 2)
+    assert code == 0 or out == ""
+
+
+@given(
+    args=st.tuples(
+        _option("--lam", st.floats() | _WORDS),
+        _option("--per-class", st.integers(max_value=200) | _WORDS),
+        _option("--seed", st.integers(min_value=-2, max_value=2**70) | _WORDS),
+    )
+)
+def test_temporal_imbalance_demo_on_drawn_arguments_exits_0_or_2(args):
+    code, out = run_in_process("temporal_imbalance_demo", sum(args, []))
+    assert code in (0, 2)
+    assert code == 0 or out == ""
 
 
 def _bench_record():

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -51,7 +52,7 @@ def write_spec(tmp_path, text):
 
 
 def small_setup(seed=0, **dataset):
-    """The dataset and task schedule of one seed of ``spec_of(**dataset)``."""
+    """The dataset of one seed of ``spec_of(**dataset)``."""
     return make_gaussian_tasks(spec_of(**dataset), seed)
 
 
@@ -61,17 +62,18 @@ def small_setup(seed=0, **dataset):
 
 
 def test_dataset_is_bit_identical_for_same_seed():
-    a, _ = small_setup(seed=5)
-    b, _ = small_setup(seed=5)
+    a = small_setup(seed=5)
+    b = small_setup(seed=5)
     assert np.array_equal(a.class_means, b.class_means)
     assert np.array_equal(a.train, b.train)
     assert np.array_equal(a.test, b.test)
-    c, _ = small_setup(seed=6)
+    c = small_setup(seed=6)
     assert not np.array_equal(a.train, c.train)
 
 
 def test_dataset_shapes_and_separation():
-    ds, schedule = small_setup(seed=1, classes=10, tasks=5, per_class=30)
+    ds = small_setup(seed=1, classes=10, tasks=5, per_class=30)
+    schedule = spec_of(classes=10, tasks=5, per_class=30).task_schedule
     assert ds.train.shape == (10, 30, 16)
     assert ds.test.shape == (10, 100, 16)
     dists = np.linalg.norm(
@@ -338,12 +340,22 @@ def test_forgetting_curve_directions():
 
 
 def test_class_ages_order():
-    _, schedule = small_setup()
-    ages = class_ages(schedule)
+    ages = class_ages(spec_of().task_schedule)
     assert ages.dtype == np.float64
     assert ages[0] == 4 and ages[1] == 4
     assert ages[8] == 0 and ages[9] == 0
     assert np.all(np.diff(ages[::2]) < 0)
+
+
+def test_replay_is_capped_at_the_samples_a_class_has():
+    # 20 replay exemplars asked of classes that have 5 samples each
+    spec = spec_of(schedule=ScheduleBlock(replay_per_class=20, epochs=2, batch_size=8), per_class=5)
+    schedule = spec.task_schedule
+    task = train_one(spec, 0).events["task"]
+    for t in range(schedule.tasks):
+        labels = schedule.task_labels(t)
+        assert np.array_equal(np.bincount(labels), np.full(schedule.new_classes(t).stop, 5))
+        assert np.count_nonzero(task == t) == 2 * math.ceil(len(labels) / 8)
 
 
 # ---------------------------------------------------------------------------
