@@ -7,8 +7,11 @@ subprocess and appends one entry to ``BENCH_<workload>.json`` at the
 root of this repository.  An entry holds the commit the checkout was
 made from, the checkout's absolute path (``peak_rss_mb`` moves with the
 name of the directory a checkout sits in), the run's ``# env`` line,
-each metric's median, p25, p75 and sample count, and the run's
-``correct`` and ``failed``.  A run that is not ``"correct": true`` is
+each metric's median, p25, p75 and sample count, the run's ``correct``
+and ``failed``, and ``blas_env``: the BLAS thread variables (``BLAS_ENV``)
+the run was started with, ``null`` when unset.  (Importing talcil sets
+``OPENBLAS_THREAD_TIMEOUT`` inside the run when it is unset; ``blas_env``
+records what the run inherited.)  A run that is not ``"correct": true`` is
 refused: the script exits 1 and writes nothing for that workload.
 
 Run (a checkout unpacked with ``git archive``, say):
@@ -25,11 +28,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRIC_LINE = re.compile(r"# (\S+) median=(\S+) .*p25=(\S+) p75=(\S+) n=(\d+)$")
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT", "OMP_NUM_THREADS")
 
 
-def parse_run(stdout: str, commit: str, checkout: Path) -> dict:
-    """The entry for one ``run.py --trace 0`` stdout of ``checkout``;
-    ``ValueError`` unless it is correct."""
+def parse_run(stdout: str, commit: str, checkout: Path, environ) -> dict:
+    """The entry for one ``run.py --trace 0`` stdout of ``checkout``, run
+    with the environment ``environ``; ``ValueError`` unless it is correct."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if result.get("correct") is not True:
@@ -43,7 +47,8 @@ def parse_run(stdout: str, commit: str, checkout: Path) -> dict:
             quartiles[name] = {"median": float(med), "p25": float(p25), "p75": float(p75), "n": int(n)}
     metrics = {name: {**quartiles[name], "unit": m["unit"]} for name, m in result["metrics"].items()}
     return {"commit": commit, "checkout": str(checkout.resolve()), "env": env,
-            "metrics": metrics, "correct": True, "failed": result["failed"]}
+            "metrics": metrics, "correct": True, "failed": result["failed"],
+            "blas_env": {var: environ.get(var) for var in BLAS_ENV}}
 
 
 def append_entry(path: Path, entry: dict) -> None:
@@ -71,7 +76,7 @@ def main() -> int:
             capture_output=True, text=True,
         )
         try:
-            entry = parse_run(proc.stdout, args.commit, args.checkout)
+            entry = parse_run(proc.stdout, args.commit, args.checkout, os.environ)
         except ValueError as exc:
             print(f"bench_record: {workload}: {exc}\n{proc.stderr}", file=sys.stderr)
             status = 1

@@ -15,7 +15,7 @@ import argparse
 from pathlib import Path
 
 from talcil import MemoryKernel, TaskSchedule, generate_stream, verify_theorem1
-from talcil.cli import _int_from
+from talcil.cli import _int_from, _integer
 from talcil.errors import DomainError
 from talcil.output import write_csv
 
@@ -23,7 +23,7 @@ from talcil.output import write_csv
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lam", type=float, default=0.99)
-    parser.add_argument("--per-class", type=int, default=100)
+    parser.add_argument("--per-class", type=_integer, default=100)
     parser.add_argument("--seed", type=_int_from(0), default=0)
     parser.add_argument("--output-dir", default=None)
     args = parser.parse_args()

@@ -10,7 +10,13 @@ Gaussian classes, SGD softmax classifier, replay) demonstrates the
 temporal-imbalance phenomenon and its correction end to end.
 """
 
+import os
+
 __version__ = "0.1.0"  # above the imports: a submodule may read it mid-import
+
+# Read by OpenBLAS once, as numpy loads it: idle BLAS workers then sleep at once
+# instead of spinning about 0.1 s of CPU through every start-up.  A set value wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .calibration import CalibrationResult, solve_calibration
 from .errors import DomainError, SolverError, SpecError, TalcilError, TrainingError

@@ -76,31 +76,38 @@ def _resolve_output_dir(flag_value, spec_value=None) -> Path:
             return _usable_output(candidate, directory=True)
 
 
-def _int_from(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+#: a nonnegative integer as ``train`` writes one: decimal digits, no sign,
+#: space, underscore or leading zero
+_DECIMAL = re.compile("0|[1-9][0-9]*")
 
+
+def _integer(text: str) -> int:
+    """An argparse type, the one spelling of every integer option: ``-`` or
+    not, then ``_DECIMAL``.  Range checks beyond ``_int_from`` are the library's."""
+    if not _DECIMAL.fullmatch(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
+def _int_from(low: int):
+    """An argparse type: an ``_integer`` no smaller than ``low``."""
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+        if (value := _integer(text)) < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
         return value
-
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
-def _nonempty(values: list) -> list:
-    if not values:
+def _list_of(parse):
+    """An argparse type: a nonempty comma-separated list of ``parse`` values."""
+    def comma_list(text: str) -> list:
+        if values := [parse(tok) for tok in text.split(",") if tok.strip()]:
+            return values
         raise argparse.ArgumentTypeError("expected at least one comma-separated value")
-    return values
+    return comma_list
 
 
-def _int_list(text: str) -> list[int]:
-    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()])
-
-
-def _float_list(text: str) -> list[float]:
-    return _nonempty([float(tok) for tok in text.split(",") if tok.strip()])
+_int_list, _float_list = _list_of(_integer), _list_of(float)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +280,6 @@ def _cmd_bench_loss(args) -> int:
 
 
 _FLOAT_COLUMNS = frozenset({"accuracy", "precision", "recall", "q_value"})
-#: a nonnegative integer as ``train`` writes one: decimal digits, no sign,
-#: space, underscore or leading zero
-_DECIMAL = re.compile("0|[1-9][0-9]*")
 
 
 def _check_cell(column: str, cell: str) -> None:
@@ -405,15 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="solve the steady-state calibration for (C, r)")
-    p.add_argument("--classes", type=int, required=True)
+    p.add_argument("--classes", type=_integer, required=True)
     p.add_argument("--exponent", type=float, required=True)
     p.set_defaults(handler=_cmd_calibrate)
 
     p = sub.add_parser("simulate-stream", help="generate a task stream, S curves and Q trajectory")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--tasks", type=int, default=2)
-    p.add_argument("--per-class", type=int, default=50)
-    p.add_argument("--replay", type=int, default=0)
+    p.add_argument("--classes", type=_integer, default=4)
+    p.add_argument("--tasks", type=_integer, default=2)
+    p.add_argument("--per-class", type=_integer, default=50)
+    p.add_argument("--replay", type=_integer, default=0)
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--lam", type=float, default=0.995, help="memory parameter")
     p.add_argument("--exponent", type=float, default=1.0, help="attenuation steepness r")
@@ -422,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorem1", help="randomized monotonicity check on dominance pairs")
     p.add_argument("--pairs", type=_int_from(1), default=500)
-    p.add_argument("--length", type=int, default=600)
-    p.add_argument("--positives", type=int, default=120)
+    p.add_argument("--length", type=_integer, default=600)
+    p.add_argument("--positives", type=_integer, default=120)
     p.add_argument("--lambdas", type=_float_list, default=[0.9, 0.99])
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--output-dir", default=None)

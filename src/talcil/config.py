@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .calibration import solve_calibration
 from .errors import DomainError, SolverError, SpecError
-from .kernel import check_domain
+from .kernel import _count, check_domain
 from .loss import _check_epsilon
 from .streams import TaskSchedule
 
@@ -83,14 +83,10 @@ class DatasetBlock:
 
     def validate(self):
         _check_types(self, "dataset")
-        if self.classes < 2:
-            raise DomainError("dataset.classes must be at least 2")
-        if self.tasks < 1 or self.classes % self.tasks != 0:
-            raise DomainError(
-                f"dataset.classes={self.classes} must be divisible by dataset.tasks={self.tasks}"
-            )
-        if self.dim < 1 or self.per_class < 1 or self.test_per_class < 1:
-            raise DomainError("dataset sizes must be positive")
+        _count(self.classes, "dataset.classes", 2)
+        TaskSchedule(self.classes, self.tasks, self.per_class, 0)  # its own count rules
+        _count(self.dim, "dataset.dim", 1)
+        _count(self.test_per_class, "dataset.test_per_class", 1)
         if self.sep <= 0 or self.cov_scale <= 0:
             raise DomainError("dataset.sep and dataset.cov_scale must be positive")
 
@@ -107,14 +103,10 @@ class ScheduleBlock:
 
     def validate(self):
         _check_types(self, "schedule")
-        if self.replay_per_class < 0:
-            raise DomainError("schedule.replay_per_class cannot be negative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise DomainError("schedule.epochs and schedule.batch_size must be positive")
+        for name, low in (("replay_per_class", 0), ("epochs", 1), ("batch_size", 1), ("hidden", 0)):
+            _count(getattr(self, name), f"schedule.{name}", low)
         if self.lr <= 0:
             raise DomainError("schedule.lr must be positive")
-        if self.hidden < 0:
-            raise DomainError("schedule.hidden cannot be negative")
 
     __post_init__ = validate
 
@@ -283,6 +275,4 @@ def load_spec(path) -> ExperimentSpec:
         data = yaml.load(path.read_bytes(), Loader=_spec_loader())  # undecodable: a YAMLError
     except yaml.YAMLError as exc:
         raise SpecError(f"could not parse {path}: {exc}") from exc
-    if data is None:
-        data = {}
-    return spec_from_mapping(data)
+    return spec_from_mapping({} if data is None else data)

@@ -138,12 +138,14 @@ def test_train_missing_spec_fails_cleanly(tmp_path, capsys):
     assert record["error"] == "SpecError"
 
 
-def test_train_invalid_spec_fails_before_any_output(tmp_path):
+def test_train_invalid_spec_fails_before_any_output(tmp_path, capsys):
     bad = TINY_SPEC.replace("classes: 4", "classes: 5")  # 5 % 2 != 0
     spec = write_spec(tmp_path, bad)
     out_dir = tmp_path / "out"
     assert main(["train", "--spec", str(spec), "--output-dir", str(out_dir)]) == 3
     assert not out_dir.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["message"] == "bad value in dataset: class count 5 not divisible by task count 2"
 
 
 @pytest.mark.parametrize(
@@ -466,6 +468,96 @@ def test_meaningless_arguments_are_usage_errors(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert f"argument {argv[-2]}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+# Every integer option, as (command, option, a valid value).
+_INTEGER_OPTIONS = [
+    ("calibrate", "--classes", "4"),
+    ("simulate-stream", "--classes", "4"),
+    ("simulate-stream", "--tasks", "2"),
+    ("simulate-stream", "--per-class", "5"),
+    ("simulate-stream", "--replay", "1"),
+    ("simulate-stream", "--seed", "0"),
+    ("verify-theorem1", "--pairs", "2"),
+    ("verify-theorem1", "--length", "20"),
+    ("verify-theorem1", "--positives", "4"),
+    ("verify-theorem1", "--seed", "0"),
+    ("bench-loss", "--batch-sizes", "2"),
+    ("bench-loss", "--class-counts", "3"),
+    ("bench-loss", "--repeats", "1"),
+]
+
+
+def _integer_argv(command, option, value, out_dir):
+    argv = [command, option, value]
+    if command == "calibrate":
+        return [*argv, "--exponent", "1"]
+    return [*argv, "--output-dir", str(out_dir)]
+
+
+@pytest.mark.parametrize("spelling", ["1_0", " 4", "4 ", "+3", "04", "-04", "0x10", "3.0", "٣"])
+@pytest.mark.parametrize("command, option, _", _INTEGER_OPTIONS, ids=lambda v: str(v).strip("-"))
+def test_an_integer_option_takes_only_decimal_digits(tmp_path, capsys, command, option, _, spelling):
+    out_dir = tmp_path / "out"
+    if option in ("--batch-sizes", "--class-counts"):
+        spelling = f"2,{spelling},4"
+    with pytest.raises(SystemExit) as exc:
+        main(_integer_argv(command, option, spelling, out_dir))
+    assert exc.value.code == 2
+    assert f"argument {option}: expected a decimal integer" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, value, code",
+    [
+        ("calibrate", "--classes", "-1", 4),
+        ("simulate-stream", "--classes", "-1", 4),
+        ("simulate-stream", "--tasks", "0", 4),
+        ("simulate-stream", "--per-class", "0", 4),
+        ("simulate-stream", "--replay", "-1", 4),
+        ("simulate-stream", "--seed", "-1", 2),
+        ("verify-theorem1", "--pairs", "0", 2),
+        ("verify-theorem1", "--length", "-1", 4),
+        ("verify-theorem1", "--positives", "0", 4),
+        ("verify-theorem1", "--seed", "-1", 2),
+        ("bench-loss", "--batch-sizes", "-2", 4),
+        ("bench-loss", "--class-counts", "0", 4),
+        ("bench-loss", "--repeats", "0", 2),
+    ],
+    ids=lambda v: str(v),
+)
+def test_an_integer_below_its_bound_keeps_its_exit_code(tmp_path, capsys, command, option, value, code):
+    out_dir = tmp_path / "out"
+    argv = _integer_argv(command, option, value, out_dir)
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: expected an integer >=" in capsys.readouterr().err
+    else:
+        assert main(argv) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert not out_dir.exists()
+
+
+def test_every_integer_option_is_listed_and_reads_its_decimal_spelling(tmp_path):
+    # a new integer option must join _INTEGER_OPTIONS, and each listed one
+    # must accept its plain spelling
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and "train" in a.choices).choices
+    found = {
+        (command, action.option_strings[0])
+        for command, sub in subparsers.items()
+        for action in sub._actions
+        if action.type in (int, cli._integer, cli._int_list)
+        or getattr(action.type, "__qualname__", "").startswith("_int_from.")
+    }
+    assert found == {(command, option) for command, option, _ in _INTEGER_OPTIONS}
+    for command, option, value in _INTEGER_OPTIONS:
+        args = cli.build_parser().parse_args(_integer_argv(command, option, value, tmp_path))
+        parsed = getattr(args, option[2:].replace("-", "_"))
+        assert parsed == int(value) or parsed == [int(value)]
 
 
 @pytest.mark.parametrize(
@@ -1121,3 +1213,54 @@ def test_edited_demo_spec_runs_or_exits_3_with_nothing_written(path, value):
         out_dir = Path(tmp) / "out"
         code = main(["train", "--spec", str(spec_path), "--output-dir", str(out_dir)])
         assert code == 0 or (code == 3 and not out_dir.exists()), (path, value, code)
+
+
+_BASE_TEXT = yaml.safe_dump(_BASE).encode()
+_TEXT_DAMAGES = ("truncate", "flip-byte", "non-utf8", "duplicate-line", "insert-tab")
+
+
+def _damage_text(data: bytes, kind: str, at: float, byte: int) -> bytes:
+    """``data`` with one ``kind`` of damage at the fraction ``at`` of it;
+    ``byte`` (1-255) picks the flipped bits or the non-UTF-8 byte."""
+    i = int(at * len(data))
+    if kind == "truncate":
+        return data[:i]
+    if kind == "flip-byte":
+        return data[:i] + bytes(b ^ byte for b in data[i:i + 1]) + data[i + 1:]
+    if kind == "non-utf8":  # a lone byte >= 0x80 between ASCII bytes never decodes
+        return data[:i] + bytes([0x80 | byte]) + data[i:]
+    if kind == "insert-tab":
+        return data[:i] + b"\t" + data[i:]
+    lines = data.splitlines(keepends=True)
+    row = int(at * len(lines))
+    return b"".join(lines[: row + 1] + lines[row:])
+
+
+@given(
+    damages=st.lists(
+        st.tuples(
+            st.sampled_from(_TEXT_DAMAGES),
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.integers(1, 255),
+        ),
+        min_size=1, max_size=3,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_damaged_demo_spec_text_runs_or_exits_3_or_5_with_nothing_written(damages):
+    # a spec is refused (3) or trains, and training may still diverge (5);
+    # a damaged spec is never a library bug (1) and writes nothing unless it runs
+    data = _BASE_TEXT
+    for kind, at, byte in damages:
+        data = _damage_text(data, kind, at, byte)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.yaml"
+        spec_path.write_bytes(data)
+        out_dir = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["train", "--spec", str(spec_path), "--output-dir", str(out_dir)])
+        assert code in (0, 3, 5), (data, err.getvalue())
+        assert code == 0 or not out_dir.exists(), (data, code)

@@ -141,6 +141,17 @@ def test_temporal_imbalance_demo_on_drawn_arguments_exits_0_or_2(args):
     assert code == 0 or out == ""
 
 
+@pytest.mark.parametrize("spelling", ["1_0", " 2", "2 ", "+2", "02", "٢"])
+@pytest.mark.parametrize(
+    "name, flag",
+    [("ce_vs_tal", "--seeds"), ("temporal_imbalance_demo", "--per-class"),
+     ("temporal_imbalance_demo", "--seed")],
+)
+def test_a_script_integer_option_takes_only_decimal_digits(name, flag, spelling):
+    # the CLI's one integer spelling: int() would read each of these
+    assert run_in_process(name, [flag, spelling]) == (2, "")
+
+
 def _bench_record():
     spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
     module = importlib.util.module_from_spec(spec)
@@ -161,13 +172,18 @@ RUN_STDOUT = """\
 
 
 def test_bench_record_parses_each_metric_and_the_environment(tmp_path):
-    entry = _bench_record().parse_run(RUN_STDOUT, "abc1234", tmp_path)
+    environ = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "PATH": "/bin"}
+    entry = _bench_record().parse_run(RUN_STDOUT, "abc1234", tmp_path, environ)
     assert entry["commit"] == "abc1234" and entry["correct"] is True and entry["failed"] == 0
     assert entry["checkout"] == str(tmp_path.resolve())
     assert entry["env"]["numpy"] == "2.4.6" and entry["env"]["nproc"] == 2
     assert list(entry["metrics"]) == ["cpu_s", "steps_per_s", "peak_rss_mb", "setup_s"]
     assert entry["metrics"]["peak_rss_mb"] == {
         "median": 39.3008, "p25": 39.2305, "p75": 39.3047, "n": 3, "unit": "MB"
+    }
+    # each BLAS thread variable the run started with, None when unset
+    assert entry["blas_env"] == {
+        "OPENBLAS_NUM_THREADS": "2", "OPENBLAS_THREAD_TIMEOUT": None, "OMP_NUM_THREADS": "1"
     }
 
 
@@ -180,14 +196,14 @@ def test_bench_record_parses_each_metric_and_the_environment(tmp_path):
 )
 def test_bench_record_refuses_a_run_that_is_not_correct(stdout):
     with pytest.raises(ValueError):
-        _bench_record().parse_run(stdout, "abc1234", ROOT)
+        _bench_record().parse_run(stdout, "abc1234", ROOT, {})
 
 
 def test_bench_record_appends_to_the_workload_file(tmp_path):
     recorder = _bench_record()
     path = tmp_path / "BENCH_stream-lab.json"
     for commit in ("parent", "change"):
-        recorder.append_entry(path, recorder.parse_run(RUN_STDOUT, commit, tmp_path / commit))
+        recorder.append_entry(path, recorder.parse_run(RUN_STDOUT, commit, tmp_path / commit, {}))
     entries = json.loads(path.read_text())
     assert [e["commit"] for e in entries] == ["parent", "change"]
     assert [e["checkout"] for e in entries] == [str(tmp_path.resolve() / c) for c in ("parent", "change")]

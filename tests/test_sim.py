@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -12,6 +13,7 @@ from talcil import (
     DomainError,
     SolverError,
     SpecError,
+    TaskSchedule,
     TrainingError,
     ablate,
     make_gaussian_tasks,
@@ -88,13 +90,39 @@ def test_dataset_shapes_and_separation():
 def test_dataset_parameter_validation():
     # the dataset block rejects a problem that cannot be built ...
     with pytest.raises(DomainError):
-        DatasetBlock(classes=10, tasks=3)  # 10 % 3 != 0
-    with pytest.raises(DomainError):
         DatasetBlock(sep=-1.0)
+    # ... and words each schedule rule as the task schedule does
+    for dataset, schedule in [
+        ({"classes": 10, "tasks": 3}, (10, 3, 100, 0)),
+        ({"tasks": 0}, (10, 0, 100, 0)),
+        ({"per_class": 0}, (10, 5, 0, 0)),
+    ]:
+        with pytest.raises(DomainError) as from_block:
+            DatasetBlock(**dataset)
+        with pytest.raises(DomainError) as from_schedule:
+            TaskSchedule(*schedule)
+        assert str(from_block.value) == str(from_schedule.value)
     # ... and a seed whose means cannot be placed is a solver failure:
     # 20 points on a radius-5 circle cannot be pairwise 5 apart
     with pytest.raises(SolverError):
         small_setup(classes=20, dim=2, tasks=2, per_class=10, sep=5.0)
+
+
+@pytest.mark.parametrize(
+    "block, field, value, message",
+    [
+        (DatasetBlock, "classes", 1, "dataset.classes must be an integer >= 2, got 1"),
+        (DatasetBlock, "dim", 0, "dataset.dim must be an integer >= 1, got 0"),
+        (DatasetBlock, "test_per_class", 0, "dataset.test_per_class must be an integer >= 1, got 0"),
+        (ScheduleBlock, "replay_per_class", -1, "schedule.replay_per_class must be an integer >= 0, got -1"),
+        (ScheduleBlock, "epochs", 0, "schedule.epochs must be an integer >= 1, got 0"),
+        (ScheduleBlock, "batch_size", 0, "schedule.batch_size must be an integer >= 1, got 0"),
+        (ScheduleBlock, "hidden", -1, "schedule.hidden must be an integer >= 0, got -1"),
+    ],
+)
+def test_a_spec_count_below_its_bound_takes_the_count_rule_message(block, field, value, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        block(**{field: value})
 
 
 def test_widely_separated_classes_are_jointly_learnable():
